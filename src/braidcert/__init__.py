@@ -147,6 +147,7 @@ __all__ = [
     "nt_type",
     "parse_braid",
     "permutation",
+    "reduced_word",
     "representative",
     "sigma_sign",
     "sl2_image",

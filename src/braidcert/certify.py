@@ -43,8 +43,6 @@ from braidcert.threebraid import (
 class Verdict(Enum):
     EXCELLENT = "Excellent"
     TOTAL_L_SPACE = "TotalLSpace"
-    L_SPACE = "LSpace"
-    NOT_L_SPACE = "NotLSpace"
     UNKNOWN = "Unknown"
 
 
@@ -325,9 +323,7 @@ def certify_closed_braid_cover(
         )
 
     if m == 3:
-        c = FdtcValue.exact(
-            fdtc_exact_b3(b, budget), "conjugacy classification of 3-braids"
-        )
+        c = FdtcValue.exact(fdtc_exact_b3(b), "conjugacy classification of 3-braids")
     else:
         c = fdtc_interval_by_floor(b, tol, budget)
     cmin = c.abs_lower_bound()
@@ -387,19 +383,17 @@ _GENUS1_ASSUMPTIONS = (
     " (asserted)",
 )
 
-_TRICHOTOMY = Justification(
-    rule="genus1-trichotomy",
-    citation=(
-        "an irreducible manifold with a genus-one one-boundary open book is"
-        " excellent exactly when it is not an L-space, and a total L-space"
-        " otherwise"
-    ),
-    inequality="",  # completed with the cover order at use sites
-)
-
 
 def _trichotomy_just(n: int) -> Justification:
-    return Justification(_TRICHOTOMY.rule, _TRICHOTOMY.citation, f"{n} >= 2")
+    return Justification(
+        rule="genus1-trichotomy",
+        citation=(
+            "an irreducible manifold with a genus-one one-boundary open book is"
+            " excellent exactly when it is not an L-space, and a total L-space"
+            " otherwise"
+        ),
+        inequality=f"{n} >= 2",
+    )
 
 
 def _periodic_residue(family: int, d: int, n: int) -> tuple[bool, str, str]:
@@ -423,7 +417,7 @@ def _periodic_residue(family: int, d: int, n: int) -> tuple[bool, str, str]:
     return is_l, pos, neg
 
 
-def certify_genus1_cover(h: BraidWord, n: int, budget: int | None = None) -> Certificate:
+def certify_genus1_cover(h: BraidWord, n: int) -> Certificate:
     """Verdict for the n-fold cyclic branched cover of a genus-one
     fibred knot with monodromy h (a 3-braid word in the two dual Dehn
     twists).  Every such cover is excellent or a total L-space; the

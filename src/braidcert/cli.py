@@ -6,6 +6,10 @@ inverse).  Reports come in two formats: ``text`` (human-readable) and
 ``json`` (one record per input, stable field order, every rational
 exact as ``"numerator/denominator"`` — never floats).
 
+Every task is one entry of :data:`TASKS`, which both the subcommands and
+the ``corpus`` runner read: a corpus row may give only the parameters
+and flags its task declares for the corpus.
+
 Exit status: 0 on success, 1 on any error, 2 when a run performed
 certifications and every verdict came back Unknown.
 
@@ -17,9 +21,12 @@ compiled kernel.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from braidcert.braid import BraidWord, parse_braid
 from braidcert.certify import (
@@ -34,7 +41,6 @@ from braidcert.errors import BadParameters, BraidError, ParseError
 from braidcert.fdtc import FdtcValue, fdtc_interval
 from braidcert.ordering import compare, dehornoy_floor, sigma_sign
 from braidcert.threebraid import (
-    PeriodicForm,
     PseudoAnosovForm,
     ReducibleForm,
     baldwin_lspace_double_cover,
@@ -54,6 +60,10 @@ def _parse_rational(text: str, what: str) -> Fraction:
         raise BadParameters(f"{what} must be a rational like 5/12, got {text!r}")
 
 
+def _parse_tol(text: str) -> Fraction:
+    return _parse_rational(text, "tol")
+
+
 def _parse_fdtc_value(text: str) -> FdtcValue:
     """Exact rational "a/b", or interval "lo,hi"."""
     if "," in text:
@@ -64,23 +74,202 @@ def _parse_fdtc_value(text: str) -> FdtcValue:
     return FdtcValue.exact(_parse_rational(text.strip(), "twist value"), "command line")
 
 
+#: What a required corpus parameter of each type takes, for error messages.
+_TYPE_NAMES = {int: "int", _parse_fdtc_value: "rational|lo,hi"}
+
+
+@dataclass(frozen=True)
+class Param:
+    """One parameter or flag of a task.
+
+    ``option`` is the subcommand spelling (``"--t"``, or a bare name for
+    a positional); ``corpus`` is the spelling in a corpus params field,
+    None when only the subcommand takes it.  ``type`` parses the text,
+    and is None for a flag.  ``caveat`` names what a subcommand's
+    verdict stays conditional on while the flag is not passed.
+    """
+
+    option: str
+    corpus: str | None = None
+    type: Callable[[str], object] | None = str
+    default: object = None
+    required: bool = False
+    help: str | None = None
+    caveat: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.option.lstrip("-").replace("-", "_")
+
+
+def _flag(option: str, help: str, corpus: str | None = None,
+          caveat: str | None = None) -> Param:
+    return Param(option, corpus, None, False, help=help, caveat=caveat)
+
+
+Result = tuple[dict, str, Certificate | None]
+
+
+@dataclass(frozen=True)
+class Task:
+    """A subcommand and, when ``corpus`` is set, the corpus task of that
+    name: how the braid is given (None when the task takes no braid),
+    its parameters and flags in subcommand order, and the runner that
+    maps the braid and the parameter values, keyed by ``dest``, to
+    (record, text, certificate-or-None)."""
+
+    command: str
+    help: str
+    corpus: str | None
+    braid: Param | None
+    params: tuple[Param, ...]
+    run: Callable[[BraidWord | None, dict], Result]
+
+
+# ---------------------------------------------------------------------------
+# task runners
+
+
+def _order(braid: BraidWord, v: dict) -> Result:
+    if v["other"] is None:
+        name = sigma_sign(braid).name.title()
+        return {"sign": name}, name, None
+    name = compare(braid, parse_braid(v["other"])).name.title()
+    return {"comparison": name}, name, None
+
+
+def _floor(braid: BraidWord, v: dict) -> Result:
+    value = dehornoy_floor(braid)
+    return {"floor": value}, str(value), None
+
+
+def _fdtc(braid: BraidWord, v: dict) -> Result:
+    value = fdtc_interval(braid, v["tol"])
+    if value.is_exact:
+        return ({"kind": "exact", "value": str(value.value),
+                 "provenance": value.provenance}, f"c = {value.value}", None)
+    return ({"kind": "interval", "lo": str(value.lo), "hi": str(value.hi),
+             "provenance": value.provenance}, f"c in [{value.lo}, {value.hi}]", None)
+
+
+def _classify3(braid: BraidWord, v: dict) -> Result:
+    nf = normal_form(braid)
+    d = nf.central_power
+    if isinstance(nf, PseudoAnosovForm):
+        a = list(nf.twist_exponents)
+        return ({"type": "PseudoAnosov", "d": d, "a": a},
+                f"PseudoAnosov d={d} a=[{','.join(map(str, a))}]", None)
+    if isinstance(nf, ReducibleForm):
+        m = nf.sigma2_power
+        central = " central" if m == 0 else ""
+        return ({"type": "Reducible", "d": d, "m": m, "central": m == 0},
+                f"Reducible d={d} m={m}{central}", None)
+    m = nf.sigma1_power
+    return {"type": "Periodic", "d": d, "m": m}, f"Periodic d={d} m={m}", None
+
+
+def _lspace2(braid: BraidWord, v: dict) -> Result:
+    status = baldwin_lspace_double_cover(normal_form(braid)).value
+    return {"status": status}, status, None
+
+
+def _certified(cert: Certificate) -> Result:
+    return cert.to_record(), cert.verdict.value, cert
+
+
+def _certify_cover(braid: BraidWord, v: dict) -> Result:
+    return _certified(certify_closed_braid_cover(
+        braid, v["t"], pa_asserted=v["assert_pa"], tol=v["tol"]))
+
+
+def _certify_genus1(braid: BraidWord, v: dict) -> Result:
+    return _certified(certify_genus1_cover(braid, v["n"]))
+
+
+def _certify_surgery(braid: None, v: dict) -> Result:
+    return _certified(certify_fibred_cover(v["c"], v["n"], v["q"], genus=v["genus"]))
+
+
+def _certify_satellite(braid: BraidWord, v: dict) -> Result:
+    return _certified(certify_satellite(
+        braid, v["n"], v["c"], companion_exact_zero=v["zero_companion"],
+        pa_asserted=v["assert_pa"]))
+
+
+# ---------------------------------------------------------------------------
+# the task table
+
+
+_BRAID = Param("braid", required=True)
+_TOL = Param("--tol", "tol", _parse_tol, Fraction(1, 12),
+             help="interval width target for floor-based twist bounds"
+                  " (rational, default 1/12)")
+
+TASKS = (
+    Task("order", "Dehornoy sign of a braid, or comparison of two braids", None,
+         Param("braid", required=True, help='braid word, e.g. "3: 1 -2"'),
+         (Param("other", help="optional second braid to compare against"),),
+         _order),
+    Task("floor", "Dehornoy floor of a braid", "Floor", _BRAID, (), _floor),
+    Task("fdtc", "fractional Dehn twist coefficient: exact on 3 strands,"
+                 " certified interval otherwise", "Fdtc", _BRAID, (_TOL,), _fdtc),
+    Task("classify3", "Nielsen-Thurston normal form of a 3-braid", "Classify3",
+         _BRAID, (), _classify3),
+    Task("lspace2", "double branched cover L-space status of a 3-braid closure",
+         None, _BRAID, (), _lspace2),
+    Task("certify-cover", "excellence of the t-fold cyclic branched cover of a"
+                          " braid closure", "CoverCertify",
+         Param("--word", required=True, help="braid word"),
+         (Param("--t", "t", int, required=True, help="cover order (>= 2)"),
+          _flag("--assert-pa", "assert the braid is pseudo-Anosov", "pa"),
+          _TOL),
+         _certify_cover),
+    Task("certify-genus1", "verdict for the n-fold cyclic branched cover of a"
+                           " genus-one fibred knot (monodromy as a 3-braid)",
+         "Genus1",
+         Param("--word", required=True, help="monodromy word"),
+         (Param("--n", "n", int, required=True, help="cover order (>= 2)"),
+          _flag("--assert-irreducible", "assert the ambient manifold is irreducible",
+                caveat="ambient irreducibility")),
+         _certify_genus1),
+    Task("certify-surgery", "excellence of surgery on the lifted binding in a"
+                            " cyclic branched cover of a fibred knot", None, None,
+         (Param("--c", type=_parse_fdtc_value, required=True,
+                help='monodromy twist: exact "a/b" or interval "lo,hi"'),
+          Param("--n", type=int, required=True, help="cover order (>= 1)"),
+          Param("--q", type=int, required=True, help="surgery coefficient"),
+          Param("--genus", type=int,
+                help="fibre genus, enables the 0-surgery lower-bound rule"),
+          _flag("--assert-hyperbolic", "assert the knot is hyperbolic",
+                caveat="hyperbolicity of the knot")),
+         _certify_surgery),
+    Task("certify-satellite", "excellence of the n-fold cyclic branched cover"
+                              " of a satellite", "Satellite",
+         Param("--pattern", required=True,
+               help="pattern braid word (closed braid in the solid torus)"),
+         (Param("--n", "n", int, required=True, help="cover order (>= 2)"),
+          Param("--c", "c", _parse_fdtc_value, required=True,
+                help='companion twist: exact "a/b" or interval "lo,hi"'),
+          _flag("--zero-companion", "assert the companion twist is exactly zero",
+                "zero"),
+          _flag("--assert-pa", "assert the pattern braid is pseudo-Anosov", "pa"),
+          _flag("--assert-hyperbolic", "assert the companion is hyperbolic",
+                caveat="hyperbolicity of the companion")),
+         _certify_satellite),
+)
+
+_CORPUS_TASKS = {task.corpus: task for task in TASKS if task.corpus}
+
+
+# ---------------------------------------------------------------------------
+# subcommands
+
+
 def _emit(args, record: dict, text: str) -> None:
     if args.report == "json":
         print(json.dumps(record, separators=(", ", ": ")))
     else:
         print(text)
-
-
-def _with_caveats(cert: Certificate, args, needed: dict[str, str]) -> Certificate:
-    """Append a conditionality note for each assertion flag the command
-    accepts but the user did not pass."""
-    notes = list(cert.notes)
-    for flag, what in needed.items():
-        if not getattr(args, flag):
-            notes.append(_MISSING_ASSERTION_NOTE.format(what=what))
-    if notes == list(cert.notes):
-        return cert
-    return Certificate(cert.verdict, cert.justifications, cert.assumptions, tuple(notes))
 
 
 def _exit_for(certs: list[Certificate]) -> int:
@@ -89,118 +278,25 @@ def _exit_for(certs: list[Certificate]) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# subcommand handlers
+def _cli_value(args, param: Param):
+    """A subcommand's value for param.  argparse parses integers only,
+    so that any other bad value is reported as an error of the run."""
+    value = getattr(args, param.dest)
+    return param.type(value) if isinstance(value, str) else value
 
 
-def _cmd_order(args) -> int:
-    u = parse_braid(args.braid)
-    if args.other is None:
-        sign = sigma_sign(u)
-        name = sign.name.title()
-        _emit(args, {"sign": name}, name)
+def _run_command(args) -> int:
+    task = args.task
+    braid = parse_braid(getattr(args, task.braid.dest)) if task.braid else None
+    values = {p.dest: _cli_value(args, p) for p in task.params}
+    record, text, cert = task.run(braid, values)
+    if cert is None:
+        _emit(args, record, text)
         return 0
-    v = parse_braid(args.other)
-    name = compare(u, v).name.title()
-    _emit(args, {"comparison": name}, name)
-    return 0
-
-
-def _cmd_floor(args) -> int:
-    value = dehornoy_floor(parse_braid(args.braid))
-    _emit(args, {"floor": value}, str(value))
-    return 0
-
-
-def _cmd_fdtc(args) -> int:
-    value = fdtc_interval(parse_braid(args.braid), args.tol)
-    _emit(args, _fdtc_record(value), _fdtc_text(value))
-    return 0
-
-
-def _fdtc_record(value: FdtcValue) -> dict:
-    if value.is_exact:
-        return {"kind": "exact", "value": str(value.value),
-                "provenance": value.provenance}
-    return {"kind": "interval", "lo": str(value.lo), "hi": str(value.hi),
-            "provenance": value.provenance}
-
-
-def _fdtc_text(value: FdtcValue) -> str:
-    if value.is_exact:
-        return f"c = {value.value}"
-    return f"c in [{value.lo}, {value.hi}]"
-
-
-def _classify_record(nf) -> dict:
-    if isinstance(nf, PseudoAnosovForm):
-        return {"type": "PseudoAnosov", "d": nf.central_power,
-                "a": list(nf.twist_exponents)}
-    if isinstance(nf, ReducibleForm):
-        return {"type": "Reducible", "d": nf.central_power,
-                "m": nf.sigma2_power, "central": nf.sigma2_power == 0}
-    assert isinstance(nf, PeriodicForm)
-    return {"type": "Periodic", "d": nf.central_power, "m": nf.sigma1_power}
-
-
-def _classify_text(nf) -> str:
-    if isinstance(nf, PseudoAnosovForm):
-        a = ",".join(str(x) for x in nf.twist_exponents)
-        return f"PseudoAnosov d={nf.central_power} a=[{a}]"
-    if isinstance(nf, ReducibleForm):
-        central = " central" if nf.sigma2_power == 0 else ""
-        return f"Reducible d={nf.central_power} m={nf.sigma2_power}{central}"
-    return f"Periodic d={nf.central_power} m={nf.sigma1_power}"
-
-
-def _cmd_classify3(args) -> int:
-    nf = normal_form(parse_braid(args.braid))
-    _emit(args, _classify_record(nf), _classify_text(nf))
-    return 0
-
-
-def _cmd_lspace2(args) -> int:
-    status = baldwin_lspace_double_cover(normal_form(parse_braid(args.braid)))
-    _emit(args, {"status": status.value}, status.value)
-    return 0
-
-
-def _cmd_certify_cover(args) -> int:
-    b = parse_braid(args.word)
-    cert = certify_closed_braid_cover(b, args.t, pa_asserted=args.assert_pa,
-                                      tol=args.tol)
-    _emit(args, cert.to_record(), cert.render_text())
-    return _exit_for([cert])
-
-
-def _cmd_certify_genus1(args) -> int:
-    cert = certify_genus1_cover(parse_braid(args.word), args.n)
-    cert = _with_caveats(cert, args,
-                         {"assert_irreducible": "ambient irreducibility"})
-    _emit(args, cert.to_record(), cert.render_text())
-    return _exit_for([cert])
-
-
-def _cmd_certify_surgery(args) -> int:
-    cert = certify_fibred_cover(_parse_fdtc_value(args.c), args.n, args.q,
-                                genus=args.genus)
-    cert = _with_caveats(cert, args,
-                         {"assert_hyperbolic": "hyperbolicity of the knot"})
-    _emit(args, cert.to_record(), cert.render_text())
-    return _exit_for([cert])
-
-
-def _cmd_certify_satellite(args) -> int:
-    pattern = parse_braid(args.pattern)
-    cert = certify_satellite(
-        pattern,
-        args.n,
-        _parse_fdtc_value(args.c),
-        companion_exact_zero=args.zero_companion,
-        pa_asserted=args.assert_pa,
-    )
-    cert = _with_caveats(cert, args,
-                         {"assert_hyperbolic": "hyperbolicity of the companion"})
+    notes = tuple(_MISSING_ASSERTION_NOTE.format(what=p.caveat)
+                  for p in task.params if p.caveat and not values[p.dest])
+    if notes:
+        cert = dataclasses.replace(cert, notes=cert.notes + notes)
     _emit(args, cert.to_record(), cert.render_text())
     return _exit_for([cert])
 
@@ -209,76 +305,54 @@ def _cmd_certify_satellite(args) -> int:
 # corpus batches
 
 
-_CORPUS_TASKS = ("Floor", "Fdtc", "Classify3", "CoverCertify", "Genus1", "Satellite")
-_CORPUS_FLAGS = {"pa", "zero", "hyp", "irr"}
-
-
-def _parse_params(text: str, line_no: int) -> tuple[dict[str, str], set[str]]:
-    pairs: dict[str, str] = {}
-    flags: set[str] = set()
-    if text == "-":
-        return pairs, flags
-    for token in text.split():
-        if "=" in token:
-            key, _, value = token.partition("=")
-            if not key or not value:
-                raise ParseError(f"malformed parameter {token!r}", line=line_no)
-            pairs[key] = value
-        elif token in _CORPUS_FLAGS:
-            flags.add(token)
-        else:
-            raise ParseError(f"unknown parameter flag {token!r}", line=line_no)
-    return pairs, flags
-
-
-def _param_int(pairs: dict[str, str], key: str, line_no: int) -> int:
-    if key not in pairs:
-        raise ParseError(f"task needs parameter {key}=<int>", line=line_no)
+def _corpus_value(param: Param, raw: str, line_no: int):
+    if param.type is not int:
+        return param.type(raw)
     try:
-        return int(pairs[key])
+        return int(raw)
     except ValueError:
-        raise ParseError(f"parameter {key} must be an integer, got"
-                         f" {pairs[key]!r}", line=line_no)
+        raise ParseError(f"parameter {param.corpus} must be an integer, got"
+                         f" {raw!r}", line=line_no)
 
 
-def _run_corpus_entry(task: str, pairs: dict[str, str], flags: set[str],
-                      braid: BraidWord, tol: Fraction, line_no: int):
-    """Returns (record_payload, text, certificate-or-None)."""
-    if task == "Floor":
-        value = dehornoy_floor(braid)
-        return {"floor": value}, str(value), None
-    if task == "Fdtc":
-        if "tol" in pairs:
-            tol = _parse_rational(pairs["tol"], "tol")
-        value = fdtc_interval(braid, tol)
-        return _fdtc_record(value), _fdtc_text(value), None
-    if task == "Classify3":
-        nf = normal_form(braid)
-        return _classify_record(nf), _classify_text(nf), None
-    if task == "CoverCertify":
-        cert = certify_closed_braid_cover(braid, _param_int(pairs, "t", line_no),
-                                          pa_asserted="pa" in flags, tol=tol)
-        return cert.to_record(), cert.verdict.value, cert
-    if task == "Genus1":
-        cert = certify_genus1_cover(braid, _param_int(pairs, "n", line_no))
-        return cert.to_record(), cert.verdict.value, cert
-    if task == "Satellite":
-        if "c" not in pairs:
-            raise ParseError("Satellite task needs c=<rational|lo,hi>",
-                             line=line_no)
-        cert = certify_satellite(
-            braid,
-            _param_int(pairs, "n", line_no),
-            _parse_fdtc_value(pairs["c"]),
-            companion_exact_zero="zero" in flags,
-            pa_asserted="pa" in flags,
-        )
-        return cert.to_record(), cert.verdict.value, cert
-    raise ParseError(f"unknown task {task!r}; expected one of"
-                     f" {', '.join(_CORPUS_TASKS)}", line=line_no)
+def _parse_params(task: Task, text: str, tol: Fraction, line_no: int) -> dict:
+    """The task's parameter values from a corpus params field: k=v pairs
+    and bare flags the task declares, or - for none.  The tolerance
+    defaults to the corpus command's --tol."""
+    values = {p.dest: tol if p is _TOL else p.default for p in task.params}
+    declared = {p.corpus: p for p in task.params if p.corpus}
+    for token in [] if text == "-" else text.split():
+        key, eq, raw = token.partition("=")
+        param = declared.get(key)
+        if not eq:
+            if param is None or param.type is not None:
+                raise ParseError(f"unknown parameter flag {token!r}", line=line_no)
+            values[param.dest] = True
+        elif not key or not raw:
+            raise ParseError(f"malformed parameter {token!r}", line=line_no)
+        elif param is None or param.type is None:
+            raise ParseError(f"unknown parameter {key!r}", line=line_no)
+        else:
+            values[param.dest] = _corpus_value(param, raw, line_no)
+    for param in declared.values():
+        if param.required and values[param.dest] is None:
+            raise ParseError(f"task needs parameter {param.corpus}="
+                             f"<{_TYPE_NAMES[param.type]}>", line=line_no)
+    return values
+
+
+def _run_corpus_entry(name: str, params: str, braid_text: str, tol: Fraction,
+                      line_no: int) -> Result:
+    task = _CORPUS_TASKS.get(name)
+    if task is None:
+        raise ParseError(f"unknown task {name!r}; expected one of"
+                         f" {', '.join(_CORPUS_TASKS)}", line=line_no)
+    values = _parse_params(task, params, tol, line_no)
+    return task.run(parse_braid(braid_text, line=line_no), values)
 
 
 def _cmd_corpus(args) -> int:
+    tol = _cli_value(args, _TOL)
     try:
         with open(args.file, encoding="utf-8") as handle:
             lines = handle.read().splitlines()
@@ -307,10 +381,8 @@ def _cmd_corpus(args) -> int:
             if entry_id in seen_ids:
                 raise ParseError(f"duplicate id {entry_id!r}", line=line_no)
             seen_ids.add(entry_id)
-            pairs, flags = _parse_params(params, line_no)
-            braid = parse_braid(braid_text, line=line_no)
-            payload, text, cert = _run_corpus_entry(task, pairs, flags, braid,
-                                                    args.tol, line_no)
+            payload, text, cert = _run_corpus_entry(task, params, braid_text,
+                                                    tol, line_no)
             if cert is not None:
                 certs.append(cert)
             if args.report == "json":
@@ -339,16 +411,23 @@ def _cmd_corpus(args) -> int:
 # parser assembly
 
 
+def _add_param(p: argparse.ArgumentParser, param: Param) -> None:
+    if param.type is None:
+        p.add_argument(param.option, action="store_true", help=param.help)
+    elif param.option.startswith("-"):
+        p.add_argument(param.option, type=int if param.type is int else None,
+                       required=param.required, default=param.default,
+                       help=param.help)
+    elif param.required:
+        p.add_argument(param.option, help=param.help)
+    else:
+        p.add_argument(param.option, nargs="?", default=param.default,
+                       help=param.help)
+
+
 def _add_report(p: argparse.ArgumentParser) -> None:
     p.add_argument("--report", choices=("json", "text"), default="text",
                    help="output format (default: text)")
-
-
-def _add_tol(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol", type=lambda s: _parse_rational(s, "--tol"),
-                   default=Fraction(1, 12),
-                   help="interval width target for floor-based twist bounds"
-                        " (rational, default 1/12)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -358,103 +437,21 @@ def build_parser() -> argparse.ArgumentParser:
                     " with exact rational arithmetic.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("order", help="Dehornoy sign of a braid, or comparison"
-                                     " of two braids")
-    p.add_argument("braid", help='braid word, e.g. "3: 1 -2"')
-    p.add_argument("other", nargs="?", default=None,
-                   help="optional second braid to compare against")
-    _add_report(p)
-    p.set_defaults(func=_cmd_order)
-
-    p = sub.add_parser("floor", help="Dehornoy floor of a braid")
-    p.add_argument("braid")
-    _add_report(p)
-    p.set_defaults(func=_cmd_floor)
-
-    p = sub.add_parser("fdtc", help="fractional Dehn twist coefficient:"
-                                    " exact on 3 strands, certified interval"
-                                    " otherwise")
-    p.add_argument("braid")
-    _add_tol(p)
-    _add_report(p)
-    p.set_defaults(func=_cmd_fdtc)
-
-    p = sub.add_parser("classify3", help="Nielsen-Thurston normal form of a"
-                                         " 3-braid")
-    p.add_argument("braid")
-    _add_report(p)
-    p.set_defaults(func=_cmd_classify3)
-
-    p = sub.add_parser("lspace2", help="double branched cover L-space status"
-                                       " of a 3-braid closure")
-    p.add_argument("braid")
-    _add_report(p)
-    p.set_defaults(func=_cmd_lspace2)
-
-    p = sub.add_parser("certify-cover", help="excellence of the t-fold cyclic"
-                                             " branched cover of a braid"
-                                             " closure")
-    p.add_argument("--word", required=True, help="braid word")
-    p.add_argument("--t", type=int, required=True, help="cover order (>= 2)")
-    p.add_argument("--assert-pa", action="store_true",
-                   help="assert the braid is pseudo-Anosov")
-    _add_tol(p)
-    _add_report(p)
-    p.set_defaults(func=_cmd_certify_cover)
-
-    p = sub.add_parser("certify-genus1", help="verdict for the n-fold cyclic"
-                                              " branched cover of a genus-one"
-                                              " fibred knot (monodromy as a"
-                                              " 3-braid)")
-    p.add_argument("--word", required=True, help="monodromy word")
-    p.add_argument("--n", type=int, required=True, help="cover order (>= 2)")
-    p.add_argument("--assert-irreducible", action="store_true",
-                   help="assert the ambient manifold is irreducible")
-    _add_report(p)
-    p.set_defaults(func=_cmd_certify_genus1)
-
-    p = sub.add_parser("certify-surgery", help="excellence of surgery on the"
-                                               " lifted binding in a cyclic"
-                                               " branched cover of a fibred"
-                                               " knot")
-    p.add_argument("--c", required=True,
-                   help='monodromy twist: exact "a/b" or interval "lo,hi"')
-    p.add_argument("--n", type=int, required=True, help="cover order (>= 1)")
-    p.add_argument("--q", type=int, required=True, help="surgery coefficient")
-    p.add_argument("--genus", type=int, default=None,
-                   help="fibre genus, enables the 0-surgery lower-bound rule")
-    p.add_argument("--assert-hyperbolic", action="store_true",
-                   help="assert the knot is hyperbolic")
-    _add_report(p)
-    p.set_defaults(func=_cmd_certify_surgery)
-
-    p = sub.add_parser("certify-satellite", help="excellence of the n-fold"
-                                                 " cyclic branched cover of a"
-                                                 " satellite")
-    p.add_argument("--pattern", required=True,
-                   help="pattern braid word (closed braid in the solid torus)")
-    p.add_argument("--n", type=int, required=True, help="cover order (>= 2)")
-    p.add_argument("--c", required=True,
-                   help='companion twist: exact "a/b" or interval "lo,hi"')
-    p.add_argument("--zero-companion", action="store_true",
-                   help="assert the companion twist is exactly zero")
-    p.add_argument("--assert-pa", action="store_true",
-                   help="assert the pattern braid is pseudo-Anosov")
-    p.add_argument("--assert-hyperbolic", action="store_true",
-                   help="assert the companion is hyperbolic")
-    _add_report(p)
-    p.set_defaults(func=_cmd_certify_satellite)
+    for task in TASKS:
+        p = sub.add_parser(task.command, help=task.help)
+        for param in ((task.braid,) if task.braid else ()) + task.params:
+            _add_param(p, param)
+        _add_report(p)
+        p.set_defaults(func=_run_command, task=task)
 
     p = sub.add_parser("corpus", help="batch-run tasks from a corpus file"
                                       " (id<tab>task<tab>params<tab>braid;"
                                       " params is k=v/flag tokens, or - for"
                                       " none)")
     p.add_argument("file")
-    _add_tol(p)
+    _add_param(p, _TOL)
     _add_report(p)
     p.set_defaults(func=_cmd_corpus)
-
     return parser
 
 

@@ -108,7 +108,7 @@ class FdtcValue:
         return f"[{self.lo}, {self.hi}]"
 
 
-def fdtc_exact_b3(b: BraidWord, budget: int | None = None) -> Fraction:
+def fdtc_exact_b3(b: BraidWord) -> Fraction:
     """Exact FDTC of a 3-braid via its conjugacy normal form.
 
     With C the full twist and d its exponent in the normal form: the
@@ -153,9 +153,7 @@ def fdtc_interval(
     if t <= 0:
         raise BadParameters(f"tolerance must be positive, got {t}")
     if b.strands == 3:
-        return FdtcValue.exact(
-            fdtc_exact_b3(b, budget), "conjugacy classification of 3-braids"
-        )
+        return FdtcValue.exact(fdtc_exact_b3(b), "conjugacy classification of 3-braids")
     return fdtc_interval_by_floor(b, t, budget)
 
 

@@ -340,7 +340,7 @@ class TestCertificateStructure:
         with pytest.raises(BadParameters):
             Certificate(Verdict.EXCELLENT, ())
         with pytest.raises(BadParameters):
-            Certificate(Verdict.NOT_L_SPACE, ())
+            Certificate(Verdict.TOTAL_L_SPACE, ())
         Certificate(Verdict.UNKNOWN, ())  # fine
 
     def test_golden_serialization(self):

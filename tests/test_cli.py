@@ -253,3 +253,27 @@ class TestCorpus:
         code, out, _ = run(capsys, "corpus", str(p))
         assert code == 1
         assert "error" in out
+
+    def test_cover_certify_takes_tol_per_entry(self, tmp_path, capsys):
+        word = "4: " + " ".join(["1 2 3"] * 9)
+        p = tmp_path / "corpus.tsv"
+        p.write_text(f"wide\tCoverCertify\tt=2 pa tol=1\t{word}\n"
+                     f"zero\tCoverCertify\tt=2 pa tol=0\t{word}\n")
+        code, out, _ = run(capsys, "corpus", str(p), "--report", "json")
+        assert code == 1
+        wide, zero = (json.loads(line) for line in out.splitlines())
+        assert wide["notes"] == ["certified twist bound |c| >= 2 admits no"
+                                 " qualifying cover order dividing 2"]
+        assert zero["error"] == "BadParameters"
+
+    def test_undeclared_parameters_rejected(self, tmp_path, capsys):
+        p = tmp_path / "corpus.tsv"
+        p.write_text("irr\tFloor\tirr\t3: 1\n"
+                     "extra\tGenus1\tn=6 t=9\t3: -1 -2\n"
+                     "pa\tClassify3\tpa\t3: 1 -2\n"
+                     "ok\tFloor\t-\t3: 1\n")
+        code, out, _ = run(capsys, "corpus", str(p), "--report", "json")
+        assert code == 1
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [r.get("error") for r in records] == ["ParseError"] * 3 + [None]
+        assert records[3]["floor"] == 0
