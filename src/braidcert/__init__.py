@@ -68,6 +68,7 @@ from braidcert.ordering import (
     OrderSign,
     compare,
     dehornoy_floor,
+    power_floor,
     reduced_word,
     sigma_sign,
 )
@@ -147,6 +148,7 @@ __all__ = [
     "nt_type",
     "parse_braid",
     "permutation",
+    "power_floor",
     "reduced_word",
     "representative",
     "sigma_sign",

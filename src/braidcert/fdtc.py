@@ -24,7 +24,14 @@ from fractions import Fraction
 
 from braidcert.braid import BraidWord
 from braidcert.errors import BadGenus, BadParameters, NotThreeBraid
-from braidcert.ordering import OrderSign, dehornoy_floor, sigma_sign
+# dehornoy_floor is not called here any more but stays importable from
+# this module, where callers and perfbench's tracer look it up.
+from braidcert.ordering import (  # noqa: F401
+    OrderSign,
+    dehornoy_floor,
+    power_floor,
+    sigma_sign,
+)
 from braidcert.threebraid import (
     PeriodicForm,
     PseudoAnosovForm,
@@ -128,8 +135,13 @@ def fdtc_exact_b3(b: BraidWord) -> Fraction:
 def fdtc_interval_by_floor(
     b: BraidWord, tol: Fraction | int, budget: int | None = None
 ) -> FdtcValue:
-    """Interval of width <= tol around c(b) from a single Dehornoy floor
-    of the power b^k, k = ceil(1/tol).  Works on any strand count."""
+    """Interval of width <= tol around c(b) from the Dehornoy floor of
+    the power b^k, k = ceil(1/tol).  Works on any strand count.
+
+    The floor comes from :func:`~braidcert.ordering.power_floor`, which
+    searches it through a central root of b when b is periodic and
+    otherwise refines it along a halving chain of powers; the value is
+    the same as ``dehornoy_floor(b**k)``."""
     t = Fraction(tol)
     if t <= 0:
         raise BadParameters(f"tolerance must be positive, got {t}")
@@ -137,7 +149,7 @@ def fdtc_interval_by_floor(
     if sign is OrderSign.TRIVIAL:
         return FdtcValue.exact(0, "trivial braid")
     k = math.ceil(1 / t)
-    floor = dehornoy_floor(b**k, budget)
+    floor = power_floor(b, k, budget)
     prov = f"Dehornoy floor {floor} of the {k}-th power, twist bounds"
     if sign is OrderSign.POSITIVE:
         return FdtcValue.interval(Fraction(floor, k), Fraction(floor + 1, k), prov)

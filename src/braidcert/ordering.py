@@ -31,7 +31,7 @@ from enum import Enum
 
 from braidcert import _kernel
 from braidcert.braid import BraidWord, delta
-from braidcert.errors import StrandMismatch
+from braidcert.errors import BadParameters, StrandMismatch
 
 
 class OrderSign(Enum):
@@ -81,13 +81,18 @@ def reduced_word(u: BraidWord, budget: int | None = None) -> BraidWord:
     return BraidWord(u.strands, tuple(_kernel.reduce_word(u.letters, u.strands, cap)))
 
 
-def dehornoy_floor(u: BraidWord, budget: int | None = None) -> int:
+def dehornoy_floor(
+    u: BraidWord, budget: int | None = None, *, seed: int | None = None
+) -> int:
     """min { k >= 0 : delta^(-2k-2) < u < delta^(2k+2) }.
 
-    Seeds the answer from the exponent sum (the full twist delta^2 has
-    exponent sum m(m-1)), then scans linearly; each candidate needs one
-    sign computation because a positive braid is automatically above
-    every negative power of delta, and symmetrically.
+    The search starts at ``seed``, a guess k >= 0 (default: the exponent
+    sum divided by m(m-1), the exponent sum of the full twist delta^2),
+    gallops away from it to a bracket, then bisects; each candidate
+    needs one sign computation because a positive braid is automatically
+    above every negative power of delta, and symmetrically.  Every probe
+    is a kernel query, so the result does not depend on the seed, only
+    the number of queries does: a seed near the answer saves them.
     """
     cap = budget if budget is not None else _kernel.default_budget()
     sign = sigma_sign(u, cap)
@@ -112,7 +117,8 @@ def dehornoy_floor(u: BraidWord, budget: int | None = None) -> int:
     # for negative u.
     holds = below_power if sign is OrderSign.POSITIVE else above_power
 
-    seed = abs(u.exponent_sum) // (m * (m - 1))
+    if seed is None:
+        seed = abs(u.exponent_sum) // (m * (m - 1))
     if holds(seed):
         hi = seed  # holds; gallop down for a non-holding lower bound
         step = 1
@@ -139,3 +145,74 @@ def dehornoy_floor(u: BraidWord, budget: int | None = None) -> int:
         else:
             lo = mid
     return hi
+
+
+def _delta_power(m: int, n: int) -> tuple[int, ...]:
+    """Letters of delta^n on m strands, for any integer n."""
+    half = delta(m).letters
+    if n >= 0:
+        return half * n
+    return tuple(-x for x in reversed(half)) * -n
+
+
+def central_root(
+    b: BraidWord, max_power: int, budget: int | None = None
+) -> tuple[int, int] | None:
+    """(q, p) with b^q = delta^(2p), trying q = m, then q = m - 1, and
+    skipping any q above max_power; None if neither holds.
+
+    Periodic braids are exactly the ones with such a root: every one is
+    conjugate to a power of delta_1 = sigma_1 ... sigma_{m-1} or of
+    epsilon = delta_1 sigma_1, and delta_1^m = epsilon^(m-1) = delta^2
+    (Brouwer-Kerekjarto-Eilenberg).  Comparing exponent sums forces
+    p = q e(b) / (m (m-1)), so each q costs at most one word-problem
+    query, and none when p is not an integer.
+    """
+    cap = budget if budget is not None else _kernel.default_budget()
+    m = b.strands
+    for q in (m, m - 1):
+        p, rest = divmod(q * b.exponent_sum, m * (m - 1))
+        if q > max_power or rest:
+            continue
+        if _kernel.sign_of((b**q).letters + _delta_power(m, -2 * p), m, cap) == 0:
+            return q, p
+    return None
+
+
+def power_floor(b: BraidWord, k: int, budget: int | None = None) -> int:
+    """dehornoy_floor(b**k) for k >= 1, without a cold search on b^k.
+
+    When b has a central root b^q = delta^(2p) with q <= k (see
+    :func:`central_root`), the floor is searched on the equal word
+    delta^(2p (k div q)) b^(k mod q), whose exponent sum seeds the
+    search at the answer.  With the central power on the outside, each
+    probe u^-1 delta^(2j+2) or delta^(2j+2) u of the search cancels it
+    freely, so the kernel reduces only a short remainder.
+
+    Otherwise the floor is walked up the chain 1, ..., ceil(k/4),
+    ceil(k/2), k.  The twist bound floor(x) <= |c(x)| <= floor(x) + 1
+    and c(b^j) = j c(b) put floor(b^K), for j < K <= 2j, in
+    [ceil(K f / j) - 1, floor(K (f + 1) / j)] where f = floor(b^j); that
+    window holds at most 4 candidates, and each level's search starts at
+    the middle of its window.  Every level is a full, verified
+    :func:`dehornoy_floor`, so the seeds only save queries.
+    """
+    if k < 1:
+        raise BadParameters(f"power must be >= 1, got {k}")
+    root = central_root(b, k, budget)
+    if root is not None:
+        q, p = root
+        s, r = divmod(k, q)
+        word = BraidWord(b.strands, _delta_power(b.strands, 2 * p * s) + b.letters * r)
+        return dehornoy_floor(word, budget)
+
+    chain = [k]
+    while chain[-1] > 1:
+        chain.append((chain[-1] + 1) // 2)
+    j, f = 1, dehornoy_floor(b, budget)
+    for n in reversed(chain[:-1]):
+        lo = -(-n * f // j) - 1
+        hi = n * (f + 1) // j
+        f = dehornoy_floor(b**n, budget, seed=max((lo + hi) // 2, 0))
+        j = n
+    return f

@@ -7,6 +7,11 @@ module re-parses and re-evaluates those strings with exact rational
 arithmetic (every division is a Fraction), sharing no code with the
 certifiers that emitted them, so a bug in a certifier's decision logic
 cannot silently vouch for itself.
+
+The checker fails closed: on any input it returns a bool or raises
+:class:`ReplayError`.  Inputs longer than ``MAX_INEQUALITY_CHARS``,
+division or ``%`` by zero, and nesting too deep to parse or evaluate
+are all ReplayErrors.
 """
 
 from __future__ import annotations
@@ -19,7 +24,13 @@ from braidcert.certify import Certificate, Verdict
 
 
 class ReplayError(ValueError):
-    """The inequality string leaves the allowed grammar."""
+    """The inequality string leaves the allowed grammar, or cannot be
+    evaluated (too long, too deeply nested, division by zero)."""
+
+
+#: Longest inequality string the checker reads; the certifiers emit a
+#: few dozen characters per inequality.
+MAX_INEQUALITY_CHARS = 4096
 
 
 _BIN_OPS = {
@@ -102,11 +113,20 @@ def _eval(node):
 
 def evaluate_inequality(text: str) -> bool:
     """Exactly re-evaluate one inequality string; True iff it holds."""
+    if not isinstance(text, str):
+        raise ReplayError(f"inequality must be a string, got {type(text).__name__}")
+    if len(text) > MAX_INEQUALITY_CHARS:
+        raise ReplayError(
+            f"inequality of {len(text)} characters exceeds {MAX_INEQUALITY_CHARS}"
+        )
     try:
-        tree = ast.parse(text, mode="eval")
+        result = _eval(ast.parse(text, mode="eval"))
     except SyntaxError as exc:
         raise ReplayError(f"unparseable inequality: {exc.msg}") from None
-    result = _eval(tree)
+    except ZeroDivisionError:
+        raise ReplayError("division or % by zero") from None
+    except RecursionError:
+        raise ReplayError("inequality is nested too deeply") from None
     if not isinstance(result, bool):
         raise ReplayError("expression is arithmetic, not a comparison")
     return result

@@ -20,6 +20,7 @@ from math import gcd
 
 import conftest
 
+from braidcert import _kernel
 from braidcert import (
     BraidWord,
     Certificate,
@@ -147,9 +148,32 @@ def test_criterion_2_baldwin_consistency():
 # criterion 3: exact FDTC values on the classified families
 
 
+def _criterion_3_cases() -> tuple[list[tuple[BraidWord, Fraction]], int, int]:
+    """Criterion 3's words with their exact twists, and how many of them
+    are pseudo-Anosov and periodic."""
+    rng = random.Random(777)
+    cases: list[tuple[BraidWord, Fraction]] = []
+    pa_cases = 100
+    for _ in range(pa_cases):
+        d = rng.randint(-5, 5)
+        letters: list[int] = []
+        for _ in range(rng.randint(1, 6)):
+            letters.append(1)
+            letters.extend([-2] * rng.randint(1, 4))
+        cases.append((C3 ** d * BraidWord(3, tuple(letters)), Fraction(d)))
+
+    periodic_cases = 0
+    for d in range(-5, 6):
+        for tail, offset in (((-2, -1), Fraction(1, 3)),
+                             ((-1, -2, -1), Fraction(1, 2)),
+                             ((-2, -1, -2, -1), Fraction(2, 3))):
+            periodic_cases += 1
+            cases.append((C3 ** d * BraidWord(3, tail), d - offset))
+    return cases, pa_cases, periodic_cases
+
+
 def test_criterion_3_fdtc_exactness():
     start = time.perf_counter()
-    rng = random.Random(777)
     failures: list[str] = []
 
     def check(b: BraidWord, expected: Fraction) -> None:
@@ -167,22 +191,9 @@ def test_criterion_3_fdtc_exactness():
             failures.append(f"{b.letters}: {expected} not inside"
                             f" [{bracket.lo}, {bracket.hi}] at width 1/24")
 
-    pa_cases = 100
-    for _ in range(pa_cases):
-        d = rng.randint(-5, 5)
-        letters: list[int] = []
-        for _ in range(rng.randint(1, 6)):
-            letters.append(1)
-            letters.extend([-2] * rng.randint(1, 4))
-        check(C3 ** d * BraidWord(3, tuple(letters)), Fraction(d))
-
-    periodic_cases = 0
-    for d in range(-5, 6):
-        for tail, offset in (((-2, -1), Fraction(1, 3)),
-                             ((-1, -2, -1), Fraction(1, 2)),
-                             ((-2, -1, -2, -1), Fraction(2, 3))):
-            periodic_cases += 1
-            check(C3 ** d * BraidWord(3, tail), d - offset)
+    cases, pa_cases, periodic_cases = _criterion_3_cases()
+    for b, expected in cases:
+        check(b, expected)
 
     elapsed = time.perf_counter() - start
     ok = not failures and elapsed < 60.0
@@ -193,6 +204,28 @@ def test_criterion_3_fdtc_exactness():
         detail += "; e.g. " + "; ".join(failures[:3])
     _verdict_line(3, "FDTC exactness", ok, detail)
     assert ok, detail
+
+
+def test_criterion_3_floor_cost(monkeypatch):
+    """The twist intervals of criterion 3 feed the kernel's sign queries
+    fewer letters than restarting the floor search on b^24 does.  Both
+    paths run here, on every fifth criterion-3 word to keep the slow
+    restart path short; letters are counted, not timed."""
+    words = [b for b, _ in _criterion_3_cases()[0][::5]]
+    fed = [0]
+    sign_of = _kernel.sign_of
+
+    def counting(letters, strands, cap):
+        fed[0] += len(letters)
+        return sign_of(letters, strands, cap)
+
+    monkeypatch.setattr(_kernel, "sign_of", counting)
+    for b in words:
+        fdtc_interval_by_floor(b, Fraction(1, 24))
+    refined, fed[0] = fed[0], 0
+    for b in words:
+        dehornoy_floor(b**24)
+    assert 0 < refined < fed[0], (refined, fed[0])
 
 
 # ---------------------------------------------------------------------------

@@ -409,3 +409,36 @@ class TestReplayChecker:
 
     def test_unknown_certificate_verifies_vacuously(self):
         assert verify_certificate(Certificate(Verdict.UNKNOWN, ()))
+
+    @pytest.mark.parametrize("text", ["1/0 > 0", "1 % 0 == 0", "1 / (2 - 2) < 1",
+                                      "gcd(4, 6) % (1 - 1) == 0"])
+    def test_division_by_zero_raises(self, text):
+        with pytest.raises(ReplayError):
+            evaluate_inequality(text)
+
+    @pytest.mark.parametrize("text", ["-" * 4000 + "1 > 0",
+                                      "1" + " +1" * 1300 + " > 0",
+                                      "not " * 1000 + "1 > 0"])
+    def test_deep_nesting_raises(self, text):
+        with pytest.raises(ReplayError):
+            evaluate_inequality(text)
+
+    def test_overlong_input_raises(self):
+        with pytest.raises(ReplayError):
+            evaluate_inequality("-" * 5000 + "1 > 0")
+        with pytest.raises(ReplayError):
+            evaluate_inequality("1 > 0" + " and 1 > 0" * 500)
+
+    def test_non_string_raises(self):
+        for bad in (None, 1, b"1 > 0"):
+            with pytest.raises(ReplayError):
+                evaluate_inequality(bad)
+
+    @given(st.text(alphabet="0123456789 +-*/%()<>=!,abcdgnost", max_size=60))
+    @settings(max_examples=300)
+    def test_fails_closed_on_any_text(self, text):
+        try:
+            result = evaluate_inequality(text)
+        except ReplayError:
+            return
+        assert isinstance(result, bool)

@@ -2,24 +2,34 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 from conftest import braid_words, letter_lists, three_braids
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidcert import (
+    BadParameters,
     BraidWord,
     Comparison,
     OrderSign,
+    PeriodicForm,
+    ReducibleForm,
     ReductionBudgetExceeded,
     StrandMismatch,
     compare,
     dehornoy_floor,
     delta,
+    fdtc_exact_b3,
     full_twist,
+    is_trivial,
+    normal_form,
+    power_floor,
     reduced_word,
     sigma_sign,
 )
+from braidcert.ordering import central_root
 
 
 def floor_by_definition(b: BraidWord) -> int:
@@ -151,3 +161,129 @@ class TestFloor:
         b = BraidWord(3, (1, 2, -1, -2) * 50)
         with pytest.raises(ReductionBudgetExceeded):
             dehornoy_floor(b, budget=5)
+
+    @given(braid_words(min_strands=3, max_strands=5, max_len=12),
+           st.integers(0, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_seed_moves_only_the_start(self, b, s):
+        assert dehornoy_floor(b, seed=s) == dehornoy_floor(b)
+
+
+@st.composite
+def twisted_families(draw, min_strands: int = 3, max_strands: int = 6):
+    """(w Delta^(2d) X w^-1, c, periodic) with X = delta_1^j, epsilon^j or
+    sigma_1^k, where delta_1 = sigma_1 ... sigma_{m-1}, epsilon =
+    delta_1 sigma_1 and c is the twist known by construction."""
+    m = draw(st.integers(min_strands, max_strands))
+    d = draw(st.integers(-2, 2))
+    delta1 = tuple(range(1, m))
+    kind = draw(st.sampled_from(["delta", "epsilon", "sigma1"]))
+    if kind == "delta":
+        j = draw(st.integers(-(m - 1), m - 1))
+        x, c = BraidWord(m, delta1) ** j, d + Fraction(j, m)
+    elif kind == "epsilon":
+        j = draw(st.integers(-(m - 2), m - 2))
+        x, c = BraidWord(m, delta1 + (1,)) ** j, d + Fraction(j, m - 1)
+    else:
+        k = draw(st.integers(1, 3)) * draw(st.sampled_from([1, -1]))
+        x, c = BraidWord(m, (1,)) ** k, Fraction(d)
+    w = BraidWord(m, tuple(draw(letter_lists(m, 6))))
+    return (full_twist(m) ** d * x).conjugated_by(w), c, kind != "sigma1"
+
+
+def pa_word(d: int, a: list[int]) -> BraidWord:
+    """C^d prod_i sigma_1 sigma_2^-a_i, a pseudo-Anosov 3-braid."""
+    letters: list[int] = []
+    for ai in a:
+        letters.append(1)
+        letters.extend([-2] * ai)
+    return full_twist(3) ** d * BraidWord(3, tuple(letters))
+
+
+def permutation_order(b: BraidWord) -> int:
+    perm = power = b.permutation()
+    order = 1
+    while not power.is_identity:
+        power, order = power * perm, order + 1
+    return order
+
+
+class TestPowerFloor:
+    @given(braid_words(min_strands=3, max_strands=6, max_len=8),
+           st.integers(1, 24))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_floor_of_power_random(self, b, k):
+        assert power_floor(b, k) == dehornoy_floor(b**k)
+
+    @given(twisted_families(max_strands=5), st.integers(1, 24))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_floor_of_power_families(self, case, k):
+        b, _, _ = case
+        assert power_floor(b, k) == dehornoy_floor(b**k)
+
+    @given(st.integers(-3, 3), st.lists(st.integers(1, 4), min_size=1, max_size=3),
+           st.integers(1, 24))
+    @settings(max_examples=20, deadline=None)
+    def test_matches_floor_of_power_pseudo_anosov(self, d, a, k):
+        b = pa_word(d, a)
+        assert power_floor(b, k) == dehornoy_floor(b**k)
+
+    def test_bad_power(self):
+        with pytest.raises(BadParameters):
+            power_floor(BraidWord(3, (1,)), 0)
+
+    def test_budget_propagates(self):
+        b = BraidWord(3, (1, 2, -1, -2) * 50)
+        with pytest.raises(ReductionBudgetExceeded):
+            power_floor(b, 4, budget=5)
+
+
+class TestCentralRoot:
+    @given(twisted_families())
+    @settings(max_examples=60, deadline=None)
+    def test_root_exactly_on_periodic_families(self, case):
+        b, c, periodic = case
+        root = central_root(b, b.strands)
+        if not periodic:
+            assert root is None
+            return
+        assert root is not None
+        q, p = root
+        assert q in (b.strands, b.strands - 1)
+        assert Fraction(p, q) == c
+        assert is_trivial(b**q * full_twist(b.strands) ** -p)
+
+    @given(st.integers(-3, 3), st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    def test_no_root_on_pseudo_anosov(self, d, a):
+        assert central_root(pa_word(d, a), 3) is None
+
+    @given(braid_words(min_strands=4, max_strands=6, max_len=12))
+    @settings(max_examples=60, deadline=None)
+    def test_no_root_when_permutation_order_forbids(self, b):
+        # a central power b^q = delta^(2p) is a pure braid, so the
+        # permutation's order divides q
+        m = b.strands
+        if m % permutation_order(b) and (m - 1) % permutation_order(b):
+            assert central_root(b, m) is None
+
+    @given(three_braids(max_len=6), st.sampled_from([
+        (-2, -1), (-1, -2, -1), (-2, -1, -2, -1), (), (2, 2), (1, -2), (1, -2, -2, 1, -2),
+    ]), st.integers(-2, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_three_braid_classification(self, w, core, d):
+        b = (full_twist(3) ** d * BraidWord(3, core)).conjugated_by(w)
+        nf = normal_form(b)
+        periodic = isinstance(nf, PeriodicForm) or (
+            isinstance(nf, ReducibleForm) and nf.central)
+        root = central_root(b, 3)
+        assert (root is not None) == periodic
+        if root is not None:
+            assert Fraction(root[1], root[0]) == fdtc_exact_b3(b)
+
+    def test_skips_roots_above_the_power(self):
+        # delta_1^j on 5 strands has its root at q = 5 only
+        b = BraidWord(5, (1, 2, 3, 4))
+        assert central_root(b, 5) == (5, 1)
+        assert central_root(b, 4) is None
+        # a full twist has roots at both q = m and q = m - 1
+        assert central_root(full_twist(4), 3) == (3, 3)
