@@ -1,22 +1,21 @@
 """Build script: compiles the optional handle-reduction extension.
 
-The package is pure Python except for one hot kernel
-(``braidcert._reduction_c``).  If Cython or a C compiler is missing the
-build silently falls back to the pure-Python kernel; the installed
-package selects whichever is importable at runtime.
+The package is pure Python except for one hot kernel,
+``braidcert._reduction_c``, a hand-written C file that needs only a C
+compiler and the CPython headers.  The extension is optional: if it
+does not compile, setuptools prints a warning and the build goes on,
+and the installed package then runs the pure-Python kernel, selected
+at import time whenever the extension is not importable.
 """
 
-from setuptools import setup
+from setuptools import Extension, setup
 
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        ["src/braidcert/_reduction_c.pyx"],
-        compiler_directives={"language_level": "3"},
-    )
-except Exception:
-    pass
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        Extension(
+            "braidcert._reduction_c",
+            ["src/braidcert/_reduction_c.c"],
+            optional=True,
+        )
+    ]
+)

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from braidcert.braid import BraidWord
 from braidcert.errors import BadGenus, BadParameters, SplitBinding
-from braidcert.fdtc import FdtcValue, fdtc_exact_b3, fdtc_interval_by_floor
+from braidcert.fdtc import FdtcValue, fdtc_interval
 from braidcert.ordering import OrderSign, sigma_sign
 from braidcert.threebraid import (
     NTType,
@@ -271,6 +271,56 @@ def certify_orbifold_cover(c_h: FdtcValue, p: int, q: int, m: int) -> Certificat
 
 
 # ---------------------------------------------------------------------------
+# pseudo-Anosov type of a braid
+
+
+#: Gate wording, (proved note, assertion, refusal on 3 strands, refusal
+#: on other strand counts), for a closed braid and for a satellite pattern.
+_BRAID_PA_GATE = (
+    "pseudo-Anosov type proved by the 3-braid classification",
+    "braid asserted pseudo-Anosov",
+    "braid is not pseudo-Anosov by the 3-braid classification",
+    "pseudo-Anosov type is only provable on 3 strands; assert it"
+    " explicitly for other strand counts",
+)
+_PATTERN_PA_GATE = (
+    "pattern pseudo-Anosov type proved by the 3-braid classification",
+    "pattern braid asserted pseudo-Anosov",
+    "pattern is not pseudo-Anosov by the 3-braid classification",
+    "pattern pseudo-Anosov type must be asserted on more than 3 strands",
+)
+
+
+def _pa_gate(
+    b: BraidWord,
+    pa_asserted: bool,
+    wording: tuple[str, str, str, str],
+    assumptions: list[str],
+    notes: list[str],
+) -> Certificate | None:
+    """Establish pseudo-Anosov type of b, or refuse.
+
+    On 3 strands the classification proves it; failing that, and on any
+    other strand count, only an assertion lets the certifier proceed.
+    Records the proof or assertion in notes / assumptions and returns
+    None, or returns the Unknown certificate that refuses."""
+    proved, asserted, not_pa, must_assert = wording
+    if b.strands == 3 and nt_type(normal_form(b)) is NTType.PSEUDO_ANOSOV:
+        notes.append(proved)
+        return None
+    if pa_asserted:
+        assumptions.append(asserted)
+        if b.strands == 3:
+            notes.append(
+                "3-braid classification does not find pseudo-Anosov type;"
+                " proceeding on the assertion"
+            )
+        return None
+    refusal = not_pa if b.strands == 3 else must_assert
+    return Certificate(Verdict.UNKNOWN, (), tuple(assumptions), (refusal,))
+
+
+# ---------------------------------------------------------------------------
 # cyclic branched covers of closed braids
 
 
@@ -294,38 +344,11 @@ def certify_closed_braid_cover(
 
     assumptions: list[str] = []
     notes: list[str] = []
-    if m == 3:
-        proved_pa = nt_type(normal_form(b)) is NTType.PSEUDO_ANOSOV
-        if proved_pa:
-            notes.append("pseudo-Anosov type proved by the 3-braid classification")
-        elif pa_asserted:
-            assumptions.append("braid asserted pseudo-Anosov")
-            notes.append(
-                "3-braid classification does not find pseudo-Anosov type;"
-                " proceeding on the assertion"
-            )
-        else:
-            return Certificate(
-                Verdict.UNKNOWN,
-                (),
-                (),
-                ("braid is not pseudo-Anosov by the 3-braid classification",),
-            )
-    elif pa_asserted:
-        assumptions.append("braid asserted pseudo-Anosov")
-    else:
-        return Certificate(
-            Verdict.UNKNOWN,
-            (),
-            (),
-            ("pseudo-Anosov type is only provable on 3 strands; assert it"
-             " explicitly for other strand counts",),
-        )
+    refusal = _pa_gate(b, pa_asserted, _BRAID_PA_GATE, assumptions, notes)
+    if refusal is not None:
+        return refusal
 
-    if m == 3:
-        c = FdtcValue.exact(fdtc_exact_b3(b), "conjugacy classification of 3-braids")
-    else:
-        c = fdtc_interval_by_floor(b, tol, budget)
+    c = fdtc_interval(b, tol, budget)
     cmin = c.abs_lower_bound()
 
     justifications = []
@@ -549,35 +572,9 @@ def certify_satellite(
         " (asserted)",
     ]
     notes: list[str] = []
-    if m == 3:
-        proved_pa = nt_type(normal_form(pattern)) is NTType.PSEUDO_ANOSOV
-        if proved_pa:
-            notes.append(
-                "pattern pseudo-Anosov type proved by the 3-braid classification"
-            )
-        elif pa_asserted:
-            assumptions.append("pattern braid asserted pseudo-Anosov")
-            notes.append(
-                "3-braid classification does not find pseudo-Anosov type;"
-                " proceeding on the assertion"
-            )
-        else:
-            return Certificate(
-                Verdict.UNKNOWN,
-                (),
-                tuple(assumptions),
-                ("pattern is not pseudo-Anosov by the 3-braid classification",),
-            )
-    elif pa_asserted:
-        assumptions.append("pattern braid asserted pseudo-Anosov")
-    else:
-        return Certificate(
-            Verdict.UNKNOWN,
-            (),
-            tuple(assumptions),
-            ("pattern pseudo-Anosov type must be asserted on more than 3"
-             " strands",),
-        )
+    refusal = _pa_gate(pattern, pa_asserted, _PATTERN_PA_GATE, assumptions, notes)
+    if refusal is not None:
+        return refusal
 
     if math.gcd(m, n) != 1:
         return Certificate(

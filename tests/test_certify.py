@@ -218,6 +218,56 @@ class TestClosedBraidCover:
             assert certify_closed_braid_cover(b, t * j).verdict is Verdict.EXCELLENT
 
 
+_COMPANION = ("companion is a fibred hyperbolic knot in an integer homology"
+              " sphere (asserted)")
+_NO_PA_FOUND = ("3-braid classification does not find pseudo-Anosov type;"
+                " proceeding on the assertion")
+
+
+class TestPseudoAnosovGate:
+    """Every branch of the pseudo-Anosov gate in both certifiers: proved
+    on 3 strands, asserted against the classification, refused on 3
+    strands, asserted and refused on 4 strands."""
+
+    @pytest.mark.parametrize("b,t,asserted,verdict,assumptions,notes", [
+        (C ** 2 * PA, 2, False, Verdict.EXCELLENT, (),
+         ("pseudo-Anosov type proved by the 3-braid classification",)),
+        (C ** 3 * BraidWord(3, (2, 2)), 2, True, Verdict.EXCELLENT,
+         ("braid asserted pseudo-Anosov",), (_NO_PA_FOUND,)),
+        (C ** 3 * BraidWord(3, (2, 2)), 2, False, Verdict.UNKNOWN, (),
+         ("braid is not pseudo-Anosov by the 3-braid classification",)),
+        (full_twist(4) ** 3, 3, True, Verdict.EXCELLENT,
+         ("braid asserted pseudo-Anosov",), ()),
+        (full_twist(4) ** 3, 3, False, Verdict.UNKNOWN, (),
+         ("pseudo-Anosov type is only provable on 3 strands; assert it"
+          " explicitly for other strand counts",)),
+    ])
+    def test_closed_braid_cover(self, b, t, asserted, verdict, assumptions,
+                                notes):
+        cert = certify_closed_braid_cover(b, t, pa_asserted=asserted)
+        assert (cert.verdict, cert.assumptions, cert.notes) == (
+            verdict, assumptions, notes)
+
+    @pytest.mark.parametrize("pattern,n,asserted,verdict,assumptions,notes", [
+        (PA, 2, False, Verdict.EXCELLENT, (_COMPANION,),
+         ("pattern pseudo-Anosov type proved by the 3-braid classification",)),
+        (BraidWord(3, (1, 2)), 2, True, Verdict.EXCELLENT,
+         (_COMPANION, "pattern braid asserted pseudo-Anosov"), (_NO_PA_FOUND,)),
+        (BraidWord(3, (1, 2)), 2, False, Verdict.UNKNOWN, (_COMPANION,),
+         ("pattern is not pseudo-Anosov by the 3-braid classification",)),
+        (BraidWord(4, (1, 3)), 3, True, Verdict.EXCELLENT,
+         (_COMPANION, "pattern braid asserted pseudo-Anosov"), ()),
+        (BraidWord(4, (1, 3)), 3, False, Verdict.UNKNOWN, (_COMPANION,),
+         ("pattern pseudo-Anosov type must be asserted on more than 3"
+          " strands",)),
+    ])
+    def test_satellite(self, pattern, n, asserted, verdict, assumptions, notes):
+        cert = certify_satellite(pattern, n, FdtcValue.exact(Fraction(0), "t"),
+                                 pa_asserted=asserted)
+        assert (cert.verdict, cert.assumptions, cert.notes) == (
+            verdict, assumptions, notes)
+
+
 class TestGenus1Cover:
     def test_trichotomy_spec_rows(self):
         w1 = BraidWord(3, (-1, -2))

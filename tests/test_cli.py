@@ -175,9 +175,14 @@ class TestErrors:
         assert "column" in err
 
     def test_bad_tolerance(self, capsys):
-        code, _, err = run(capsys, "fdtc", "4: 1", "--tol", "0")
-        assert code == 1
-        assert err
+        pa_twisted = "3: 1 2 1 1 2 1 1 2 1 1 2 1 1 -2"
+        for argv in (["fdtc", "4: 1"], ["fdtc", "3: 1 2"],
+                     ["certify-cover", "--word", pa_twisted, "--t", "2"],
+                     ["certify-cover", "--word", "4: 1 2 3", "--t", "2",
+                      "--assert-pa"]):
+            code, _, err = run(capsys, *argv, "--tol", "0")
+            assert code == 1, argv
+            assert "tolerance must be positive" in err, argv
 
 
 CORPUS = """\

@@ -9,8 +9,14 @@ integral Burau matrices at t = -1.
 
 from __future__ import annotations
 
+import importlib.util
+import os
+import shutil
 import subprocess
 import sys
+import sysconfig
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from conftest import letter_lists
@@ -29,6 +35,40 @@ needs_c = pytest.mark.skipif(_reduction_c is None,
                              reason="compiled kernel not built")
 
 BUDGET = 10**6
+
+
+@pytest.fixture(scope="session")
+def c_kernel(tmp_path_factory):
+    """The compiled kernel: the built extension if importable, else
+    ``_reduction_c.c`` compiled here with gcc and loaded from a temporary
+    directory without entering ``sys.modules``."""
+    if _reduction_c is not None:
+        return _reduction_c
+    include = sysconfig.get_paths()["include"]
+    gcc = shutil.which("gcc")
+    if gcc is None or not os.path.exists(os.path.join(include, "Python.h")):
+        pytest.skip("no gcc or Python.h to compile the kernel")
+    source = Path(_reduction_py.__file__).with_name("_reduction_c.c")
+    target = tmp_path_factory.mktemp("kernel") / (
+        "_reduction_c" + sysconfig.get_config_var("EXT_SUFFIX")
+    )
+    built = subprocess.run(
+        [gcc, "-shared", "-fPIC", "-O2", "-Wall", f"-I{include}",
+         str(source), "-o", str(target)],
+        capture_output=True, text=True,
+    )
+    if built.returncode != 0:
+        pytest.fail(f"kernel does not compile:\n{built.stderr}")
+    spec = importlib.util.spec_from_file_location("braidcert._reduction_c", target)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _budget_message(fn, letters, strands, max_len):
+    with pytest.raises(ReductionBudgetExceeded) as exc:
+        fn(letters, strands, max_len)
+    return str(exc.value)
 
 
 @st.composite
@@ -145,30 +185,79 @@ class TestReferenceKernel:
             _reduction_py.reduce_word(w, 3, 10)
 
 
-@needs_c
 class TestKernelParity:
     @given(words_with_strands(max_len=80))
     @settings(max_examples=400)
-    def test_reduce_word_identical(self, mw):
+    def test_reduce_word_identical(self, c_kernel, mw):
         m, w = mw
-        assert _reduction_c.reduce_word(w, m, BUDGET) == _reduction_py.reduce_word(
+        assert c_kernel.reduce_word(w, m, BUDGET) == _reduction_py.reduce_word(
             w, m, BUDGET
         )
 
     @given(words_with_strands(max_len=80))
     @settings(max_examples=400)
-    def test_sign_identical(self, mw):
+    def test_sign_identical(self, c_kernel, mw):
         m, w = mw
-        assert _reduction_c.sign_of(w, m, BUDGET) == _reduction_py.sign_of(
+        assert c_kernel.sign_of(w, m, BUDGET) == _reduction_py.sign_of(
             w, m, BUDGET
         )
 
-    def test_budget_exceeded_matches(self):
-        w = (1, 2, -1, -2) * 40
-        with pytest.raises(ReductionBudgetExceeded):
-            _reduction_c.reduce_word(w, 3, 10)
-        with pytest.raises(ReductionBudgetExceeded):
-            _reduction_c.sign_of(w, 3, 10)
+    def test_budget_exceeded_matches(self, c_kernel):
+        # The budget-floor and budget-fdtc goldens print these messages.
+        cases = [
+            ((1, 2, -1, -2) * 40, 3, 10, "word of length 160 exceeds budget 10"),
+            # 5 letters fit; the first handle rewrite makes 7.
+            ((1, 2, 3, 2, -1), 4, 5,
+             "word grew past budget 5 during handle reduction"),
+        ]
+        for letters, strands, max_len, message in cases:
+            for name in ("reduce_word", "sign_of"):
+                assert _budget_message(getattr(_reduction_py, name),
+                                       letters, strands, max_len) == message
+                assert _budget_message(getattr(c_kernel, name),
+                                       letters, strands, max_len) == message
+
+
+class TestCompiledBoundary:
+    """The compiled kernel rejects malformed input before it indexes
+    anything; the pure kernel trusts its callers."""
+
+    @pytest.mark.parametrize("letters,strands", [
+        ((0,), 3), ((1, 0), 3),           # letter 0
+        ((3,), 3), ((1, -3), 3),          # |letter| == strands
+        ((5,), 3), ((-2**31 - 1,), 3),    # past strands, past a C int
+        ((1,), 1), ((), 0), ((1,), -4),   # strands < 2
+    ])
+    def test_value_errors(self, c_kernel, letters, strands):
+        for fn in (c_kernel.reduce_word, c_kernel.sign_of):
+            with pytest.raises(ValueError):
+                fn(letters, strands, BUDGET)
+
+    @pytest.mark.parametrize("letters,strands,error", [
+        ((1.0,), 3, TypeError),
+        (("1",), 3, TypeError),
+        ((None,), 3, TypeError),
+        (7, 3, TypeError),
+        ((2**64,), 3, OverflowError),
+        ((-2**64,), 3, OverflowError),
+        ((1,), 2**40, OverflowError),
+        ((1,), 3.0, TypeError),
+    ])
+    def test_type_and_overflow_errors(self, c_kernel, letters, strands, error):
+        for fn in (c_kernel.reduce_word, c_kernel.sign_of):
+            with pytest.raises(error):
+                fn(letters, strands, BUDGET)
+
+    def test_tables_follow_the_word_not_strands(self, c_kernel):
+        # Tables sized by strands would take megabytes here.
+        tracemalloc.start()
+        try:
+            assert c_kernel.reduce_word((1, 2, -1), 10**6, BUDGET) == [-2, 1, 2]
+            assert c_kernel.sign_of((-2, 3, 2), 10**6, BUDGET) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 class TestKernelSelection:
