@@ -26,21 +26,24 @@ gen(int x)
     return x > 0 ? x : -x;
 }
 
-/* Count letter x into the per-generator tallies with weight d. */
-static inline void
-tally(Py_ssize_t *pos, Py_ssize_t *neg, int x, Py_ssize_t d)
-{
-    if (x > 0)
-        pos[x] += d;
-    else
-        neg[-x] += d;
-}
-
 /* Resize *buf to size ints; on failure keep it and set MemoryError. */
 static int
 grow(int **buf, Py_ssize_t size)
 {
     int *grown = PyMem_Realloc(*buf, (size_t)size * sizeof(int));
+    if (grown == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    *buf = grown;
+    return 0;
+}
+
+/* The same for a table of positions. */
+static int
+grow_positions(Py_ssize_t **buf, Py_ssize_t size)
+{
+    Py_ssize_t *grown = PyMem_Realloc(*buf, (size_t)size * sizeof(Py_ssize_t));
     if (grown == NULL) {
         PyErr_NoMemory();
         return -1;
@@ -59,13 +62,26 @@ push(int *buf, Py_ssize_t *n, int z)
         buf[(*n)++] = z;
 }
 
+/* push, keeping cnt[x], the number of letters x in the word, in step. */
+static inline void
+push_counted(int *buf, Py_ssize_t *n, Py_ssize_t *cnt, int z)
+{
+    if (*n && buf[*n - 1] == -z) {
+        --*n;
+        cnt[-z]--;
+    } else {
+        buf[(*n)++] = z;
+        cnt[z]++;
+    }
+}
+
 /* Sign decided by the lowest generator present; MIXED if undecided. */
 static int
-definite_sign(const Py_ssize_t *pos, const Py_ssize_t *neg, int top)
+definite_sign(const Py_ssize_t *cnt, int top)
 {
     for (int j = 1; j < top; j++) {
-        if (pos[j] || neg[j])
-            return neg[j] == 0 ? 1 : pos[j] == 0 ? -1 : MIXED;
+        if (cnt[j] || cnt[-j])
+            return cnt[-j] == 0 ? 1 : cnt[j] == 0 ? -1 : MIXED;
     }
     return 0;
 }
@@ -81,7 +97,7 @@ reduce_core(PyObject *args, PyObject *kwds, int full, int **wp, Py_ssize_t *np)
     int strands, top = 1, sign = FAILED;
     Py_ssize_t max_len, n0, n = 0, cap, seg_cap = 64, seg_n, i, s, q;
     int *w = NULL, *seg = NULL;
-    Py_ssize_t *pos = NULL, *neg, *last;
+    Py_ssize_t *tables = NULL, *cnt, *last, *prev = NULL;
 
     *wp = NULL;
     if (!PyArg_ParseTupleAndKeywords(args, kwds, "Oin", kwlist,
@@ -128,21 +144,22 @@ reduce_core(PyObject *args, PyObject *kwds, int full, int **wp, Py_ssize_t *np)
         goto fail;
     }
 
-    /* pos/neg count each generator's letters; last[j] is the last
-       occurrence of generator j in w[:i]. */
-    if ((pos = PyMem_Calloc(3 * (size_t)top, sizeof(Py_ssize_t))) == NULL) {
+    /* cnt[x] counts the letter x, for -top < x < top; last[j] is the
+       last occurrence of generator j in w[:i], and prev[p] the one
+       before position p, for p < i. */
+    if ((tables = PyMem_Calloc(3 * (size_t)top, sizeof(Py_ssize_t))) == NULL) {
         PyErr_NoMemory();
         goto fail;
     }
-    if (grow(&seg, seg_cap) < 0)
+    if (grow(&seg, seg_cap) < 0 || grow_positions(&prev, cap) < 0)
         goto fail;
-    neg = pos + top;
-    last = neg + top;
+    cnt = tables + top;
+    last = tables + 2 * top;
     for (int j = 0; j < top; j++)
         last[j] = -1;
     for (i = 0; i < n; i++)
-        tally(pos, neg, w[i], 1);
-    if (!full && (sign = definite_sign(pos, neg, top)) != MIXED)
+        cnt[w[i]]++;
+    if (!full && (sign = definite_sign(cnt, top)) != MIXED)
         goto done;
 
     i = 0;
@@ -154,39 +171,39 @@ reduce_core(PyObject *args, PyObject *kwds, int full, int **wp, Py_ssize_t *np)
             if (last[j] > s)
                 is_handle = 0;
         if (!is_handle) {
+            prev[i] = s;
             last[g] = i++;
             continue;
         }
 
-        /* Rewrite handle w[s..i]; free-cancel while building the patch.
-           Worst case the interior triples in length. */
+        /* Rewrite handle w[s..i]; free-cancel while building the patch,
+           counting every letter that leaves or enters the word.  Worst
+           case the interior triples in length. */
         int e = w[s] > 0 ? 1 : -1, g1 = g + 1;
         if (3 * (i - s) + 4 > seg_cap) {
             seg_cap = 3 * (i - s) + 64;
             if (grow(&seg, seg_cap) < 0)
                 goto fail;
         }
+        cnt[x]--;
+        cnt[-x]--;
         seg_n = 0;
         for (q = s + 1; q < i; q++) {
             int y = w[q];
+            cnt[y]--;
             if (gen(y) == g1) {
-                push(seg, &seg_n, -e * g1);
-                push(seg, &seg_n, (y > 0 ? 1 : -1) * g);
-                push(seg, &seg_n, e * g1);
+                push_counted(seg, &seg_n, cnt, -e * g1);
+                push_counted(seg, &seg_n, cnt, (y > 0 ? 1 : -1) * g);
+                push_counted(seg, &seg_n, cnt, e * g1);
             } else {
-                push(seg, &seg_n, y);
+                push_counted(seg, &seg_n, cnt, y);
             }
         }
-
-        for (q = s; q <= i; q++)
-            tally(pos, neg, w[q], -1);
-        for (q = 0; q < seg_n; q++)
-            tally(pos, neg, seg[q], 1);
 
         Py_ssize_t new_n = n - (i - s + 1) + seg_n;
         if (new_n > cap) {
             cap = new_n + new_n / 2 + 16;
-            if (grow(&w, cap) < 0)
+            if (grow(&w, cap) < 0 || grow_positions(&prev, cap) < 0)
                 goto fail;
         }
         memmove(w + s + seg_n, w + i + 1, (n - (i + 1)) * sizeof(int));
@@ -198,22 +215,18 @@ reduce_core(PyObject *args, PyObject *kwds, int full, int **wp, Py_ssize_t *np)
                          max_len);
             goto fail;
         }
-        if (!full && (sign = definite_sign(pos, neg, top)) != MIXED)
+        if (!full && (sign = definite_sign(cnt, top)) != MIXED)
             goto done;
 
-        /* Resume at s; rebuild the last-occurrence table for the prefix. */
-        for (int j = 1; j < top; j++)
-            last[j] = -1;
-        int remaining = top - 1;
-        for (q = s - 1; q >= 0 && remaining; q--) {
-            if (last[gen(w[q])] < 0) {
-                last[gen(w[q])] = q;
-                remaining--;
-            }
+        /* Resume at s.  No generator below g occurs in w[s..i], so only
+           last[g:] can point into it; step those back along prev. */
+        for (int j = g; j < top; j++) {
+            while (last[j] >= s)
+                last[j] = prev[last[j]];
         }
         i = s;
     }
-    sign = definite_sign(pos, neg, top);
+    sign = definite_sign(cnt, top);
     goto done;
 
 fail:
@@ -221,7 +234,8 @@ fail:
 done:
     Py_DECREF(seq);
     PyMem_Free(seg);
-    PyMem_Free(pos);
+    PyMem_Free(tables);
+    PyMem_Free(prev);
     if (sign == FAILED) {
         PyMem_Free(w);
         return FAILED;
@@ -236,6 +250,7 @@ reduce_word(PyObject *self, PyObject *args, PyObject *kwds)
 {
     int *w;
     Py_ssize_t n;
+    (void)self;
     if (reduce_core(args, kwds, 1, &w, &n) == FAILED)
         return NULL;
     PyObject *out = PyList_New(n);
@@ -255,6 +270,7 @@ sign_of(PyObject *self, PyObject *args, PyObject *kwds)
 {
     int *w;
     Py_ssize_t n;
+    (void)self;
     int sign = reduce_core(args, kwds, 0, &w, &n);
     if (sign == FAILED)
         return NULL;

@@ -14,8 +14,14 @@ each interior letter of index i+1:
 
 Scanning for the first *closing* position guarantees the interior holds
 no smaller handle, which is the strategy known to terminate without
-blowup in practice.  A length budget turns pathological growth into
-ReductionBudgetExceeded instead of an unbounded loop.
+blowup in practice.  The scan keeps, for each generator, its last
+occurrence before the current position, and for each scanned position
+the previous occurrence of its generator.  After rewriting a
+sigma_g-handle w[s..i] the scan resumes at s.  Only generators g and
+above can occur in the rewritten stretch, and their last occurrences
+step back along those links, so no rewrite rescans the prefix.  A
+length budget turns pathological growth into ReductionBudgetExceeded
+instead of an unbounded loop.
 
 Sign queries stop early once the lowest generator present occurs with a
 single sign: such a word is sigma-definite and its class under the
@@ -40,13 +46,15 @@ def _free_reduce(letters):
     return out
 
 
-def _definite_sign(pos, neg, strands):
+def _definite_sign(cnt, strands):
     # Sign decided by the lowest generator present; _MIXED if undecided.
     for j in range(1, strands):
-        if pos[j] or neg[j]:
-            if neg[j] == 0:
+        p = cnt[j]
+        n = cnt[-j]
+        if p or n:
+            if n == 0:
                 return 1
-            if pos[j] == 0:
+            if p == 0:
                 return -1
             return _MIXED
     return 0
@@ -59,20 +67,18 @@ def _reduce_core(letters, strands, max_len, full):
             f"word of length {len(w)} exceeds budget {max_len}"
         )
 
-    pos = [0] * strands
-    neg = [0] * strands
+    # cnt[x] counts the letter x; a negative x indexes from the end.
+    cnt = [0] * (2 * strands)
     for x in w:
-        if x > 0:
-            pos[x] += 1
-        else:
-            neg[-x] += 1
+        cnt[x] += 1
 
     if not full:
-        s = _definite_sign(pos, neg, strands)
+        s = _definite_sign(cnt, strands)
         if s != _MIXED:
             return s, w
 
     last = [-1] * strands  # last occurrence of each generator in w[:i]
+    prev: list[int] = []  # prev[p]: previous occurrence of w[p]'s generator
     i = 0
     while i < len(w):
         x = w[i]
@@ -85,40 +91,35 @@ def _reduce_core(letters, strands, max_len, full):
                     is_handle = False
                     break
         if not is_handle:
+            prev.append(s)
             last[g] = i
             i += 1
             continue
 
-        # Rewrite handle w[s..i]; free-cancel while building the patch.
+        # Rewrite handle w[s..i]; free-cancel while building the patch,
+        # counting every letter that leaves or enters the word.
         e = 1 if w[s] > 0 else -1
         g1 = g + 1
+        cnt[x] -= 1
+        cnt[-x] -= 1
         seg: list[int] = []
         for q in range(s + 1, i):
             y = w[q]
-            gy = y if y > 0 else -y
-            if gy == g1:
-                d = 1 if y > 0 else -1
-                for z in (-e * g1, d * g, e * g1):
+            if y == g1 or y == -g1:
+                cnt[y] -= 1
+                for z in (-e * g1, g if y > 0 else -g, e * g1):
                     if seg and seg[-1] == -z:
                         seg.pop()
+                        cnt[-z] -= 1
                     else:
                         seg.append(z)
+                        cnt[z] += 1
             elif seg and seg[-1] == -y:
                 seg.pop()
+                cnt[y] -= 1
+                cnt[-y] -= 1
             else:
                 seg.append(y)
-
-        for q in range(s, i + 1):
-            y = w[q]
-            if y > 0:
-                pos[y] -= 1
-            else:
-                neg[-y] -= 1
-        for y in seg:
-            if y > 0:
-                pos[y] += 1
-            else:
-                neg[-y] += 1
 
         w[s : i + 1] = seg
         if len(w) > max_len:
@@ -127,24 +128,21 @@ def _reduce_core(letters, strands, max_len, full):
             )
 
         if not full:
-            sd = _definite_sign(pos, neg, strands)
+            sd = _definite_sign(cnt, strands)
             if sd != _MIXED:
                 return sd, w
 
-        # Resume at s; rebuild last-occurrence table for the prefix.
-        for j in range(1, strands):
-            last[j] = -1
-        remaining = strands - 1
-        q = s - 1
-        while q >= 0 and remaining:
-            gy = w[q] if w[q] > 0 else -w[q]
-            if last[gy] < 0:
-                last[gy] = q
-                remaining -= 1
-            q -= 1
+        # Resume at s.  No generator below g occurs in w[s..i], so only
+        # last[g:] can point into it; step those back along prev.
+        for j in range(g, strands):
+            p = last[j]
+            while p >= s:
+                p = prev[p]
+            last[j] = p
+        del prev[s:]
         i = s
 
-    return _definite_sign(pos, neg, strands), w
+    return _definite_sign(cnt, strands), w
 
 
 def reduce_word(letters, strands, max_len):

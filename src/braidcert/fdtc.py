@@ -140,8 +140,8 @@ def fdtc_interval_by_floor(
 
     The floor comes from :func:`~braidcert.ordering.power_floor`, which
     searches it through a central root of b when b is periodic and
-    otherwise refines it along a halving chain of powers; the value is
-    the same as ``dehornoy_floor(b**k)``."""
+    otherwise climbs a binary ladder of powers with one probe per step;
+    the value is the same as ``dehornoy_floor(b**k)``."""
     t = Fraction(tol)
     if t <= 0:
         raise BadParameters(f"tolerance must be positive, got {t}")

@@ -81,44 +81,31 @@ def reduced_word(u: BraidWord, budget: int | None = None) -> BraidWord:
     return BraidWord(u.strands, tuple(_kernel.reduce_word(u.letters, u.strands, cap)))
 
 
-def dehornoy_floor(
-    u: BraidWord, budget: int | None = None, *, seed: int | None = None
-) -> int:
-    """min { k >= 0 : delta^(-2k-2) < u < delta^(2k+2) }.
+def _below_twist(letters: tuple[int, ...], m: int, j: int, positive: bool,
+                 cap: int) -> bool:
+    """Whether u, given by its letters, lies strictly inside
+    delta^(2j+2) in the direction of its sign: u < delta^(2j+2) for
+    positive u, delta^(-2j-2) < u for negative u.  One kernel query:
+    sign(u^-1 delta^(2j+2)) or sign(delta^(2j+2) u) is positive.  The
+    other inequality holds for every j >= 0, because a positive u is
+    above every negative power of delta, and symmetrically."""
+    twist = _delta_power(m, 2 * j + 2)
+    if positive:
+        word = tuple(-x for x in reversed(letters)) + twist
+    else:
+        word = twist + letters
+    return _kernel.sign_of(word, m, cap) > 0
 
-    The search starts at ``seed``, a guess k >= 0 (default: the exponent
-    sum divided by m(m-1), the exponent sum of the full twist delta^2),
-    gallops away from it to a bracket, then bisects; each candidate
-    needs one sign computation because a positive braid is automatically
-    above every negative power of delta, and symmetrically.  Every probe
-    is a kernel query, so the result does not depend on the seed, only
-    the number of queries does: a seed near the answer saves them.
-    """
-    cap = budget if budget is not None else _kernel.default_budget()
-    sign = sigma_sign(u, cap)
-    if sign is OrderSign.TRIVIAL:
-        return 0
 
+def _search_floor(u: BraidWord, positive: bool, cap: int) -> int:
+    """The floor of a nontrivial u of the given sign: gallop from a
+    seed to a bracket, then bisect."""
     m = u.strands
-    half = delta(m).letters
 
-    def below_power(k: int) -> bool:
-        # u < delta^(2k+2), decided as sign(u^-1 delta^(2k+2)) > 0
-        word = tuple(-x for x in reversed(u.letters)) + half * (2 * k + 2)
-        return _kernel.sign_of(word, m, cap) > 0
+    def holds(k: int) -> bool:
+        return _below_twist(u.letters, m, k, positive, cap)
 
-    def above_power(k: int) -> bool:
-        # delta^(-2k-2) < u, decided as sign(delta^(2k+2) u) > 0
-        word = half * (2 * k + 2) + u.letters
-        return _kernel.sign_of(word, m, cap) > 0
-
-    # For positive u the lower bound holds for every k >= 0; only the
-    # upper comparison moves, and it is monotone in k.  Symmetrically
-    # for negative u.
-    holds = below_power if sign is OrderSign.POSITIVE else above_power
-
-    if seed is None:
-        seed = abs(u.exponent_sum) // (m * (m - 1))
+    seed = abs(u.exponent_sum) // (m * (m - 1))
     if holds(seed):
         hi = seed  # holds; gallop down for a non-holding lower bound
         step = 1
@@ -145,6 +132,24 @@ def dehornoy_floor(
         else:
             lo = mid
     return hi
+
+
+def dehornoy_floor(u: BraidWord, budget: int | None = None) -> int:
+    """min { k >= 0 : delta^(-2k-2) < u < delta^(2k+2) }.
+
+    The search starts at the exponent sum divided by m(m-1), the
+    exponent sum of the full twist delta^2, gallops away from it to a
+    bracket, then bisects; each candidate needs one sign computation
+    because a positive braid is automatically above every negative power
+    of delta, and symmetrically.  Every probe is a kernel query, so the
+    result does not depend on the start, only the number of queries
+    does.
+    """
+    cap = budget if budget is not None else _kernel.default_budget()
+    sign = sigma_sign(u, cap)
+    if sign is OrderSign.TRIVIAL:
+        return 0
+    return _search_floor(u, sign is OrderSign.POSITIVE, cap)
 
 
 def _delta_power(m: int, n: int) -> tuple[int, ...]:
@@ -180,7 +185,7 @@ def central_root(
 
 
 def power_floor(b: BraidWord, k: int, budget: int | None = None) -> int:
-    """dehornoy_floor(b**k) for k >= 1, without a cold search on b^k.
+    """dehornoy_floor(b**k) for k >= 1, without a search on b^k.
 
     When b has a central root b^q = delta^(2p) with q <= k (see
     :func:`central_root`), the floor is searched on the equal word
@@ -189,13 +194,29 @@ def power_floor(b: BraidWord, k: int, budget: int | None = None) -> int:
     probe u^-1 delta^(2j+2) or delta^(2j+2) u of the search cancels it
     freely, so the kernel reduces only a short remainder.
 
-    Otherwise the floor is walked up the chain 1, ..., ceil(k/4),
-    ceil(k/2), k.  The twist bound floor(x) <= |c(x)| <= floor(x) + 1
-    and c(b^j) = j c(b) put floor(b^K), for j < K <= 2j, in
-    [ceil(K f / j) - 1, floor(K (f + 1) / j)] where f = floor(b^j); that
-    window holds at most 4 candidates, and each level's search starts at
-    the middle of its window.  Every level is a full, verified
-    :func:`dehornoy_floor`, so the seeds only save queries.
+    Otherwise the floor is quasi-additive on powers of b, and a binary
+    ladder climbs to k with one kernel query per step.
+
+    Lemma: for A, B >= 1, floor(b^(A+B)) is S = floor(b^A) + floor(b^B)
+    or S + 1.  Proof for b > 1, where every power of b is > 1: a
+    positive x has floor f exactly when delta^(2f) <= x < delta^(2f+2).
+    Let x = b^A and y = b^B have floors f and g.  Left-invariance and
+    the centrality of delta^2 give
+
+        xy < x delta^(2g+2) = delta^(2g+2) x < delta^(2S+4),
+        xy >= x delta^(2g) = delta^(2g) x >= delta^(2S),
+
+    so S <= floor(xy) <= S + 1.  For b < 1: delta^(-2j-2) < x iff
+    x^-1 < delta^(2j+2) (multiply by x^-1 on the left, then use
+    centrality), so floor(x) = floor(x^-1) and the argument runs on
+    b^-1.  Hence one probe, whether b^(A+B) lies inside delta^(2S+2),
+    decides the floor.
+
+    The ladder reads the bits of k after the leading one: each bit
+    doubles n -> 2n, and a set bit then steps n -> n + 1.  So k costs
+    the floor of b plus k.bit_length() - 1 + (set bits of k) - 1
+    probes, and no sign query on any b^n with n >= 2, which has the
+    sign of b.
     """
     if k < 1:
         raise BadParameters(f"power must be >= 1, got {k}")
@@ -206,13 +227,21 @@ def power_floor(b: BraidWord, k: int, budget: int | None = None) -> int:
         word = BraidWord(b.strands, _delta_power(b.strands, 2 * p * s) + b.letters * r)
         return dehornoy_floor(word, budget)
 
-    chain = [k]
-    while chain[-1] > 1:
-        chain.append((chain[-1] + 1) // 2)
-    j, f = 1, dehornoy_floor(b, budget)
-    for n in reversed(chain[:-1]):
-        lo = -(-n * f // j) - 1
-        hi = n * (f + 1) // j
-        f = dehornoy_floor(b**n, budget, seed=max((lo + hi) // 2, 0))
-        j = n
+    cap = budget if budget is not None else _kernel.default_budget()
+    sign = sigma_sign(b, cap)
+    if sign is OrderSign.TRIVIAL:
+        return 0
+    positive = sign is OrderSign.POSITIVE
+
+    def floor_of_power(n: int, s: int) -> int:
+        # floor(b^n) is s or s + 1 by the lemma; one probe decides
+        inside = _below_twist((b**n).letters, b.strands, s, positive, cap)
+        return s if inside else s + 1
+
+    n, f = 1, _search_floor(b, positive, cap)
+    f1 = f
+    for bit in bin(k)[3:]:
+        n, f = 2 * n, floor_of_power(2 * n, 2 * f)
+        if bit == "1":
+            n, f = n + 1, floor_of_power(n + 1, f + f1)
     return f

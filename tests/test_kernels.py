@@ -77,6 +77,74 @@ def words_with_strands(draw, max_strands=5, max_len=60):
     return m, tuple(draw(letter_lists(m, max_len)))
 
 
+def _letters(draw, gens, max_len):
+    return draw(st.lists(st.sampled_from([x for g in gens for x in (g, -g)]),
+                         max_size=max_len))
+
+
+@st.composite
+def gapped_words(draw):
+    """Words on 5 or 6 strands whose long prefix omits the upper
+    generators, followed by letters of the upper generators only and a
+    short tail of any letter: handles there close far from the prefix,
+    which never mentions their generators."""
+    m = draw(st.integers(5, 6))
+    split = draw(st.integers(1, 2))
+    low, high = range(1, split + 1), range(split + 1, m)
+    return m, tuple(_letters(draw, low, 80) + _letters(draw, high, 40)
+                    + _letters(draw, range(1, m), 8))
+
+
+@st.composite
+def probe_words(draw):
+    """Floor-search probes u^-1 delta^(2j) and delta^(2j) u, where u is
+    a power of w delta^(2d) X^n w^-1 and X is delta_1 = sigma_1 ...
+    sigma_(m-1), epsilon = delta_1 sigma_1 or sigma_1^(+-1): the words
+    twist intervals feed the kernel."""
+    m = draw(st.integers(3, 5))
+    half = tuple(x for block in range(m - 1, 0, -1) for x in range(1, block + 1))
+    core = draw(st.sampled_from([tuple(range(1, m)), tuple(range(1, m)) + (1,),
+                                 (1,), (-1,)]))
+    d = draw(st.integers(-1, 1))
+    w = tuple(_letters(draw, range(1, m), 4))
+    twist = half * (2 * abs(d)) if d >= 0 else tuple(-x for x in reversed(half)) * 2
+    b = w + twist + core * draw(st.integers(1, 3)) + tuple(-x for x in reversed(w))
+    u = b * draw(st.integers(1, 4))
+    power = half * (2 * draw(st.integers(0, 3)))
+    if draw(st.booleans()):
+        return m, tuple(-x for x in reversed(u)) + power
+    return m, power + u
+
+
+@st.composite
+def growing_words(draw):
+    """Handles sigma_g^e v sigma_g^-e whose interior v is rich in one
+    sign of sigma_(g+1): each such letter becomes three, so the word
+    outgrows its start, inside a short random prefix and suffix."""
+    m = draw(st.integers(3, 6))
+    letters = _letters(draw, range(1, m), 6)
+    for _ in range(draw(st.integers(1, 3))):
+        g = draw(st.integers(1, m - 2))
+        e, d = draw(st.sampled_from([1, -1])), draw(st.sampled_from([1, -1]))
+        upper = [x for h in range(g + 2, m) for x in (h, -h)]
+        inner = draw(st.lists(st.sampled_from([d * (g + 1)] * 3 + upper),
+                              min_size=2, max_size=10))
+        letters += [e * g, *inner, -e * g]
+    return m, tuple(letters + _letters(draw, range(1, m), 6))
+
+
+def _free_length(letters):
+    return len(_reduction_py._free_reduce(letters))
+
+
+def _outcome(fn, letters, strands, max_len):
+    """The kernel's result, or the message of its budget error."""
+    try:
+        return fn(letters, strands, max_len)
+    except ReductionBudgetExceeded as exc:
+        return str(exc)
+
+
 def _burau_minus1(letters, strands):
     """Unreduced Burau matrices at t = -1 over the integers: sigma_i acts
     on basis e_1..e_m by e_i -> -e_i + e_{i+1} shifted into position.
@@ -179,6 +247,16 @@ class TestReferenceKernel:
         # already sigma-definite words come back freely reduced only
         assert _reduction_py.reduce_word((1, 2, -2, 1), 3, BUDGET) == [1, 1]
 
+    @given(gapped_words())
+    @settings(max_examples=150, deadline=None)
+    def test_gapped_prefix_reductions(self, mw):
+        m, w = mw
+        reduced = tuple(_reduction_py.reduce_word(w, m, BUDGET))
+        signs = _lowest_generator_signs(reduced)
+        assert signs is None or len(signs) == 1
+        assert _permutation(reduced, m) == _permutation(w, m)
+        assert _burau_minus1(reduced, m) == _burau_minus1(w, m)
+
     def test_budget_exceeded(self):
         w = (1, 2, -1, -2) * 40
         with pytest.raises(ReductionBudgetExceeded):
@@ -202,6 +280,26 @@ class TestKernelParity:
             w, m, BUDGET
         )
 
+    @given(st.one_of(gapped_words(), probe_words()))
+    @settings(max_examples=300, deadline=None)
+    def test_structured_words_identical(self, c_kernel, mw):
+        m, w = mw
+        for name in ("reduce_word", "sign_of"):
+            assert getattr(c_kernel, name)(w, m, BUDGET) == getattr(
+                _reduction_py, name)(w, m, BUDGET)
+
+    @given(st.one_of(growing_words(), gapped_words(), probe_words()),
+           st.integers(0, 3))
+    @settings(max_examples=400, deadline=None)
+    def test_budget_trips_identical(self, c_kernel, mw, slack):
+        # a budget just above the free-reduced length trips in the
+        # middle of the reduction whenever a rewrite grows the word
+        m, w = mw
+        max_len = _free_length(w) + slack
+        for name in ("reduce_word", "sign_of"):
+            assert _outcome(getattr(c_kernel, name), w, m, max_len) == _outcome(
+                getattr(_reduction_py, name), w, m, max_len)
+
     def test_budget_exceeded_matches(self, c_kernel):
         # The budget-floor and budget-fdtc goldens print these messages.
         cases = [
@@ -216,6 +314,16 @@ class TestKernelParity:
                                        letters, strands, max_len) == message
                 assert _budget_message(getattr(c_kernel, name),
                                        letters, strands, max_len) == message
+
+    def test_budget_trips_after_a_gapped_prefix(self, c_kernel):
+        # The prefix omits sigma_3..sigma_5; its handle is rewritten
+        # first, then the sigma_3 handle grows 11 letters to 13.
+        w = (1, 2, -1, 2, 1, 2, 3, 4, 5, 4, -3)
+        message = "word grew past budget 11 during handle reduction"
+        for kernel in (_reduction_py, c_kernel):
+            assert _budget_message(kernel.reduce_word, w, 6, 11) == message
+            assert kernel.reduce_word(w, 6, 13) == [
+                -2, 1, 2, 2, 1, 2, -4, 3, -5, 4, 5, 3, 4]
 
 
 class TestCompiledBoundary:

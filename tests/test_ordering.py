@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 from conftest import braid_words, letter_lists, three_braids
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from braidcert import (
@@ -29,7 +30,25 @@ from braidcert import (
     reduced_word,
     sigma_sign,
 )
+from braidcert import _kernel
 from braidcert.ordering import central_root
+
+
+@contextmanager
+def recorded_queries():
+    """Every kernel sign query made inside the block, as letter tuples."""
+    queries: list[tuple[int, ...]] = []
+    original = _kernel.sign_of
+
+    def recording(letters, strands, cap):
+        queries.append(tuple(letters))
+        return original(letters, strands, cap)
+
+    _kernel.sign_of = recording
+    try:
+        yield queries
+    finally:
+        _kernel.sign_of = original
 
 
 def floor_by_definition(b: BraidWord) -> int:
@@ -162,12 +181,6 @@ class TestFloor:
         with pytest.raises(ReductionBudgetExceeded):
             dehornoy_floor(b, budget=5)
 
-    @given(braid_words(min_strands=3, max_strands=5, max_len=12),
-           st.integers(0, 6))
-    @settings(max_examples=40, deadline=None)
-    def test_seed_moves_only_the_start(self, b, s):
-        assert dehornoy_floor(b, seed=s) == dehornoy_floor(b)
-
 
 @st.composite
 def twisted_families(draw, min_strands: int = 3, max_strands: int = 6):
@@ -227,6 +240,49 @@ class TestPowerFloor:
     def test_matches_floor_of_power_pseudo_anosov(self, d, a, k):
         b = pa_word(d, a)
         assert power_floor(b, k) == dehornoy_floor(b**k)
+
+    @given(braid_words(min_strands=3, max_strands=6, max_len=8),
+           st.sampled_from([5, 7, 13, 25, 31]), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_floor_of_power_low_bits(self, b, k, negative):
+        # k with set low bits takes the ladder's n -> n + 1 steps; the
+        # sign of b picks the direction of every probe
+        if negative == (sigma_sign(b) is OrderSign.POSITIVE):
+            b = b.inverse()
+        assert power_floor(b, k) == dehornoy_floor(b**k)
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 12, 31])
+    def test_trivial_braid(self, k):
+        for b in (BraidWord(4, ()), BraidWord(5, (1, 3, -1, -3))):
+            assert power_floor(b, k) == dehornoy_floor(b**k) == 0
+
+    @given(braid_words(min_strands=3, max_strands=5, max_len=8),
+           st.integers(-2, 2), st.integers(1, 6), st.integers(1, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_floor_is_quasi_additive_on_powers(self, b, d, i, j):
+        # the lemma behind the ladder, on braids padded with up to two
+        # full twists
+        b = full_twist(b.strands) ** d * b
+        excess = dehornoy_floor(b ** (i + j)) - dehornoy_floor(b**i) - dehornoy_floor(b**j)
+        assert excess in (0, 1)
+
+    @given(braid_words(min_strands=3, max_strands=6, max_len=8), st.integers(1, 40))
+    @settings(max_examples=40, deadline=None)
+    def test_one_probe_per_ladder_step(self, b, k):
+        assume(sigma_sign(b) is not OrderSign.TRIVIAL)
+        with recorded_queries() as root:
+            assume(central_root(b, k) is None)
+        with recorded_queries() as base:
+            dehornoy_floor(b)
+        with recorded_queries() as queries:
+            power_floor(b, k)
+        steps = k.bit_length() - 1 + bin(k).count("1") - 1
+        assert len(queries) == len(root) + len(base) + steps
+        # past the central-root test, which may ask about b^q itself,
+        # nothing asks for the sign of a bare power
+        assert queries[:len(root)] == root
+        bare = {(b**n).letters for n in range(2, k + 1)}
+        assert not bare.intersection(queries[len(root):])
 
     def test_bad_power(self):
         with pytest.raises(BadParameters):
