@@ -16,17 +16,13 @@ from braidcert.braid import (
     MAX_WORD_LETTERS,
     BraidWord,
     Permutation,
-    closure_components,
     compose,
     delta,
-    exponent_sum,
     format_braid,
     full_twist,
     identity,
-    inverse,
     is_trivial,
     parse_braid,
-    permutation,
 )
 from braidcert.certify import (
     Certificate,
@@ -124,7 +120,6 @@ __all__ = [
     "certify_genus1_cover",
     "certify_orbifold_cover",
     "certify_satellite",
-    "closure_components",
     "compare",
     "compose",
     "default_budget",
@@ -132,7 +127,6 @@ __all__ = [
     "delta",
     "evaluate_inequality",
     "excluded_q",
-    "exponent_sum",
     "fdtc_exact_b3",
     "fdtc_interval",
     "fdtc_interval_by_floor",
@@ -141,13 +135,11 @@ __all__ = [
     "format_braid",
     "full_twist",
     "identity",
-    "inverse",
     "is_trivial",
     "kernel_name",
     "normal_form",
     "nt_type",
     "parse_braid",
-    "permutation",
     "power_floor",
     "reduced_word",
     "representative",

@@ -3,6 +3,10 @@
 The compiled extension and the pure-Python module implement the same
 reduction, letter for letter.  Import-time selection prefers the
 extension; set BRAIDCERT_KERNEL=python (or =c) to force a choice.
+
+This module is the one place that resolves the reduction budget: every
+kernel call reads BRAIDCERT_REDUCTION_BUDGET afresh, so a program can
+change it between calls.
 """
 
 from __future__ import annotations
@@ -32,9 +36,6 @@ elif _forced:
 else:
     _impl = _reduction_c if _reduction_c is not None else _reduction_py
 
-reduce_word = _impl.reduce_word
-sign_of = _impl.sign_of
-
 #: Default working-length budget for handle reduction.
 DEFAULT_REDUCTION_BUDGET = 10**6
 
@@ -53,6 +54,17 @@ def default_budget() -> int:
             raise ValueError("BRAIDCERT_REDUCTION_BUDGET must be positive")
         return value
     return DEFAULT_REDUCTION_BUDGET
+
+
+def sign_of(letters, strands: int) -> int:
+    """Dehornoy sign of a word, -1, 0 or +1, under the process budget."""
+    return _impl.sign_of(letters, strands, default_budget())
+
+
+def reduce_word(letters, strands: int) -> list[int]:
+    """A fully handle-reduced word equal to the given one, under the
+    process budget."""
+    return _impl.reduce_word(letters, strands, default_budget())
 
 
 def kernel_name() -> str:

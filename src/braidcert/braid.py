@@ -109,15 +109,14 @@ class BraidWord:
         """Number of link components of the braid closure."""
         return self.permutation().cycle_count()
 
-    def is_trivial(self, budget: int | None = None) -> bool:
+    def is_trivial(self) -> bool:
         """Word problem: does this word represent the identity braid?
 
         Decided by the handle-reduction kernel (the word is trivial
         exactly when it reduces to the empty word)."""
         if not self.letters:
             return True
-        cap = budget if budget is not None else _kernel.default_budget()
-        return _kernel.sign_of(self.letters, self.strands, cap) == 0
+        return _kernel.sign_of(self.letters, self.strands) == 0
 
     def __str__(self) -> str:
         return format_braid(self)
@@ -186,24 +185,9 @@ def compose(u: BraidWord, v: BraidWord) -> BraidWord:
     return BraidWord(u.strands, u.letters + v.letters)
 
 
-def inverse(u: BraidWord) -> BraidWord:
-    return u.inverse()
-
-
-def exponent_sum(u: BraidWord) -> int:
-    return u.exponent_sum
-
-
-def permutation(u: BraidWord) -> Permutation:
-    return u.permutation()
-
-
-def closure_components(u: BraidWord) -> int:
-    return u.closure_components()
-
-
-def is_trivial(u: BraidWord, budget: int | None = None) -> bool:
-    return u.is_trivial(budget)
+# kept as a function: perfbench's order-mix workload calls it
+def is_trivial(u: BraidWord) -> bool:
+    return u.is_trivial()
 
 
 def identity(m: int) -> BraidWord:

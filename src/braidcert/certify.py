@@ -329,7 +329,6 @@ def certify_closed_braid_cover(
     t: int,
     pa_asserted: bool = False,
     tol: Fraction | int = Fraction(1, 12),
-    budget: int | None = None,
 ) -> Certificate:
     """Is the t-fold cyclic branched cover of the braid closure excellent?
 
@@ -348,7 +347,7 @@ def certify_closed_braid_cover(
     if refusal is not None:
         return refusal
 
-    c = fdtc_interval(b, tol, budget)
+    c = fdtc_interval(b, tol)
     cmin = c.abs_lower_bound()
 
     justifications = []
@@ -456,89 +455,60 @@ def certify_genus1_cover(h: BraidWord, n: int) -> Certificate:
     nf = normal_form(h)
     d = nf.central_power
 
-    if isinstance(nf, PseudoAnosovForm):
-        if d == 0:
-            return Certificate(
-                Verdict.TOTAL_L_SPACE,
-                (
-                    Justification(
-                        rule="genus1-pa-zero-twist",
-                        citation=(
-                            "pseudo-Anosov genus-one monodromy with zero"
-                            " fractional twist: every cyclic branched cover of"
-                            " the binding is an L-space"
-                        ),
-                        inequality=f"({d}) == 0 and {n} >= 2",
-                    ),
-                    _trichotomy_just(n),
-                ),
-                _GENUS1_ASSUMPTIONS,
-            )
-        return Certificate(
-            Verdict.EXCELLENT,
-            (
-                Justification(
-                    rule="genus1-pa-nonzero-twist",
-                    citation=(
-                        "pseudo-Anosov genus-one monodromy with full-twist"
-                        " power d != 0: the n-th power has twist n d of"
-                        " magnitude >= 2, so the cover is excellent"
-                    ),
-                    inequality=f"abs({n} * ({d})) >= 2",
-                ),
-                _trichotomy_just(n),
+    if isinstance(nf, PseudoAnosovForm) and d == 0:
+        verdict = Verdict.TOTAL_L_SPACE
+        why = Justification(
+            rule="genus1-pa-zero-twist",
+            citation=(
+                "pseudo-Anosov genus-one monodromy with zero"
+                " fractional twist: every cyclic branched cover of"
+                " the binding is an L-space"
             ),
-            _GENUS1_ASSUMPTIONS,
+            inequality=f"({d}) == 0 and {n} >= 2",
         )
-
-    if isinstance(nf, ReducibleForm):
+    elif isinstance(nf, PseudoAnosovForm):
+        verdict = Verdict.EXCELLENT
+        why = Justification(
+            rule="genus1-pa-nonzero-twist",
+            citation=(
+                "pseudo-Anosov genus-one monodromy with full-twist"
+                " power d != 0: the n-th power has twist n d of"
+                " magnitude >= 2, so the cover is excellent"
+            ),
+            inequality=f"abs({n} * ({d})) >= 2",
+        )
+    elif isinstance(nf, ReducibleForm):
         if d == 0:
             raise SplitBinding(
                 "reducible monodromy with no full twist: the binding is a"
                 " split closure and the cover dichotomy does not apply"
             )
-        return Certificate(
-            Verdict.EXCELLENT,
-            (
-                Justification(
-                    rule="genus1-reducible-twisted",
-                    citation=(
-                        "reducible genus-one monodromy with full-twist power"
-                        " d != 0: the n-th power has |n d| >= 2, outside the"
-                        " L-space range of the reducible family"
-                    ),
-                    inequality=f"abs({n} * ({d})) >= 2",
-                ),
-                _trichotomy_just(n),
+        verdict = Verdict.EXCELLENT
+        why = Justification(
+            rule="genus1-reducible-twisted",
+            citation=(
+                "reducible genus-one monodromy with full-twist power"
+                " d != 0: the n-th power has |n d| >= 2, outside the"
+                " L-space range of the reducible family"
             ),
-            _GENUS1_ASSUMPTIONS,
+            inequality=f"abs({n} * ({d})) >= 2",
         )
-
-    assert isinstance(nf, PeriodicForm)
-    family = -nf.sigma1_power
-    is_l, pos, neg = _periodic_residue(family, d, n)
-    residue_citation = (
-        f"periodic family sigma_1^{nf.sigma1_power} sigma_2^-1 with d full"
-        f" twists: the n-fold cover is an L-space exactly when n d sits in"
-        f" the residue window of n modulo {2 if family == 2 else 3}"
-    )
-    if is_l:
-        return Certificate(
-            Verdict.TOTAL_L_SPACE,
-            (
-                Justification("genus1-periodic-residue", residue_citation, pos),
-                _trichotomy_just(n),
+    else:
+        assert isinstance(nf, PeriodicForm)
+        family = -nf.sigma1_power
+        is_l, pos, neg = _periodic_residue(family, d, n)
+        verdict = Verdict.TOTAL_L_SPACE if is_l else Verdict.EXCELLENT
+        why = Justification(
+            rule="genus1-periodic-residue",
+            citation=(
+                f"periodic family sigma_1^{nf.sigma1_power} sigma_2^-1 with d"
+                f" full twists: the n-fold cover is an L-space exactly when"
+                f" n d sits in the residue window of n modulo"
+                f" {2 if family == 2 else 3}"
             ),
-            _GENUS1_ASSUMPTIONS,
+            inequality=pos if is_l else neg,
         )
-    return Certificate(
-        Verdict.EXCELLENT,
-        (
-            Justification("genus1-periodic-residue", residue_citation, neg),
-            _trichotomy_just(n),
-        ),
-        _GENUS1_ASSUMPTIONS,
-    )
+    return Certificate(verdict, (why, _trichotomy_just(n)), _GENUS1_ASSUMPTIONS)
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +521,6 @@ def certify_satellite(
     c_companion: FdtcValue,
     companion_exact_zero: bool = False,
     pa_asserted: bool = False,
-    budget: int | None = None,
 ) -> Certificate:
     """Excellence of the n-fold cyclic branched cover of a satellite
     link: the pattern is a closed braid in the companion solid torus,
@@ -618,7 +587,7 @@ def certify_satellite(
             )
         )
 
-    pattern_sign = sigma_sign(pattern, budget)
+    pattern_sign = sigma_sign(pattern)
     if pattern_sign is not OrderSign.NEGATIVE and c_companion.certifies_nonnegative():
         justifications.append(
             Justification(

@@ -30,9 +30,8 @@ class WordLengthExceeded(BraidError):
 class ReductionBudgetExceeded(BraidError):
     """Handle reduction blew past its working-length budget.
 
-    Raised instead of looping on pathological inputs; the budget is
-    configurable per call and via the BRAIDCERT_REDUCTION_BUDGET
-    environment variable.
+    Raised instead of looping on pathological inputs; the budget is set
+    only through the BRAIDCERT_REDUCTION_BUDGET environment variable.
     """
 
 

@@ -39,8 +39,6 @@ from braidcert.threebraid import (
     normal_form,
 )
 
-Rational = Fraction
-
 #: FDTC of the periodic 3-braid families sigma_1^m sigma_2^-1 relative
 #: to their full-twist part: these words satisfy w^3 = C^-1 (m = -1),
 #: w^2 = C^-1 (m = -2), w^3 = C^-2 (m = -3), so homogeneity forces the
@@ -75,10 +73,6 @@ class FdtcValue:
         cls, lo: Fraction | int, hi: Fraction | int, provenance: str
     ) -> "FdtcValue":
         return cls(Fraction(lo), Fraction(hi), provenance)
-
-    @property
-    def kind(self) -> str:
-        return "exact" if self.lo == self.hi else "interval"
 
     @property
     def is_exact(self) -> bool:
@@ -132,9 +126,7 @@ def fdtc_exact_b3(b: BraidWord) -> Fraction:
     return nf.central_power + _PERIODIC_FRACTION[nf.sigma1_power]
 
 
-def fdtc_interval_by_floor(
-    b: BraidWord, tol: Fraction | int, budget: int | None = None
-) -> FdtcValue:
+def fdtc_interval_by_floor(b: BraidWord, tol: Fraction | int) -> FdtcValue:
     """Interval of width <= tol around c(b) from the Dehornoy floor of
     the power b^k, k = ceil(1/tol).  Works on any strand count.
 
@@ -145,20 +137,18 @@ def fdtc_interval_by_floor(
     t = Fraction(tol)
     if t <= 0:
         raise BadParameters(f"tolerance must be positive, got {t}")
-    sign = sigma_sign(b, budget)
+    sign = sigma_sign(b)
     if sign is OrderSign.TRIVIAL:
         return FdtcValue.exact(0, "trivial braid")
     k = math.ceil(1 / t)
-    floor = power_floor(b, k, budget)
+    floor = power_floor(b, k)
     prov = f"Dehornoy floor {floor} of the {k}-th power, twist bounds"
     if sign is OrderSign.POSITIVE:
         return FdtcValue.interval(Fraction(floor, k), Fraction(floor + 1, k), prov)
     return FdtcValue.interval(Fraction(-(floor + 1), k), Fraction(-floor, k), prov)
 
 
-def fdtc_interval(
-    b: BraidWord, tol: Fraction | int, budget: int | None = None
-) -> FdtcValue:
+def fdtc_interval(b: BraidWord, tol: Fraction | int) -> FdtcValue:
     """Certified enclosure of c(b): exact on 3 strands (delegating to
     the conjugacy classification), floor-based interval otherwise."""
     t = Fraction(tol)
@@ -166,7 +156,7 @@ def fdtc_interval(
         raise BadParameters(f"tolerance must be positive, got {t}")
     if b.strands == 3:
         return FdtcValue.exact(fdtc_exact_b3(b), "conjugacy classification of 3-braids")
-    return fdtc_interval_by_floor(b, t, budget)
+    return fdtc_interval_by_floor(b, t)
 
 
 def fdtc_lift(c_b: Fraction | int, m: int, n: int) -> Fraction:

@@ -48,41 +48,37 @@ class Comparison(Enum):
     GREATER = 1
 
 
-def sigma_sign(u: BraidWord, budget: int | None = None) -> OrderSign:
+def sigma_sign(u: BraidWord) -> OrderSign:
     """Dehornoy sign of a braid: POSITIVE, TRIVIAL or NEGATIVE.
 
     Raises ReductionBudgetExceeded if handle reduction outgrows the
-    working-length budget (default from BRAIDCERT_REDUCTION_BUDGET or
-    10^6 letters).
+    working-length budget (BRAIDCERT_REDUCTION_BUDGET, else 10^6
+    letters).
     """
-    cap = budget if budget is not None else _kernel.default_budget()
-    return OrderSign(_kernel.sign_of(u.letters, u.strands, cap))
+    return OrderSign(_kernel.sign_of(u.letters, u.strands))
 
 
-def compare(u: BraidWord, v: BraidWord, budget: int | None = None) -> Comparison:
+def compare(u: BraidWord, v: BraidWord) -> Comparison:
     """Compare two braids on the same strand count: u < v iff u^-1 v > 1."""
     if u.strands != v.strands:
         raise StrandMismatch(
             f"cannot compare braids on {u.strands} and {v.strands} strands"
         )
-    cap = budget if budget is not None else _kernel.default_budget()
     word = tuple(-x for x in reversed(u.letters)) + v.letters
     # sign(u^-1 v) = +1 places u BELOW v in the order
-    return Comparison(-_kernel.sign_of(word, u.strands, cap))
+    return Comparison(-_kernel.sign_of(word, u.strands))
 
 
-def reduced_word(u: BraidWord, budget: int | None = None) -> BraidWord:
+def reduced_word(u: BraidWord) -> BraidWord:
     """A fully handle-reduced word equal to u in the braid group.
 
     The result is sigma-definite: empty, or its lowest generator occurs
     with a single sign.
     """
-    cap = budget if budget is not None else _kernel.default_budget()
-    return BraidWord(u.strands, tuple(_kernel.reduce_word(u.letters, u.strands, cap)))
+    return BraidWord(u.strands, tuple(_kernel.reduce_word(u.letters, u.strands)))
 
 
-def _below_twist(letters: tuple[int, ...], m: int, j: int, positive: bool,
-                 cap: int) -> bool:
+def _below_twist(letters: tuple[int, ...], m: int, j: int, positive: bool) -> bool:
     """Whether u, given by its letters, lies strictly inside
     delta^(2j+2) in the direction of its sign: u < delta^(2j+2) for
     positive u, delta^(-2j-2) < u for negative u.  One kernel query:
@@ -94,16 +90,16 @@ def _below_twist(letters: tuple[int, ...], m: int, j: int, positive: bool,
         word = tuple(-x for x in reversed(letters)) + twist
     else:
         word = twist + letters
-    return _kernel.sign_of(word, m, cap) > 0
+    return _kernel.sign_of(word, m) > 0
 
 
-def _search_floor(u: BraidWord, positive: bool, cap: int) -> int:
+def _search_floor(u: BraidWord, positive: bool) -> int:
     """The floor of a nontrivial u of the given sign: gallop from a
     seed to a bracket, then bisect."""
     m = u.strands
 
     def holds(k: int) -> bool:
-        return _below_twist(u.letters, m, k, positive, cap)
+        return _below_twist(u.letters, m, k, positive)
 
     seed = abs(u.exponent_sum) // (m * (m - 1))
     if holds(seed):
@@ -134,7 +130,7 @@ def _search_floor(u: BraidWord, positive: bool, cap: int) -> int:
     return hi
 
 
-def dehornoy_floor(u: BraidWord, budget: int | None = None) -> int:
+def dehornoy_floor(u: BraidWord) -> int:
     """min { k >= 0 : delta^(-2k-2) < u < delta^(2k+2) }.
 
     The search starts at the exponent sum divided by m(m-1), the
@@ -145,11 +141,10 @@ def dehornoy_floor(u: BraidWord, budget: int | None = None) -> int:
     result does not depend on the start, only the number of queries
     does.
     """
-    cap = budget if budget is not None else _kernel.default_budget()
-    sign = sigma_sign(u, cap)
+    sign = sigma_sign(u)
     if sign is OrderSign.TRIVIAL:
         return 0
-    return _search_floor(u, sign is OrderSign.POSITIVE, cap)
+    return _search_floor(u, sign is OrderSign.POSITIVE)
 
 
 def _delta_power(m: int, n: int) -> tuple[int, ...]:
@@ -160,9 +155,7 @@ def _delta_power(m: int, n: int) -> tuple[int, ...]:
     return tuple(-x for x in reversed(half)) * -n
 
 
-def central_root(
-    b: BraidWord, max_power: int, budget: int | None = None
-) -> tuple[int, int] | None:
+def central_root(b: BraidWord, max_power: int) -> tuple[int, int] | None:
     """(q, p) with b^q = delta^(2p), trying q = m, then q = m - 1, and
     skipping any q above max_power; None if neither holds.
 
@@ -173,18 +166,17 @@ def central_root(
     p = q e(b) / (m (m-1)), so each q costs at most one word-problem
     query, and none when p is not an integer.
     """
-    cap = budget if budget is not None else _kernel.default_budget()
     m = b.strands
     for q in (m, m - 1):
         p, rest = divmod(q * b.exponent_sum, m * (m - 1))
         if q > max_power or rest:
             continue
-        if _kernel.sign_of((b**q).letters + _delta_power(m, -2 * p), m, cap) == 0:
+        if _kernel.sign_of((b**q).letters + _delta_power(m, -2 * p), m) == 0:
             return q, p
     return None
 
 
-def power_floor(b: BraidWord, k: int, budget: int | None = None) -> int:
+def power_floor(b: BraidWord, k: int) -> int:
     """dehornoy_floor(b**k) for k >= 1, without a search on b^k.
 
     When b has a central root b^q = delta^(2p) with q <= k (see
@@ -220,25 +212,24 @@ def power_floor(b: BraidWord, k: int, budget: int | None = None) -> int:
     """
     if k < 1:
         raise BadParameters(f"power must be >= 1, got {k}")
-    root = central_root(b, k, budget)
+    root = central_root(b, k)
     if root is not None:
         q, p = root
         s, r = divmod(k, q)
         word = BraidWord(b.strands, _delta_power(b.strands, 2 * p * s) + b.letters * r)
-        return dehornoy_floor(word, budget)
+        return dehornoy_floor(word)
 
-    cap = budget if budget is not None else _kernel.default_budget()
-    sign = sigma_sign(b, cap)
+    sign = sigma_sign(b)
     if sign is OrderSign.TRIVIAL:
         return 0
     positive = sign is OrderSign.POSITIVE
 
     def floor_of_power(n: int, s: int) -> int:
         # floor(b^n) is s or s + 1 by the lemma; one probe decides
-        inside = _below_twist((b**n).letters, b.strands, s, positive, cap)
+        inside = _below_twist((b**n).letters, b.strands, s, positive)
         return s if inside else s + 1
 
-    n, f = 1, _search_floor(b, positive, cap)
+    n, f = 1, _search_floor(b, positive)
     f1 = f
     for bit in bin(k)[3:]:
         n, f = 2 * n, floor_of_power(2 * n, 2 * f)

@@ -215,9 +215,9 @@ def test_criterion_3_floor_cost(monkeypatch):
     fed = [0]
     sign_of = _kernel.sign_of
 
-    def counting(letters, strands, cap):
+    def counting(letters, strands):
         fed[0] += len(letters)
-        return sign_of(letters, strands, cap)
+        return sign_of(letters, strands)
 
     monkeypatch.setattr(_kernel, "sign_of", counting)
     for b in words:

@@ -53,8 +53,8 @@ def c_kernel(tmp_path_factory):
         "_reduction_c" + sysconfig.get_config_var("EXT_SUFFIX")
     )
     built = subprocess.run(
-        [gcc, "-shared", "-fPIC", "-O2", "-Wall", f"-I{include}",
-         str(source), "-o", str(target)],
+        [gcc, "-shared", "-fPIC", "-O2", "-std=c99", "-pedantic", "-Wall",
+         "-Wextra", "-Werror", f"-I{include}", str(source), "-o", str(target)],
         capture_output=True, text=True,
     )
     if built.returncode != 0:

@@ -14,15 +14,19 @@ from braidcert import (
     BadParameters,
     BraidWord,
     Comparison,
+    FdtcValue,
     OrderSign,
     PeriodicForm,
     ReducibleForm,
     ReductionBudgetExceeded,
     StrandMismatch,
+    certify_closed_braid_cover,
+    certify_satellite,
     compare,
     dehornoy_floor,
     delta,
     fdtc_exact_b3,
+    fdtc_interval,
     full_twist,
     is_trivial,
     normal_form,
@@ -30,7 +34,7 @@ from braidcert import (
     reduced_word,
     sigma_sign,
 )
-from braidcert import _kernel
+from braidcert import _kernel, braid
 from braidcert.ordering import central_root
 
 
@@ -40,9 +44,9 @@ def recorded_queries():
     queries: list[tuple[int, ...]] = []
     original = _kernel.sign_of
 
-    def recording(letters, strands, cap):
+    def recording(letters, strands):
         queries.append(tuple(letters))
-        return original(letters, strands, cap)
+        return original(letters, strands)
 
     _kernel.sign_of = recording
     try:
@@ -176,11 +180,6 @@ class TestFloor:
         w = BraidWord(3, (1, -2, 1))
         assert abs(dehornoy_floor(b) - dehornoy_floor(b.conjugated_by(w))) <= 1
 
-    def test_budget_propagates(self):
-        b = BraidWord(3, (1, 2, -1, -2) * 50)
-        with pytest.raises(ReductionBudgetExceeded):
-            dehornoy_floor(b, budget=5)
-
 
 @st.composite
 def twisted_families(draw, min_strands: int = 3, max_strands: int = 6):
@@ -288,11 +287,6 @@ class TestPowerFloor:
         with pytest.raises(BadParameters):
             power_floor(BraidWord(3, (1,)), 0)
 
-    def test_budget_propagates(self):
-        b = BraidWord(3, (1, 2, -1, -2) * 50)
-        with pytest.raises(ReductionBudgetExceeded):
-            power_floor(b, 4, budget=5)
-
 
 class TestCentralRoot:
     @given(twisted_families())
@@ -343,3 +337,33 @@ class TestCentralRoot:
         assert central_root(b, 4) is None
         # a full twist has roots at both q = m and q = m - 1
         assert central_root(full_twist(4), 3) == (3, 3)
+
+
+#: A 4-strand word of exponent sum zero, 60 letters after free
+#: reduction: every kernel query on it outgrows a budget of 5 at once.
+_LONG = BraidWord(4, (1, 2, 3, -1, -2, -3) * 10)
+
+#: Every public entry point that reaches the kernel, called on _LONG.
+_KERNEL_ENTRY_POINTS = {
+    "sigma_sign": lambda: sigma_sign(_LONG),
+    "compare": lambda: compare(_LONG, delta(4)),
+    "reduced_word": lambda: reduced_word(_LONG),
+    "BraidWord.is_trivial": lambda: _LONG.is_trivial(),
+    "braid.is_trivial": lambda: braid.is_trivial(_LONG),
+    "dehornoy_floor": lambda: dehornoy_floor(_LONG),
+    "power_floor": lambda: power_floor(_LONG, 4),
+    "central_root": lambda: central_root(_LONG, 4),
+    "fdtc_interval": lambda: fdtc_interval(_LONG, Fraction(1, 4)),
+    "certify_closed_braid_cover": lambda: certify_closed_braid_cover(
+        _LONG, 3, pa_asserted=True),
+    "certify_satellite": lambda: certify_satellite(
+        _LONG, 3, FdtcValue.exact(1, "given"), pa_asserted=True),
+}
+
+
+@pytest.mark.parametrize("call", _KERNEL_ENTRY_POINTS.values(),
+                         ids=_KERNEL_ENTRY_POINTS.keys())
+def test_budget_env_caps_every_entry_point(monkeypatch, call):
+    monkeypatch.setenv("BRAIDCERT_REDUCTION_BUDGET", "5")
+    with pytest.raises(ReductionBudgetExceeded):
+        call()

@@ -16,7 +16,6 @@ from braidcert import (
     Permutation,
     StrandMismatch,
     WordLengthExceeded,
-    closure_components,
     delta,
     format_braid,
     full_twist,
@@ -154,15 +153,15 @@ class TestPermutations:
 
 class TestClosure:
     def test_closure_components(self):
-        assert closure_components(BraidWord(3, (1,))) == 2
-        assert closure_components(BraidWord(3, (1, 2))) == 1
-        assert closure_components(identity(4)) == 4
+        assert BraidWord(3, (1,)).closure_components() == 2
+        assert BraidWord(3, (1, 2)).closure_components() == 1
+        assert identity(4).closure_components() == 4
         # sigma_1^2 in B_2 closes to the Hopf link
-        assert closure_components(BraidWord(2, (1, 1))) == 2
+        assert BraidWord(2, (1, 1)).closure_components() == 2
 
     @given(braid_words(max_len=20))
     def test_components_bounded_by_strands(self, b):
-        assert 1 <= closure_components(b) <= b.strands
+        assert 1 <= b.closure_components() <= b.strands
 
 
 class TestParsing:
