@@ -30,8 +30,8 @@ from __future__ import annotations
 from enum import Enum
 
 from braidcert import _kernel
-from braidcert.braid import BraidWord, delta
-from braidcert.errors import BadParameters, StrandMismatch
+from braidcert.braid import MAX_WORD_LETTERS, BraidWord, delta
+from braidcert.errors import BadParameters, StrandMismatch, WordLengthExceeded
 
 
 class OrderSign(Enum):
@@ -176,6 +176,35 @@ def central_root(b: BraidWord, max_power: int) -> tuple[int, int] | None:
     return None
 
 
+def _cyclic_core(b: BraidWord) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(w, X) with b.letters = w + X + w^-1 and X cyclically reduced:
+    X is one letter long, or its last letter does not cancel its first."""
+    letters = b.letters
+    i, j = 0, len(letters)
+    while j - i > 1 and letters[i] == -letters[j - 1]:
+        i, j = i + 1, j - 1
+    return letters[:i], letters[i:j]
+
+
+def _spread_probe(w: tuple[int, ...], x: tuple[int, ...], m: int, n: int,
+                  j: int, positive: bool) -> tuple[int, ...]:
+    """The ladder's probe on b^n, b = w X w^-1, for the twist delta^(2j):
+    w (X^-1 delta^(2a_1)) ... (X^-1 delta^(2a_n)) w^-1 for positive b,
+    which is b^-n delta^(2j), and w (delta^(2a_1) X) ... (delta^(2a_n) X)
+    w^-1 for negative b, which is delta^(2j) b^n.  The exponents
+    a_i = floor(j i / n) - floor(j (i - 1) / n) split j evenly."""
+    full = _delta_power(m, 2)
+    core = tuple(-y for y in reversed(x)) if positive else x
+    letters = list(w)
+    cut = 0
+    for i in range(1, n + 1):
+        twist = full * (j * i // n - cut)
+        cut = j * i // n
+        letters += core + twist if positive else twist + core
+    letters += (-y for y in reversed(w))
+    return tuple(letters)
+
+
 def power_floor(b: BraidWord, k: int) -> int:
     """dehornoy_floor(b**k) for k >= 1, without a search on b^k.
 
@@ -204,6 +233,21 @@ def power_floor(b: BraidWord, k: int) -> int:
     b^-1.  Hence one probe, whether b^(A+B) lies inside delta^(2S+2),
     decides the floor.
 
+    The probe for b > 1 is the sign of b^-n delta^(2J), J = S + 1.
+    Write b = w X w^-1 with X cyclically reduced, so b^-n = w X^-n w^-1
+    letter for letter.  Because delta^2 is central, the J full twists
+    can sit anywhere between the letters, and the ladder spreads them
+    evenly:
+
+        b^-n delta^(2J) = w (X^-1 delta^(2a_1)) ... (X^-1 delta^(2a_n)) w^-1,
+
+    with a_i = floor(J i / n) - floor(J (i - 1) / n).  It is the same
+    braid, written with the same letters in another order, so it has the
+    same sign; but handle reduction meets positive letters next to each
+    X^-1 instead of carrying every negative letter across the whole power
+    to one block at the end.  For b < 1 the probe delta^(2J) b^n is
+    spread the same way, as w (delta^(2a_1) X) ... (delta^(2a_n) X) w^-1.
+
     The ladder reads the bits of k after the leading one: each bit
     doubles n -> 2n, and a set bit then steps n -> n + 1.  So k costs
     the floor of b plus k.bit_length() - 1 + (set bits of k) - 1
@@ -223,11 +267,16 @@ def power_floor(b: BraidWord, k: int) -> int:
     if sign is OrderSign.TRIVIAL:
         return 0
     positive = sign is OrderSign.POSITIVE
+    w, x = _cyclic_core(b)
 
     def floor_of_power(n: int, s: int) -> int:
         # floor(b^n) is s or s + 1 by the lemma; one probe decides
-        inside = _below_twist((b**n).letters, b.strands, s, positive)
-        return s if inside else s + 1
+        if len(b.letters) * n > MAX_WORD_LETTERS:
+            raise WordLengthExceeded(
+                f"power would have {len(b.letters) * n} letters, cap is {MAX_WORD_LETTERS}"
+            )
+        probe = _spread_probe(w, x, b.strands, n, s + 1, positive)
+        return s if _kernel.sign_of(probe, b.strands) > 0 else s + 1
 
     n, f = 1, _search_floor(b, positive)
     f1 = f

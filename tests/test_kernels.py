@@ -97,23 +97,37 @@ def gapped_words(draw):
 
 @st.composite
 def probe_words(draw):
-    """Floor-search probes u^-1 delta^(2j) and delta^(2j) u, where u is
-    a power of w delta^(2d) X^n w^-1 and X is delta_1 = sigma_1 ...
-    sigma_(m-1), epsilon = delta_1 sigma_1 or sigma_1^(+-1): the words
-    twist intervals feed the kernel."""
+    """Probes of floor searches and of the power ladder on b = w C w^-1,
+    with C = delta^(2d) X^r and X one of delta_1 = sigma_1 ... sigma_(m-1),
+    epsilon = delta_1 sigma_1 or sigma_1^(+-1).  Floor searches ask for
+    u^-1 delta^(2j) and delta^(2j) u with u = b^n; the power ladder asks
+    for the same braids with the full twists spread through the copies
+    of C, w (C^-1 delta^(2a_1)) ... (C^-1 delta^(2a_n)) w^-1 and
+    w (delta^(2a_1) C) ... (delta^(2a_n) C) w^-1, where
+    a_i = floor(j i / n) - floor(j (i - 1) / n)."""
     m = draw(st.integers(3, 5))
     half = tuple(x for block in range(m - 1, 0, -1) for x in range(1, block + 1))
     core = draw(st.sampled_from([tuple(range(1, m)), tuple(range(1, m)) + (1,),
                                  (1,), (-1,)]))
     d = draw(st.integers(-1, 1))
     w = tuple(_letters(draw, range(1, m), 4))
+    w_inv = tuple(-x for x in reversed(w))
     twist = half * (2 * abs(d)) if d >= 0 else tuple(-x for x in reversed(half)) * 2
-    b = w + twist + core * draw(st.integers(1, 3)) + tuple(-x for x in reversed(w))
-    u = b * draw(st.integers(1, 4))
-    power = half * (2 * draw(st.integers(0, 3)))
-    if draw(st.booleans()):
-        return m, tuple(-x for x in reversed(u)) + power
-    return m, power + u
+    c = twist + core * draw(st.integers(1, 3))
+    n, j = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    inverted = draw(st.booleans())
+    if not draw(st.booleans()):
+        u = (w + c + w_inv) * n
+        if inverted:
+            return m, tuple(-x for x in reversed(u)) + half * (2 * j)
+        return m, half * (2 * j) + u
+    c_inv = tuple(-x for x in reversed(c))
+    letters, cut = list(w), 0
+    for i in range(1, n + 1):
+        full = half * (2 * (j * i // n - cut))
+        cut = j * i // n
+        letters += c_inv + full if inverted else full + c
+    return m, tuple(letters) + w_inv
 
 
 @st.composite

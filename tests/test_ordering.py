@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import braid_words, letter_lists, three_braids
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from braidcert import (
@@ -20,6 +20,7 @@ from braidcert import (
     ReducibleForm,
     ReductionBudgetExceeded,
     StrandMismatch,
+    WordLengthExceeded,
     certify_closed_braid_cover,
     certify_satellite,
     compare,
@@ -34,8 +35,8 @@ from braidcert import (
     reduced_word,
     sigma_sign,
 )
-from braidcert import _kernel, braid
-from braidcert.ordering import central_root
+from braidcert import _kernel, braid, ordering
+from braidcert.ordering import _cyclic_core, _spread_probe, central_root
 
 
 @contextmanager
@@ -266,6 +267,8 @@ class TestPowerFloor:
         assert excess in (0, 1)
 
     @given(braid_words(min_strands=3, max_strands=6, max_len=8), st.integers(1, 40))
+    @example(pa_word(1, [1, 2]).conjugated_by(BraidWord(3, (2,))), 24)
+    @example(pa_word(-2, [3]), 13)
     @settings(max_examples=40, deadline=None)
     def test_one_probe_per_ladder_step(self, b, k):
         assume(sigma_sign(b) is not OrderSign.TRIVIAL)
@@ -282,10 +285,99 @@ class TestPowerFloor:
         assert queries[:len(root)] == root
         bare = {(b**n).letters for n in range(2, k + 1)}
         assert not bare.intersection(queries[len(root):])
+        # each step's probe on b^n spreads its J full twists through the
+        # n copies of the cyclic core; J is read off the probe's length,
+        # which is that of b^-n delta^(2J)
+        m, positive = b.strands, sigma_sign(b) is OrderSign.POSITIVE
+        w, x = _cyclic_core(b)
+        powers, n = [], 1
+        for bit in bin(k)[3:]:
+            n *= 2
+            powers.append(n)
+            if bit == "1":
+                n += 1
+                powers.append(n)
+        for n, probe in zip(powers, queries[len(root) + len(base):]):
+            j, rest = divmod(len(probe) - 2 * len(w) - n * len(x), m * (m - 1))
+            assert rest == 0 and j >= 1
+            assert probe == _spread_probe(w, x, m, n, j, positive)
+
+    def test_ladder_keeps_the_power_letter_cap(self, monkeypatch):
+        # b^n is never built, but a probe on it is refused where b**n is
+        b = pa_word(0, [1])
+        monkeypatch.setattr(ordering, "MAX_WORD_LETTERS", 20)
+        assert power_floor(b, 8) == dehornoy_floor(b**8)
+        with pytest.raises(WordLengthExceeded):
+            power_floor(b, 24)
 
     def test_bad_power(self):
         with pytest.raises(BadParameters):
             power_floor(BraidWord(3, (1,)), 0)
+
+
+def block_probe(b: BraidWord, n: int, j: int) -> BraidWord:
+    """The ladder's probe on b^n with the twist delta^(2j) in one block:
+    b^-n delta^(2j) for positive b, delta^(2j) b^n for negative b."""
+    twist = delta(b.strands) ** (2 * j)
+    if sigma_sign(b) is OrderSign.POSITIVE:
+        return (b**n).inverse() * twist
+    return twist * b**n
+
+
+def assert_spread_is_block(b: BraidWord, n: int, j: int) -> None:
+    w, x = _cyclic_core(b)
+    positive = sigma_sign(b) is OrderSign.POSITIVE
+    spread = _spread_probe(w, x, b.strands, n, j, positive)
+    block = block_probe(b, n, j)
+    twist_letters = 2 * j * len(delta(b.strands))
+    assert len(spread) == 2 * len(w) + n * len(x) + twist_letters
+    assert _kernel.sign_of(spread + block.inverse().letters, b.strands) == 0
+    assert sigma_sign(BraidWord(b.strands, spread)) is sigma_sign(block)
+
+
+class TestSpreadProbe:
+    @given(braid_words(max_len=20))
+    def test_cyclic_core_rebuilds_the_word(self, b):
+        w, x = _cyclic_core(b)
+        assert w + x + tuple(-y for y in reversed(w)) == b.letters
+        assert bool(x) == bool(b.letters)
+        assert len(x) <= 1 or x[0] != -x[-1]
+
+    #: (b, positive, conjugated, core length)
+    CASES = [
+        (BraidWord(3, (1, -2)), True, False, 2),
+        (BraidWord(4, (-2, 3, -1, 3)), False, False, 4),
+        (BraidWord(4, (2, 1, 1, 3, -2)), True, True, 3),
+        (BraidWord(4, (3, -1, -2, -3)), False, True, 2),
+        (BraidWord(3, (2, 1, -2)), True, True, 1),
+        (BraidWord(3, (-1,)), False, False, 1),
+    ]
+
+    @pytest.mark.parametrize("b,positive,conjugated,core", CASES)
+    @pytest.mark.parametrize("n,j", [(1, 3), (3, 3), (5, 2), (4, 7)])
+    def test_spread_is_block_probe(self, b, positive, conjugated, core, n, j):
+        w, x = _cyclic_core(b)
+        assert (sigma_sign(b) is OrderSign.POSITIVE) == positive
+        assert (bool(w), len(x)) == (conjugated, core)
+        assert_spread_is_block(b, n, j)
+
+    def test_spread_splits_the_twist_evenly(self):
+        # j = 2 over n = 3 copies: a = (0, 1, 1), after the copies' X^-1
+        # for positive b and before their X for negative b
+        full = delta(3).letters * 2
+        assert _spread_probe((), (1, -2), 3, 3, 2, True) == (
+            (2, -1) + (2, -1) + full + (2, -1) + full)
+        assert _spread_probe((2,), (-1,), 3, 3, 2, False) == (
+            (2,) + (-1,) + full + (-1,) + full + (-1,) + (-2,))
+
+    @given(braid_words(min_strands=3, max_strands=5, max_len=10),
+           letter_lists(5, 4), st.integers(1, 6), st.integers(1, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_spread_is_block_probe_random(self, b, conjugator, n, j):
+        w = BraidWord(b.strands, [y for y in conjugator if abs(y) < b.strands])
+        b = b.conjugated_by(w)
+        assume(sigma_sign(b) is not OrderSign.TRIVIAL)
+        assert_spread_is_block(b, n, j)
 
 
 class TestCentralRoot:
