@@ -155,6 +155,37 @@ def _delta_power(m: int, n: int) -> tuple[int, ...]:
     return tuple(-x for x in reversed(half)) * -n
 
 
+def _power_cap(b: BraidWord, n: int) -> None:
+    """Refuse a power b^n that is never built where b**n would be
+    refused: when it would have more than MAX_WORD_LETTERS letters."""
+    if len(b.letters) * n > MAX_WORD_LETTERS:
+        raise WordLengthExceeded(
+            f"power would have {len(b.letters) * n} letters, cap is {MAX_WORD_LETTERS}"
+        )
+
+
+def _strand_crossings(letters: tuple[int, ...], m: int) -> list[int]:
+    """Signed crossing counts of a word on m strands, numbered 0 .. m-1
+    by where they start: item a * m + c, a < c, is how often strands a
+    and c cross, each crossing counted with the sign of its letter."""
+    at = list(range(m))  # at[i]: the strand now at position i
+    crossings = [0] * (m * m)
+    for x in letters:
+        i = (x if x > 0 else -x) - 1
+        a, c = at[i], at[i + 1]
+        crossings[a * m + c if a < c else c * m + a] += 1 if x > 0 else -1
+        at[i], at[i + 1] = c, a
+    return crossings
+
+
+def _crosses_like_twist(letters: tuple[int, ...], m: int, p: int) -> bool:
+    """Whether every pair of strands crosses 2p times in the word, as in
+    delta^(2p).  False proves the word is not delta^(2p); see
+    :func:`central_root`."""
+    crossings = _strand_crossings(letters, m)
+    return all(crossings[a * m + c] == 2 * p for a in range(m) for c in range(a + 1, m))
+
+
 def central_root(b: BraidWord, max_power: int) -> tuple[int, int] | None:
     """(q, p) with b^q = delta^(2p), trying q = m, then q = m - 1, and
     skipping any q above max_power; None if neither holds.
@@ -165,13 +196,44 @@ def central_root(b: BraidWord, max_power: int) -> tuple[int, int] | None:
     (Brouwer-Kerekjarto-Eilenberg).  Comparing exponent sums forces
     p = q e(b) / (m (m-1)), so each q costs at most one word-problem
     query, and none when p is not an integer.
+
+    The query is on the cyclic core.  Write b = w X w^-1 with X
+    cyclically reduced; then b^q = w X^q w^-1, and as delta^2 is
+    central, b^q = delta^(2p) exactly when X^q = delta^(2p).  The kernel
+    is asked whether delta^(-2p) X^q is trivial, a word without the
+    conjugator's 2 |w| letters.
+
+    Before that query a screen on the strand-pair crossing counts of X^q
+    (:func:`_strand_crossings`) can refuse q, and it never refuses a
+    true root.  Number the strands by where they start and count, for
+    each pair, the letters that cross them, with the letters' signs.
+    These counts depend only on the braid, as each defining relation
+    keeps them and leaves the strands in the same places: free
+    cancellation removes a +1 and a -1 for the same pair;
+    sigma_i sigma_j = sigma_j sigma_i, |i - j| >= 2, crosses the same
+    two disjoint pairs in either order; and both sides of
+    sigma_i sigma_(i+1) sigma_i = sigma_(i+1) sigma_i sigma_(i+1) cross
+    each pair of the three strands at positions i, i + 1, i + 2 once,
+    with the same sign.  delta crosses every pair once and delta^2 is
+    pure, so delta^(2p) crosses every pair 2p times.  A word with other
+    counts is not delta^(2p), and that q needs no kernel call.  (Counts
+    of 2p also return every strand home: a pair that crosses an even
+    number of times ends in the order it started.)
+
+    Raises WordLengthExceeded where b**q would, when |b| q passes
+    MAX_WORD_LETTERS.
     """
     m = b.strands
+    core = BraidWord(m, _cyclic_core(b)[1])
     for q in (m, m - 1):
         p, rest = divmod(q * b.exponent_sum, m * (m - 1))
         if q > max_power or rest:
             continue
-        if _kernel.sign_of((b**q).letters + _delta_power(m, -2 * p), m) == 0:
+        _power_cap(b, q)
+        power = (core**q).letters
+        if not _crosses_like_twist(power, m, p):
+            continue
+        if _kernel.sign_of(_delta_power(m, -2 * p) + power, m) == 0:
             return q, p
     return None
 
@@ -209,11 +271,16 @@ def power_floor(b: BraidWord, k: int) -> int:
     """dehornoy_floor(b**k) for k >= 1, without a search on b^k.
 
     When b has a central root b^q = delta^(2p) with q <= k (see
-    :func:`central_root`), the floor is searched on the equal word
-    delta^(2p (k div q)) b^(k mod q), whose exponent sum seeds the
-    search at the answer.  With the central power on the outside, each
-    probe u^-1 delta^(2j+2) or delta^(2j+2) u of the search cancels it
-    freely, so the kernel reduces only a short remainder.
+    :func:`central_root`), the floor is searched on an equal word with
+    the fewest copies of b.  Write k = s q + r with the nearest
+    remainder, |r| <= q / 2: r = k mod q, or r - q and s + 1 in its
+    place when 2 r > q.  Then b^k = delta^(2p s) b^r, and the search
+    runs on delta^(2p s) b^r, or on delta^(2p s) (b^-1)^|r| when r < 0,
+    whose exponent sum seeds it at the answer.  With the central power
+    on the outside, each probe u^-1 delta^(2j+2) or delta^(2j+2) u of
+    the search cancels it freely, so the kernel reduces only the short
+    remainder: at k = 24 a root at q = 5 leaves one copy of b^-1, not
+    four of b.
 
     Otherwise the floor is quasi-additive on powers of b, and a binary
     ladder climbs to k with one kernel query per step.
@@ -260,8 +327,10 @@ def power_floor(b: BraidWord, k: int) -> int:
     if root is not None:
         q, p = root
         s, r = divmod(k, q)
-        word = BraidWord(b.strands, _delta_power(b.strands, 2 * p * s) + b.letters * r)
-        return dehornoy_floor(word)
+        if 2 * r > q:
+            s, r = s + 1, r - q
+        tail = b.letters * r if r >= 0 else b.inverse().letters * -r
+        return dehornoy_floor(BraidWord(b.strands, _delta_power(b.strands, 2 * p * s) + tail))
 
     sign = sigma_sign(b)
     if sign is OrderSign.TRIVIAL:
@@ -271,10 +340,7 @@ def power_floor(b: BraidWord, k: int) -> int:
 
     def floor_of_power(n: int, s: int) -> int:
         # floor(b^n) is s or s + 1 by the lemma; one probe decides
-        if len(b.letters) * n > MAX_WORD_LETTERS:
-            raise WordLengthExceeded(
-                f"power would have {len(b.letters) * n} letters, cap is {MAX_WORD_LETTERS}"
-            )
+        _power_cap(b, n)
         probe = _spread_probe(w, x, b.strands, n, s + 1, positive)
         return s if _kernel.sign_of(probe, b.strands) > 0 else s + 1
 

@@ -104,7 +104,12 @@ def probe_words(draw):
     for the same braids with the full twists spread through the copies
     of C, w (C^-1 delta^(2a_1)) ... (C^-1 delta^(2a_n)) w^-1 and
     w (delta^(2a_1) C) ... (delta^(2a_n) C) w^-1, where
-    a_i = floor(j i / n) - floor(j (i - 1) / n)."""
+    a_i = floor(j i / n) - floor(j (i - 1) / n).  A central-root query
+    asks whether delta^(-2p) C^q is trivial, q = m or m - 1; p is
+    q e(C) / (m (m-1)) rounded down, off by one or not, so the query is
+    trivial for C = delta^(2d) delta_1^r at q = m and for
+    C = delta^(2d) epsilon^r at q = m - 1 when p is not moved, and those
+    cores are asked at that q."""
     m = draw(st.integers(3, 5))
     half = tuple(x for block in range(m - 1, 0, -1) for x in range(1, block + 1))
     core = draw(st.sampled_from([tuple(range(1, m)), tuple(range(1, m)) + (1,),
@@ -114,9 +119,17 @@ def probe_words(draw):
     w_inv = tuple(-x for x in reversed(w))
     twist = half * (2 * abs(d)) if d >= 0 else tuple(-x for x in reversed(half)) * 2
     c = twist + core * draw(st.integers(1, 3))
+    shape = draw(st.sampled_from(["block", "spread", "root"]))
+    if shape == "root":
+        roots = {tuple(range(1, m)): m, tuple(range(1, m)) + (1,): m - 1}
+        q = roots.get(core) or draw(st.sampled_from([m, m - 1]))
+        e = sum(1 if x > 0 else -1 for x in c)
+        p = q * e // (m * (m - 1)) + draw(st.sampled_from([0, 0, 1, -1]))
+        untwist = half * (-2 * p) if p <= 0 else tuple(-x for x in reversed(half)) * (2 * p)
+        return m, untwist + c * q
     n, j = draw(st.integers(1, 4)), draw(st.integers(0, 3))
     inverted = draw(st.booleans())
-    if not draw(st.booleans()):
+    if shape == "block":
         u = (w + c + w_inv) * n
         if inverted:
             return m, tuple(-x for x in reversed(u)) + half * (2 * j)

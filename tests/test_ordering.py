@@ -36,7 +36,14 @@ from braidcert import (
     sigma_sign,
 )
 from braidcert import _kernel, braid, ordering
-from braidcert.ordering import _cyclic_core, _spread_probe, central_root
+from braidcert.ordering import (
+    _crosses_like_twist,
+    _cyclic_core,
+    _delta_power,
+    _spread_probe,
+    _strand_crossings,
+    central_root,
+)
 
 
 @contextmanager
@@ -310,6 +317,68 @@ class TestPowerFloor:
         with pytest.raises(WordLengthExceeded):
             power_floor(b, 24)
 
+    @given(twisted_families(max_strands=5), st.integers(2, 30), st.booleans())
+    @example((BraidWord(5, (1, 2, 3, 4) * 3).conjugated_by(BraidWord(5, (2, -3))),
+              Fraction(3, 5), True), 24, False)
+    @example((BraidWord(5, (1, 2, 3, 4) * 3).conjugated_by(BraidWord(5, (2, -3))),
+              Fraction(3, 5), True), 12, True)
+    @example((BraidWord(4, (1, 2, 3)).conjugated_by(BraidWord(4, (3, -1))),
+              Fraction(1, 4), True), 10, True)
+    @settings(max_examples=40, deadline=None)
+    def test_nearest_remainder_matches_floor_of_power(self, case, k, invert):
+        # k mod q above, at and below q / 2, on both signs of b
+        b, _, periodic = case
+        assume(periodic)
+        if invert:
+            b = b.inverse()
+        assume(central_root(b, k) is not None)
+        assert power_floor(b, k) == dehornoy_floor(b**k)
+
+    #: (m, j, k, r): b = delta_1^j, conjugated, on m strands, has its root
+    #: at q = m; the search runs on delta^(2p (k - r) / q) b^r
+    REMAINDERS = [
+        (5, 3, 24, -1),  # 24 = 4 * 5 + 4: one copy of b^-1, not four of b
+        (5, 3, 12, 2),
+        (5, -2, 23, -2),
+        (4, 1, 10, 2),  # the tie 2 r = q keeps r = 2
+        (4, 1, 11, -1),
+        (4, 2, 8, 0),
+    ]
+
+    @pytest.mark.parametrize("m,j,k,r", REMAINDERS)
+    @pytest.mark.parametrize("invert", [False, True])
+    def test_searches_the_nearest_remainder(self, monkeypatch, m, j, k, r, invert):
+        b = (BraidWord(m, tuple(range(1, m))) ** j).conjugated_by(BraidWord(m, (2, -1)))
+        if invert:
+            b = b.inverse()
+        q, p = central_root(b, k)
+        assert q == m
+        searched = []
+
+        def recording(u):
+            searched.append(u)
+            return dehornoy_floor(u)
+
+        monkeypatch.setattr(ordering, "dehornoy_floor", recording)
+        assert power_floor(b, k) == dehornoy_floor(b**k)
+        assert searched == [full_twist(m) ** (p * (k - r) // q) * b**r]
+
+    def test_root_keeps_the_power_letter_cap(self, monkeypatch):
+        # the root query holds only the core's q copies, but it is
+        # refused where b**q is, before the screen
+        b = BraidWord(4, (1, 2, 3)).conjugated_by(BraidWord(4, (2,)))
+        screened = BraidWord(4, (1, 1, 1)).conjugated_by(BraidWord(4, (2,)))
+        assert len(b) == len(screened) == 5
+        monkeypatch.setattr(ordering, "MAX_WORD_LETTERS", 20)
+        assert central_root(b, 4) == (4, 1)
+        assert central_root(screened, 4) is None
+        monkeypatch.setattr(ordering, "MAX_WORD_LETTERS", 19)
+        for braid_ in (b, screened):
+            with pytest.raises(WordLengthExceeded):
+                central_root(braid_, 4)
+            with pytest.raises(WordLengthExceeded):
+                power_floor(braid_, 4)
+
     def test_bad_power(self):
         with pytest.raises(BadParameters):
             power_floor(BraidWord(3, (1,)), 0)
@@ -431,6 +500,116 @@ class TestCentralRoot:
         assert central_root(full_twist(4), 3) == (3, 3)
 
 
+def core_power(b: BraidWord, q: int) -> tuple[int, ...]:
+    """Letters of X^q for the cyclic core X of b."""
+    return (BraidWord(b.strands, _cyclic_core(b)[1]) ** q).letters
+
+
+def candidate_roots(b: BraidWord) -> list[tuple[int, int]]:
+    """(q, p) for q = m, m - 1 wherever p = q e(b) / (m (m-1)) is an
+    integer: the roots central_root may have to decide."""
+    m = b.strands
+    out = []
+    for q in (m, m - 1):
+        p, rest = divmod(q * b.exponent_sum, m * (m - 1))
+        if not rest:
+            out.append((q, p))
+    return out
+
+
+#: Braids to screen: random words, and conjugated full twists times
+#: powers of delta_1, epsilon or sigma_1, of which some are roots.
+screen_inputs = st.one_of(
+    braid_words(min_strands=3, max_strands=5, max_len=12),
+    twisted_families(max_strands=5).map(lambda case: case[0]),
+)
+
+
+class TestCrossingScreen:
+    @given(twisted_families(max_strands=7), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_never_rejects_a_true_root(self, case, invert):
+        b, c, periodic = case
+        assume(periodic)
+        if invert:
+            b, c = b.inverse(), -c
+        m = b.strands
+        # b^q = delta^(2 c q) for q = m (delta_1 powers) or q = m - 1
+        # (epsilon powers), whichever makes c q an integer
+        roots = [(q, c * q) for q in (m, m - 1) if (c * q).denominator == 1]
+        assert roots
+        for q, p in roots:
+            assert _crosses_like_twist(core_power(b, q), m, int(p))
+            assert _crosses_like_twist((b**q).letters, m, int(p))
+
+    @given(braid_words(min_strands=3, max_strands=7, max_len=20), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_counts_survive_braid_relations(self, b, data):
+        m = b.strands
+        cut = data.draw(st.integers(0, len(b)), label="cut")
+        i = data.draw(st.integers(1, m - 2), label="i")
+        e = data.draw(st.sampled_from([1, -1]), label="e")
+        relation = data.draw(st.sampled_from(["braid", "far", "free"]), label="relation")
+        if relation == "braid":
+            lhs, rhs = (e * i, e * (i + 1), e * i), (e * (i + 1), e * i, e * (i + 1))
+        elif relation == "far":
+            far = [j for j in range(1, m) if abs(j - i) >= 2]
+            assume(far)
+            j = data.draw(st.sampled_from(far), label="j") * data.draw(
+                st.sampled_from([1, -1]), label="f")
+            lhs, rhs = (e * i, j), (j, e * i)
+        else:
+            lhs, rhs = (e * i, -e * i), ()
+        u, v = b.letters[:cut], b.letters[cut:]
+        assert _strand_crossings(u + lhs + v, m) == _strand_crossings(u + rhs + v, m)
+
+    @given(screen_inputs, st.integers(-1, 1))
+    @settings(max_examples=80, deadline=None)
+    def test_rejection_means_no_root(self, b, shift):
+        m = b.strands
+        for q in (m, m - 1):
+            p = q * b.exponent_sum // (m * (m - 1)) + shift
+            power = core_power(b, q)
+            if not _crosses_like_twist(power, m, p):
+                assert _kernel.sign_of(power + _delta_power(m, -2 * p), m) != 0
+
+    @given(screen_inputs)
+    @settings(max_examples=80, deadline=None)
+    def test_screened_out_q_sends_no_query(self, b):
+        # the only queries are delta^(-2p) X^q on the core, for the q that
+        # pass the screen, up to the first root
+        m = b.strands
+        passed = [_delta_power(m, -2 * p) + core_power(b, q)
+                  for q, p in candidate_roots(b)
+                  if _crosses_like_twist(core_power(b, q), m, p)]
+        with recorded_queries() as queries:
+            root = central_root(b, m)
+        if root is None:
+            assert queries == passed
+        else:
+            assert queries and queries == passed[:len(queries)]
+
+    def test_screen_refuses_without_a_query(self):
+        # sigma_1^3 on 4 strands passes the exponent-sum test at q = 4,
+        # p = 1, but in its 4th power strands 1 and 2 cross 12 times and
+        # no other pair crosses, where delta^2 crosses every pair twice
+        b = BraidWord(4, (1, 1, 1)).conjugated_by(BraidWord(4, (3, 2)))
+        assert candidate_roots(b) == [(4, 1)]
+        with recorded_queries() as queries:
+            assert central_root(b, 4) is None
+        assert queries == []
+
+    def test_query_holds_no_conjugator_letters(self):
+        w = BraidWord(5, (2, -3, 4, 1))
+        x = BraidWord(5, (1, 2, 3, 4)) ** 3
+        b = x.conjugated_by(w)
+        assert _cyclic_core(b) == (w.letters, x.letters)
+        with recorded_queries() as queries:
+            assert central_root(b, 5) == (5, 3)
+        # b**5 would also hold w and w^-1, 8 more letters
+        assert queries == [_delta_power(5, -6) + (x**5).letters]
+
+
 #: A 4-strand word of exponent sum zero, 60 letters after free
 #: reduction: every kernel query on it outgrows a budget of 5 at once.
 _LONG = BraidWord(4, (1, 2, 3, -1, -2, -3) * 10)
@@ -444,7 +623,9 @@ _KERNEL_ENTRY_POINTS = {
     "braid.is_trivial": lambda: braid.is_trivial(_LONG),
     "dehornoy_floor": lambda: dehornoy_floor(_LONG),
     "power_floor": lambda: power_floor(_LONG, 4),
-    "central_root": lambda: central_root(_LONG, 4),
+    # _LONG fails central_root's crossing-count screen, which sends no
+    # query; (sigma_1 sigma_2 sigma_3)^12 = delta^6 passes it
+    "central_root": lambda: central_root(BraidWord(4, (1, 2, 3) * 12), 4),
     "fdtc_interval": lambda: fdtc_interval(_LONG, Fraction(1, 4)),
     "certify_closed_braid_cover": lambda: certify_closed_braid_cover(
         _LONG, 3, pa_asserted=True),
