@@ -37,12 +37,15 @@ _MIXED = 2  # sentinel: lowest generator occurs with both signs
 
 def _free_reduce(letters):
     out = []
-    push = out.append
+    push, pop = out.append, out.pop
+    top = 0  # last letter of out; 0 when out is empty, as no letter is 0
     for x in letters:
-        if out and out[-1] == -x:
-            out.pop()
+        if top == -x:
+            pop()
+            top = out[-1] if out else 0
         else:
             push(x)
+            top = x
     return out
 
 
@@ -80,7 +83,8 @@ def _reduce_core(letters, strands, max_len, full):
     last = [-1] * strands  # last occurrence of each generator in w[:i]
     prev: list[int] = []  # prev[p]: previous occurrence of w[p]'s generator
     i = 0
-    while i < len(w):
+    n = len(w)
+    while i < n:
         x = w[i]
         g = x if x > 0 else -x
         s = last[g]
@@ -122,12 +126,15 @@ def _reduce_core(letters, strands, max_len, full):
                 seg.append(y)
 
         w[s : i + 1] = seg
-        if len(w) > max_len:
+        n += len(seg) - (i + 1 - s)
+        if n > max_len:
             raise ReductionBudgetExceeded(
                 f"word grew past budget {max_len} during handle reduction"
             )
 
-        if not full:
+        # While sigma_1 occurs with both signs the word is mixed, so
+        # the scan of cnt can wait.
+        if not full and not (cnt[1] and cnt[-1]):
             sd = _definite_sign(cnt, strands)
             if sd != _MIXED:
                 return sd, w

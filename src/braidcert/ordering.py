@@ -28,6 +28,7 @@ above are stated for, and the two differ on braids between powers of
 from __future__ import annotations
 
 from enum import Enum
+from functools import cache
 
 from braidcert import _kernel
 from braidcert.braid import MAX_WORD_LETTERS, BraidWord, delta
@@ -147,12 +148,17 @@ def dehornoy_floor(u: BraidWord) -> int:
     return _search_floor(u, sign is OrderSign.POSITIVE)
 
 
+@cache
+def _half_twists(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Letters of delta and of delta^-1 on m strands."""
+    half = delta(m).letters
+    return half, tuple(-x for x in reversed(half))
+
+
 def _delta_power(m: int, n: int) -> tuple[int, ...]:
     """Letters of delta^n on m strands, for any integer n."""
-    half = delta(m).letters
-    if n >= 0:
-        return half * n
-    return tuple(-x for x in reversed(half)) * -n
+    half, inverse = _half_twists(m)
+    return half * n if n >= 0 else inverse * -n
 
 
 def _power_cap(b: BraidWord, n: int) -> None:
@@ -200,8 +206,13 @@ def central_root(b: BraidWord, max_power: int) -> tuple[int, int] | None:
     The query is on the cyclic core.  Write b = w X w^-1 with X
     cyclically reduced; then b^q = w X^q w^-1, and as delta^2 is
     central, b^q = delta^(2p) exactly when X^q = delta^(2p).  The kernel
-    is asked whether delta^(-2p) X^q is trivial, a word without the
-    conjugator's 2 |w| letters.
+    is asked whether X^-q delta^(2p) (p >= 0) or delta^(-2p) X^q (p < 0)
+    is trivial, a word without the conjugator's 2 |w| letters, and with
+    the |p| full twists spread through the q copies of X as the ladder
+    spreads them (:func:`_spread_probe`).  For p >= 0 that is the
+    inverse of delta^(-2p) X^q, so the verdict is the same, and handle
+    reduction meets each copy of X next to full twists of the other sign
+    instead of carrying it across the whole power.
 
     Before that query a screen on the strand-pair crossing counts of X^q
     (:func:`_strand_crossings`) can refuse q, and it never refuses a
@@ -224,16 +235,16 @@ def central_root(b: BraidWord, max_power: int) -> tuple[int, int] | None:
     MAX_WORD_LETTERS.
     """
     m = b.strands
-    core = BraidWord(m, _cyclic_core(b)[1])
+    x = _cyclic_core(b)[1]
+    core = BraidWord(m, x)
     for q in (m, m - 1):
         p, rest = divmod(q * b.exponent_sum, m * (m - 1))
         if q > max_power or rest:
             continue
         _power_cap(b, q)
-        power = (core**q).letters
-        if not _crosses_like_twist(power, m, p):
+        if not _crosses_like_twist((core**q).letters, m, p):
             continue
-        if _kernel.sign_of(_delta_power(m, -2 * p) + power, m) == 0:
+        if _kernel.sign_of(_spread_probe((), x, m, q, abs(p), p >= 0), m) == 0:
             return q, p
     return None
 
@@ -271,16 +282,28 @@ def power_floor(b: BraidWord, k: int) -> int:
     """dehornoy_floor(b**k) for k >= 1, without a search on b^k.
 
     When b has a central root b^q = delta^(2p) with q <= k (see
-    :func:`central_root`), the floor is searched on an equal word with
-    the fewest copies of b.  Write k = s q + r with the nearest
-    remainder, |r| <= q / 2: r = k mod q, or r - q and s + 1 in its
-    place when 2 r > q.  Then b^k = delta^(2p s) b^r, and the search
-    runs on delta^(2p s) b^r, or on delta^(2p s) (b^-1)^|r| when r < 0,
-    whose exponent sum seeds it at the answer.  With the central power
-    on the outside, each probe u^-1 delta^(2j+2) or delta^(2j+2) u of
-    the search cancels it freely, so the kernel reduces only the short
-    remainder: at k = 24 a root at q = 5 leaves one copy of b^-1, not
-    four of b.
+    :func:`central_root`), the floor is a whole number of twists plus the
+    floor of a short remainder.  b > 1 exactly when p > 0, as b^q and b
+    have the same sign; for p < 0 take b^-1 and -p, since
+    floor(b^k) = floor(b^-k) (see below).  So let p >= 0, and write
+    k = s q + r with the nearest remainder, |r| <= q / 2: r = k mod q,
+    or r - q and s + 1 in its place when 2 r > q.  Then
+    b^k = delta^(2t) b^r with t = p s, and for a positive x the floor is
+    the largest i with delta^(2i) <= x.  Left-invariance and the
+    centrality of delta^2 shift it by whole twists:
+
+        max { i : delta^(2i) <= delta^(2t) y } = t + max { i : delta^(2i) <= y }.
+
+    For r >= 0, y = b^r >= 1 and the floor is t + dehornoy_floor(b^r)
+    (b^0 is the identity, of floor 0).  For r < 0, y = v^-1 with
+    v = b^|r| > 1 of floor f, so delta^(2f) <= v < delta^(2f+2).
+    delta^(2i) <= v^-1 exactly when v <= delta^(-2i), so the largest
+    such i is -f when v = delta^(2f) and -f - 1 otherwise, and the floor
+    is t - f or t - f - 1.  Whether v = delta^(2f) is decided on the
+    cyclic core X of b, as in :func:`central_root`: the crossing screen,
+    then one query on X^-|r| delta^(2f).  No query holds the full twists
+    of delta^(2t), so the cost does not grow with s: at k = 24 a root at
+    q = 5 leaves a search on one copy of b, not on delta^(2p 5) b^-1.
 
     Otherwise the floor is quasi-additive on powers of b, and a binary
     ladder climbs to k with one kernel query per step.
@@ -323,14 +346,23 @@ def power_floor(b: BraidWord, k: int) -> int:
     """
     if k < 1:
         raise BadParameters(f"power must be >= 1, got {k}")
+    m = b.strands
     root = central_root(b, k)
     if root is not None:
         q, p = root
+        if p < 0:
+            b, p = b.inverse(), -p
         s, r = divmod(k, q)
         if 2 * r > q:
             s, r = s + 1, r - q
-        tail = b.letters * r if r >= 0 else b.inverse().letters * -r
-        return dehornoy_floor(BraidWord(b.strands, _delta_power(b.strands, 2 * p * s) + tail))
+        f = dehornoy_floor(BraidWord(m, b.letters * abs(r)))
+        if r >= 0:
+            return p * s + f
+        x = _cyclic_core(b)[1]
+        if (_crosses_like_twist(x * -r, m, f)
+                and _kernel.sign_of(_spread_probe((), x, m, -r, f, True), m) == 0):
+            return p * s - f
+        return p * s - f - 1
 
     sign = sigma_sign(b)
     if sign is OrderSign.TRIVIAL:
@@ -341,8 +373,8 @@ def power_floor(b: BraidWord, k: int) -> int:
     def floor_of_power(n: int, s: int) -> int:
         # floor(b^n) is s or s + 1 by the lemma; one probe decides
         _power_cap(b, n)
-        probe = _spread_probe(w, x, b.strands, n, s + 1, positive)
-        return s if _kernel.sign_of(probe, b.strands) > 0 else s + 1
+        probe = _spread_probe(w, x, m, n, s + 1, positive)
+        return s if _kernel.sign_of(probe, m) > 0 else s + 1
 
     n, f = 1, _search_floor(b, positive)
     f1 = f

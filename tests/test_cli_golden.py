@@ -9,7 +9,9 @@ every task on 3, 4 and 5 strands next to rows that fail.
 ``tests/golden/parser.json`` pins the subcommands and their options.
 
 After an intended change of output, rewrite the expected files with
-``PYTHONPATH=src python tests/test_cli_golden.py`` and review the diff.
+``PYTHONPATH=src python tests/test_cli_golden.py --write`` and review the
+diff.  Run as a script, the module writes nothing without ``--write``
+and refuses any other argument.
 """
 
 from __future__ import annotations
@@ -154,6 +156,20 @@ def render_parser() -> str:
     return json.dumps(parser_surface(), indent=1) + "\n"
 
 
+def write_goldens(argv: list[str]) -> None:
+    """Rewrite every golden file; ``--write`` is required."""
+    cli = argparse.ArgumentParser(
+        prog="test_cli_golden.py", allow_abbrev=False,
+        description="Rewrite the expected files under tests/golden/.")
+    cli.add_argument("--write", action="store_true", required=True,
+                     help="rewrite every golden file")
+    cli.parse_args(argv)
+    for case in CASES:
+        (GOLDEN / f"{case}.txt").write_text(render_case(case), encoding="utf-8")
+    (GOLDEN / "parser.json").write_text(render_parser(), encoding="utf-8")
+    print(f"wrote {len(CASES) + 1} golden files to {GOLDEN}", file=sys.stderr)
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name):
     expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
@@ -165,8 +181,19 @@ def test_parser_matches_golden():
     assert render_parser() == expected
 
 
+@pytest.mark.parametrize("argv", [[], ["--help"], ["--wri"], ["--write", "extra"]])
+def test_script_refuses_all_but_write(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(globals(), "GOLDEN", tmp_path)
+    with pytest.raises(SystemExit):
+        write_goldens(argv)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_script_writes_with_write(tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(globals(), "GOLDEN", tmp_path)
+    write_goldens(["--write"])
+    assert len(list(tmp_path.iterdir())) == len(CASES) + 1
+
+
 if __name__ == "__main__":
-    for case in CASES:
-        (GOLDEN / f"{case}.txt").write_text(render_case(case), encoding="utf-8")
-    (GOLDEN / "parser.json").write_text(render_parser(), encoding="utf-8")
-    print(f"wrote {len(CASES) + 1} golden files to {GOLDEN}", file=sys.stderr)
+    write_goldens(sys.argv[1:])

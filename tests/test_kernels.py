@@ -105,7 +105,10 @@ def probe_words(draw):
     of C, w (C^-1 delta^(2a_1)) ... (C^-1 delta^(2a_n)) w^-1 and
     w (delta^(2a_1) C) ... (delta^(2a_n) C) w^-1, where
     a_i = floor(j i / n) - floor(j (i - 1) / n).  A central-root query
-    asks whether delta^(-2p) C^q is trivial, q = m or m - 1; p is
+    asks whether delta^(-2p) C^q is trivial, q = m or m - 1, with the |p|
+    full twists spread through the q copies of C the same way:
+    (C^-1 delta^(2a_1)) ... (C^-1 delta^(2a_q)), its inverse, for
+    p >= 0 and (delta^(2a_1) C) ... (delta^(2a_q) C) for p < 0.  p is
     q e(C) / (m (m-1)) rounded down, off by one or not, so the query is
     trivial for C = delta^(2d) delta_1^r at q = m and for
     C = delta^(2d) epsilon^r at q = m - 1 when p is not moved, and those
@@ -125,10 +128,11 @@ def probe_words(draw):
         q = roots.get(core) or draw(st.sampled_from([m, m - 1]))
         e = sum(1 if x > 0 else -1 for x in c)
         p = q * e // (m * (m - 1)) + draw(st.sampled_from([0, 0, 1, -1]))
-        untwist = half * (-2 * p) if p <= 0 else tuple(-x for x in reversed(half)) * (2 * p)
-        return m, untwist + c * q
-    n, j = draw(st.integers(1, 4)), draw(st.integers(0, 3))
-    inverted = draw(st.booleans())
+        w, w_inv = (), ()
+        n, j, inverted = q, abs(p), p >= 0
+    else:
+        n, j = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+        inverted = draw(st.booleans())
     if shape == "block":
         u = (w + c + w_inv) * n
         if inverted:

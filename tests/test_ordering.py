@@ -324,6 +324,15 @@ class TestPowerFloor:
               Fraction(3, 5), True), 12, True)
     @example((BraidWord(4, (1, 2, 3)).conjugated_by(BraidWord(4, (3, -1))),
               Fraction(1, 4), True), 10, True)
+    # remainders b^-2 that are themselves central: delta^4 and delta^2
+    @example((full_twist(5).conjugated_by(BraidWord(5, (2, -3))),
+              Fraction(1), True), 8, False)
+    @example((full_twist(5).conjugated_by(BraidWord(5, (2, -3))),
+              Fraction(1), True), 8, True)
+    @example(((BraidWord(6, (1, 2, 3, 4, 5)) ** 3).conjugated_by(BraidWord(6, (4, -1))),
+              Fraction(1, 2), True), 10, False)
+    @example(((BraidWord(6, (1, 2, 3, 4, 5)) ** 3).conjugated_by(BraidWord(6, (4, -1))),
+              Fraction(1, 2), True), 10, True)
     @settings(max_examples=40, deadline=None)
     def test_nearest_remainder_matches_floor_of_power(self, case, k, invert):
         # k mod q above, at and below q / 2, on both signs of b
@@ -335,9 +344,10 @@ class TestPowerFloor:
         assert power_floor(b, k) == dehornoy_floor(b**k)
 
     #: (m, j, k, r): b = delta_1^j, conjugated, on m strands, has its root
-    #: at q = m; the search runs on delta^(2p (k - r) / q) b^r
+    #: at q = m; the search runs on b^|r| for b > 1 and on b^-|r| for
+    #: b < 1, the copies of b left after delta^(2p (k - r) / q)
     REMAINDERS = [
-        (5, 3, 24, -1),  # 24 = 4 * 5 + 4: one copy of b^-1, not four of b
+        (5, 3, 24, -1),  # 24 = 5 * 5 - 1: one copy of b, not four
         (5, 3, 12, 2),
         (5, -2, 23, -2),
         (4, 1, 10, 2),  # the tie 2 r = q keeps r = 2
@@ -361,7 +371,28 @@ class TestPowerFloor:
 
         monkeypatch.setattr(ordering, "dehornoy_floor", recording)
         assert power_floor(b, k) == dehornoy_floor(b**k)
-        assert searched == [full_twist(m) ** (p * (k - r) // q) * b**r]
+        above = b if p > 0 else b.inverse()
+        assert searched == [above ** abs(r)]
+
+    @given(twisted_families(max_strands=5), st.integers(0, 12), st.booleans())
+    @example((BraidWord(5, (1, 2, 3, 4) * 3).conjugated_by(BraidWord(5, (2, -3))),
+              Fraction(3, 5), True), 4, True)
+    @settings(max_examples=40, deadline=None)
+    def test_central_route_does_not_grow_with_the_power(self, case, extra, invert):
+        # k and k + 10 q share the remainder, so they send the same words
+        b, _, periodic = case
+        assume(periodic)
+        if invert:
+            b = b.inverse()
+        k = b.strands + extra
+        root = central_root(b, k)
+        assume(root is not None)
+        q, p = root
+        with recorded_queries() as near:
+            floor = power_floor(b, k)
+        with recorded_queries() as far:
+            assert power_floor(b, k + 10 * q) == floor + 10 * abs(p)
+        assert far == near
 
     def test_root_keeps_the_power_letter_cap(self, monkeypatch):
         # the root query holds only the core's q copies, but it is
@@ -576,10 +607,12 @@ class TestCrossingScreen:
     @given(screen_inputs)
     @settings(max_examples=80, deadline=None)
     def test_screened_out_q_sends_no_query(self, b):
-        # the only queries are delta^(-2p) X^q on the core, for the q that
-        # pass the screen, up to the first root
+        # the only queries are delta^(-2p) X^q on the core, or its inverse
+        # for p >= 0, with the full twists spread through the copies of X,
+        # for the q that pass the screen, up to the first root
         m = b.strands
-        passed = [_delta_power(m, -2 * p) + core_power(b, q)
+        x = _cyclic_core(b)[1]
+        passed = [_spread_probe((), x, m, q, abs(p), p >= 0)
                   for q, p in candidate_roots(b)
                   if _crosses_like_twist(core_power(b, q), m, p)]
         with recorded_queries() as queries:
@@ -606,8 +639,12 @@ class TestCrossingScreen:
         assert _cyclic_core(b) == (w.letters, x.letters)
         with recorded_queries() as queries:
             assert central_root(b, 5) == (5, 3)
-        # b**5 would also hold w and w^-1, 8 more letters
-        assert queries == [_delta_power(5, -6) + (x**5).letters]
+        # X^-5 delta^6, the inverse of delta^-6 X^5, with delta^2 after the
+        # 2nd, 4th and 5th copies of X^-1; b**5 would also hold w and w^-1,
+        # 8 more letters
+        xi, twist = x.inverse().letters, _delta_power(5, 2)
+        assert queries == [xi + xi + twist + xi + xi + twist + xi + twist]
+        assert _kernel.sign_of(queries[0] + _delta_power(5, -6) + (x**5).letters, 5) == 0
 
 
 #: A 4-strand word of exponent sum zero, 60 letters after free
