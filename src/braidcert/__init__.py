@@ -3,7 +3,8 @@ decision rules for cyclic branched covers, surgeries and satellites.
 
 The library works entirely in exact rational arithmetic: braid words as
 signed generator sequences, the Dehornoy order via handle reduction
-(with a compiled kernel when available), fractional Dehn twist
+(with a compiled kernel when available), the word problem by integer
+Dynnikov coordinates, fractional Dehn twist
 coefficients as exact rationals on three strands and certified
 intervals otherwise, and verdict certificates whose inequalities an
 independent replay checker re-evaluates.

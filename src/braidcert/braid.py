@@ -11,7 +11,7 @@ Words are freely reduced on construction (adjacent ``+i, -i`` pairs are
 cancelled until none remain), so equality of ``BraidWord`` values is
 equality of freely reduced words.  Equality in the braid group is a
 different, decidable question: use :func:`is_trivial` on ``u * v.inverse()``,
-which delegates to the handle-reduction kernel.
+which Dynnikov coordinates decide (:mod:`braidcert.dynnikov`).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from braidcert import _kernel
+from braidcert import dynnikov
 from braidcert.errors import (
     BadStrands,
     GeneratorOutOfRange,
@@ -112,11 +112,12 @@ class BraidWord:
     def is_trivial(self) -> bool:
         """Word problem: does this word represent the identity braid?
 
-        Decided by the handle-reduction kernel (the word is trivial
-        exactly when it reduces to the empty word)."""
-        if not self.letters:
-            return True
-        return _kernel.sign_of(self.letters, self.strands) == 0
+        The strand-pair crossing counts refuse most nontrivial words in
+        one pass; a word they pass is trivial exactly when it fixes the
+        start point of the Dynnikov coordinates.  Handle reduction and
+        its budget are not involved."""
+        return (dynnikov._crosses_like_twist(self.letters, self.strands, 0)
+                and dynnikov.is_trivial(self.letters, self.strands))
 
     def __str__(self) -> str:
         return format_braid(self)

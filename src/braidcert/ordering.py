@@ -6,10 +6,12 @@ positively (a sigma-positive word).  Every nontrivial braid is either
 positive or negative, and the order ``u < v  iff  u^-1 v`` is positive
 is a left-invariant strict total order.
 
-Deciding the sign is the package's single trusted word-problem kernel:
-fully handle-reduce the word; the empty word is the identity, otherwise
-the lowest generator of the reduced word occurs with one sign only and
-that sign is the answer.
+The sign is decided by the handle-reduction kernel: fully
+handle-reduce the word; the empty word is the identity, otherwise the
+lowest generator of the reduced word occurs with one sign only and that
+sign is the answer.  Whether a word is trivial, a question that needs no
+sign, is decided apart from the kernel, by Dynnikov coordinates
+(:mod:`braidcert.dynnikov`).
 
 The *floor* of a braid ``b`` counts full twists, using the Garside half
 twist ``delta``:
@@ -30,8 +32,9 @@ from __future__ import annotations
 from enum import Enum
 from functools import cache
 
-from braidcert import _kernel
+from braidcert import _kernel, dynnikov
 from braidcert.braid import MAX_WORD_LETTERS, BraidWord, delta
+from braidcert.dynnikov import _crosses_like_twist
 from braidcert.errors import BadParameters, StrandMismatch, WordLengthExceeded
 
 
@@ -170,28 +173,6 @@ def _power_cap(b: BraidWord, n: int) -> None:
         )
 
 
-def _strand_crossings(letters: tuple[int, ...], m: int) -> list[int]:
-    """Signed crossing counts of a word on m strands, numbered 0 .. m-1
-    by where they start: item a * m + c, a < c, is how often strands a
-    and c cross, each crossing counted with the sign of its letter."""
-    at = list(range(m))  # at[i]: the strand now at position i
-    crossings = [0] * (m * m)
-    for x in letters:
-        i = (x if x > 0 else -x) - 1
-        a, c = at[i], at[i + 1]
-        crossings[a * m + c if a < c else c * m + a] += 1 if x > 0 else -1
-        at[i], at[i + 1] = c, a
-    return crossings
-
-
-def _crosses_like_twist(letters: tuple[int, ...], m: int, p: int) -> bool:
-    """Whether every pair of strands crosses 2p times in the word, as in
-    delta^(2p).  False proves the word is not delta^(2p); see
-    :func:`central_root`."""
-    crossings = _strand_crossings(letters, m)
-    return all(crossings[a * m + c] == 2 * p for a in range(m) for c in range(a + 1, m))
-
-
 def central_root(b: BraidWord, max_power: int) -> tuple[int, int] | None:
     """(q, p) with b^q = delta^(2p), trying q = m, then q = m - 1, and
     skipping any q above max_power; None if neither holds.
@@ -205,31 +186,21 @@ def central_root(b: BraidWord, max_power: int) -> tuple[int, int] | None:
 
     The query is on the cyclic core.  Write b = w X w^-1 with X
     cyclically reduced; then b^q = w X^q w^-1, and as delta^2 is
-    central, b^q = delta^(2p) exactly when X^q = delta^(2p).  The kernel
-    is asked whether X^-q delta^(2p) (p >= 0) or delta^(-2p) X^q (p < 0)
-    is trivial, a word without the conjugator's 2 |w| letters, and with
-    the |p| full twists spread through the q copies of X as the ladder
+    central, b^q = delta^(2p) exactly when X^q = delta^(2p).  The query
+    is whether X^-q delta^(2p) (p >= 0) or delta^(-2p) X^q (p < 0) is
+    trivial, a word without the conjugator's 2 |w| letters, and with the
+    |p| full twists spread through the q copies of X as the ladder
     spreads them (:func:`_spread_probe`).  For p >= 0 that is the
-    inverse of delta^(-2p) X^q, so the verdict is the same, and handle
-    reduction meets each copy of X next to full twists of the other sign
-    instead of carrying it across the whole power.
+    inverse of delta^(-2p) X^q, so the verdict is the same.  Dynnikov
+    coordinates decide it (:func:`braidcert.dynnikov.is_trivial`), so
+    no root query reaches the handle-reduction kernel or its budget.
 
     Before that query a screen on the strand-pair crossing counts of X^q
-    (:func:`_strand_crossings`) can refuse q, and it never refuses a
-    true root.  Number the strands by where they start and count, for
-    each pair, the letters that cross them, with the letters' signs.
-    These counts depend only on the braid, as each defining relation
-    keeps them and leaves the strands in the same places: free
-    cancellation removes a +1 and a -1 for the same pair;
-    sigma_i sigma_j = sigma_j sigma_i, |i - j| >= 2, crosses the same
-    two disjoint pairs in either order; and both sides of
-    sigma_i sigma_(i+1) sigma_i = sigma_(i+1) sigma_i sigma_(i+1) cross
-    each pair of the three strands at positions i, i + 1, i + 2 once,
-    with the same sign.  delta crosses every pair once and delta^2 is
-    pure, so delta^(2p) crosses every pair 2p times.  A word with other
-    counts is not delta^(2p), and that q needs no kernel call.  (Counts
-    of 2p also return every strand home: a pair that crosses an even
-    number of times ends in the order it started.)
+    (:func:`braidcert.dynnikov._strand_crossings`) can refuse q, and it
+    never refuses a true root.  These counts depend only on the braid,
+    and delta crosses every pair once and delta^2 is pure, so
+    delta^(2p) crosses every pair 2p times.  A word with other counts is
+    not delta^(2p), and that q needs no coordinate walk.
 
     Raises WordLengthExceeded where b**q would, when |b| q passes
     MAX_WORD_LETTERS.
@@ -244,7 +215,7 @@ def central_root(b: BraidWord, max_power: int) -> tuple[int, int] | None:
         _power_cap(b, q)
         if not _crosses_like_twist((core**q).letters, m, p):
             continue
-        if _kernel.sign_of(_spread_probe((), x, m, q, abs(p), p >= 0), m) == 0:
+        if dynnikov.is_trivial(_spread_probe((), x, m, q, abs(p), p >= 0), m):
             return q, p
     return None
 
@@ -301,7 +272,8 @@ def power_floor(b: BraidWord, k: int) -> int:
     such i is -f when v = delta^(2f) and -f - 1 otherwise, and the floor
     is t - f or t - f - 1.  Whether v = delta^(2f) is decided on the
     cyclic core X of b, as in :func:`central_root`: the crossing screen,
-    then one query on X^-|r| delta^(2f).  No query holds the full twists
+    then one Dynnikov-coordinate test of X^-|r| delta^(2f), which does
+    not reach the handle-reduction kernel.  No query holds the full twists
     of delta^(2t), so the cost does not grow with s: at k = 24 a root at
     q = 5 leaves a search on one copy of b, not on delta^(2p 5) b^-1.
 
@@ -360,7 +332,7 @@ def power_floor(b: BraidWord, k: int) -> int:
             return p * s + f
         x = _cyclic_core(b)[1]
         if (_crosses_like_twist(x * -r, m, f)
-                and _kernel.sign_of(_spread_probe((), x, m, -r, f, True), m) == 0):
+                and dynnikov.is_trivial(_spread_probe((), x, m, -r, f, True), m)):
             return p * s - f
         return p * s - f - 1
 

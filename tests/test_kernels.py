@@ -9,60 +9,23 @@ integral Burau matrices at t = -1.
 
 from __future__ import annotations
 
-import importlib.util
 import os
-import shutil
 import subprocess
 import sys
-import sysconfig
 import tracemalloc
-from pathlib import Path
 
 import pytest
-from conftest import letter_lists
+from conftest import _letters, _reduction_c, letter_lists, probe_words
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidcert import _reduction_py
 from braidcert.errors import ReductionBudgetExceeded
 
-try:
-    from braidcert import _reduction_c
-except ImportError:  # pragma: no cover - build-environment dependent
-    _reduction_c = None
-
 needs_c = pytest.mark.skipif(_reduction_c is None,
                              reason="compiled kernel not built")
 
 BUDGET = 10**6
-
-
-@pytest.fixture(scope="session")
-def c_kernel(tmp_path_factory):
-    """The compiled kernel: the built extension if importable, else
-    ``_reduction_c.c`` compiled here with gcc and loaded from a temporary
-    directory without entering ``sys.modules``."""
-    if _reduction_c is not None:
-        return _reduction_c
-    include = sysconfig.get_paths()["include"]
-    gcc = shutil.which("gcc")
-    if gcc is None or not os.path.exists(os.path.join(include, "Python.h")):
-        pytest.skip("no gcc or Python.h to compile the kernel")
-    source = Path(_reduction_py.__file__).with_name("_reduction_c.c")
-    target = tmp_path_factory.mktemp("kernel") / (
-        "_reduction_c" + sysconfig.get_config_var("EXT_SUFFIX")
-    )
-    built = subprocess.run(
-        [gcc, "-shared", "-fPIC", "-O2", "-std=c99", "-pedantic", "-Wall",
-         "-Wextra", "-Werror", f"-I{include}", str(source), "-o", str(target)],
-        capture_output=True, text=True,
-    )
-    if built.returncode != 0:
-        pytest.fail(f"kernel does not compile:\n{built.stderr}")
-    spec = importlib.util.spec_from_file_location("braidcert._reduction_c", target)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _budget_message(fn, letters, strands, max_len):
@@ -77,11 +40,6 @@ def words_with_strands(draw, max_strands=5, max_len=60):
     return m, tuple(draw(letter_lists(m, max_len)))
 
 
-def _letters(draw, gens, max_len):
-    return draw(st.lists(st.sampled_from([x for g in gens for x in (g, -g)]),
-                         max_size=max_len))
-
-
 @st.composite
 def gapped_words(draw):
     """Words on 5 or 6 strands whose long prefix omits the upper
@@ -93,58 +51,6 @@ def gapped_words(draw):
     low, high = range(1, split + 1), range(split + 1, m)
     return m, tuple(_letters(draw, low, 80) + _letters(draw, high, 40)
                     + _letters(draw, range(1, m), 8))
-
-
-@st.composite
-def probe_words(draw):
-    """Probes of floor searches and of the power ladder on b = w C w^-1,
-    with C = delta^(2d) X^r and X one of delta_1 = sigma_1 ... sigma_(m-1),
-    epsilon = delta_1 sigma_1 or sigma_1^(+-1).  Floor searches ask for
-    u^-1 delta^(2j) and delta^(2j) u with u = b^n; the power ladder asks
-    for the same braids with the full twists spread through the copies
-    of C, w (C^-1 delta^(2a_1)) ... (C^-1 delta^(2a_n)) w^-1 and
-    w (delta^(2a_1) C) ... (delta^(2a_n) C) w^-1, where
-    a_i = floor(j i / n) - floor(j (i - 1) / n).  A central-root query
-    asks whether delta^(-2p) C^q is trivial, q = m or m - 1, with the |p|
-    full twists spread through the q copies of C the same way:
-    (C^-1 delta^(2a_1)) ... (C^-1 delta^(2a_q)), its inverse, for
-    p >= 0 and (delta^(2a_1) C) ... (delta^(2a_q) C) for p < 0.  p is
-    q e(C) / (m (m-1)) rounded down, off by one or not, so the query is
-    trivial for C = delta^(2d) delta_1^r at q = m and for
-    C = delta^(2d) epsilon^r at q = m - 1 when p is not moved, and those
-    cores are asked at that q."""
-    m = draw(st.integers(3, 5))
-    half = tuple(x for block in range(m - 1, 0, -1) for x in range(1, block + 1))
-    core = draw(st.sampled_from([tuple(range(1, m)), tuple(range(1, m)) + (1,),
-                                 (1,), (-1,)]))
-    d = draw(st.integers(-1, 1))
-    w = tuple(_letters(draw, range(1, m), 4))
-    w_inv = tuple(-x for x in reversed(w))
-    twist = half * (2 * abs(d)) if d >= 0 else tuple(-x for x in reversed(half)) * 2
-    c = twist + core * draw(st.integers(1, 3))
-    shape = draw(st.sampled_from(["block", "spread", "root"]))
-    if shape == "root":
-        roots = {tuple(range(1, m)): m, tuple(range(1, m)) + (1,): m - 1}
-        q = roots.get(core) or draw(st.sampled_from([m, m - 1]))
-        e = sum(1 if x > 0 else -1 for x in c)
-        p = q * e // (m * (m - 1)) + draw(st.sampled_from([0, 0, 1, -1]))
-        w, w_inv = (), ()
-        n, j, inverted = q, abs(p), p >= 0
-    else:
-        n, j = draw(st.integers(1, 4)), draw(st.integers(0, 3))
-        inverted = draw(st.booleans())
-    if shape == "block":
-        u = (w + c + w_inv) * n
-        if inverted:
-            return m, tuple(-x for x in reversed(u)) + half * (2 * j)
-        return m, half * (2 * j) + u
-    c_inv = tuple(-x for x in reversed(c))
-    letters, cut = list(w), 0
-    for i in range(1, n + 1):
-        full = half * (2 * (j * i // n - cut))
-        cut = j * i // n
-        letters += c_inv + full if inverted else full + c
-    return m, tuple(letters) + w_inv
 
 
 @st.composite

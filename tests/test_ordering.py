@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from conftest import braid_words, letter_lists, three_braids
+from conftest import braid_words, letter_lists, recorded_queries, three_braids
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -35,32 +34,14 @@ from braidcert import (
     reduced_word,
     sigma_sign,
 )
-from braidcert import _kernel, braid, ordering
-from braidcert.ordering import (
-    _crosses_like_twist,
-    _cyclic_core,
-    _delta_power,
-    _spread_probe,
-    _strand_crossings,
-    central_root,
-)
+from braidcert import _kernel, braid, dynnikov, ordering
+from braidcert.dynnikov import _crosses_like_twist, _strand_crossings
+from braidcert.ordering import _cyclic_core, _delta_power, _spread_probe, central_root
 
 
-@contextmanager
-def recorded_queries():
-    """Every kernel sign query made inside the block, as letter tuples."""
-    queries: list[tuple[int, ...]] = []
-    original = _kernel.sign_of
-
-    def recording(letters, strands):
-        queries.append(tuple(letters))
-        return original(letters, strands)
-
-    _kernel.sign_of = recording
-    try:
-        yield queries
-    finally:
-        _kernel.sign_of = original
+def recorded_tests():
+    """Every Dynnikov-coordinate triviality test made inside the block."""
+    return recorded_queries(dynnikov, "is_trivial")
 
 
 def floor_by_definition(b: BraidWord) -> int:
@@ -281,17 +262,17 @@ class TestPowerFloor:
         assume(sigma_sign(b) is not OrderSign.TRIVIAL)
         with recorded_queries() as root:
             assume(central_root(b, k) is None)
+        # the central-root test decides triviality off the kernel
+        assert root == []
         with recorded_queries() as base:
             dehornoy_floor(b)
         with recorded_queries() as queries:
             power_floor(b, k)
         steps = k.bit_length() - 1 + bin(k).count("1") - 1
-        assert len(queries) == len(root) + len(base) + steps
-        # past the central-root test, which may ask about b^q itself,
+        assert len(queries) == len(base) + steps
         # nothing asks for the sign of a bare power
-        assert queries[:len(root)] == root
         bare = {(b**n).letters for n in range(2, k + 1)}
-        assert not bare.intersection(queries[len(root):])
+        assert not bare.intersection(queries)
         # each step's probe on b^n spreads its J full twists through the
         # n copies of the cyclic core; J is read off the probe's length,
         # which is that of b^-n delta^(2J)
@@ -304,7 +285,7 @@ class TestPowerFloor:
             if bit == "1":
                 n += 1
                 powers.append(n)
-        for n, probe in zip(powers, queries[len(root) + len(base):]):
+        for n, probe in zip(powers, queries[len(base):]):
             j, rest = divmod(len(probe) - 2 * len(w) - n * len(x), m * (m - 1))
             assert rest == 0 and j >= 1
             assert probe == _spread_probe(w, x, m, n, j, positive)
@@ -388,11 +369,12 @@ class TestPowerFloor:
         root = central_root(b, k)
         assume(root is not None)
         q, p = root
-        with recorded_queries() as near:
+        with recorded_queries() as near, recorded_tests() as near_tests:
             floor = power_floor(b, k)
-        with recorded_queries() as far:
+        with recorded_queries() as far, recorded_tests() as far_tests:
             assert power_floor(b, k + 10 * q) == floor + 10 * abs(p)
         assert far == near
+        assert far_tests == near_tests
 
     def test_root_keeps_the_power_letter_cap(self, monkeypatch):
         # the root query holds only the core's q copies, but it is
@@ -607,16 +589,18 @@ class TestCrossingScreen:
     @given(screen_inputs)
     @settings(max_examples=80, deadline=None)
     def test_screened_out_q_sends_no_query(self, b):
-        # the only queries are delta^(-2p) X^q on the core, or its inverse
-        # for p >= 0, with the full twists spread through the copies of X,
-        # for the q that pass the screen, up to the first root
+        # the only coordinate tests are of delta^(-2p) X^q on the core, or
+        # its inverse for p >= 0, with the full twists spread through the
+        # copies of X, for the q that pass the screen, up to the first
+        # root; the kernel is never asked
         m = b.strands
         x = _cyclic_core(b)[1]
         passed = [_spread_probe((), x, m, q, abs(p), p >= 0)
                   for q, p in candidate_roots(b)
                   if _crosses_like_twist(core_power(b, q), m, p)]
-        with recorded_queries() as queries:
+        with recorded_queries() as kernel_queries, recorded_tests() as queries:
             root = central_root(b, m)
+        assert kernel_queries == []
         if root is None:
             assert queries == passed
         else:
@@ -628,17 +612,18 @@ class TestCrossingScreen:
         # no other pair crosses, where delta^2 crosses every pair twice
         b = BraidWord(4, (1, 1, 1)).conjugated_by(BraidWord(4, (3, 2)))
         assert candidate_roots(b) == [(4, 1)]
-        with recorded_queries() as queries:
+        with recorded_queries() as kernel_queries, recorded_tests() as queries:
             assert central_root(b, 4) is None
-        assert queries == []
+        assert kernel_queries == queries == []
 
     def test_query_holds_no_conjugator_letters(self):
         w = BraidWord(5, (2, -3, 4, 1))
         x = BraidWord(5, (1, 2, 3, 4)) ** 3
         b = x.conjugated_by(w)
         assert _cyclic_core(b) == (w.letters, x.letters)
-        with recorded_queries() as queries:
+        with recorded_queries() as kernel_queries, recorded_tests() as queries:
             assert central_root(b, 5) == (5, 3)
+        assert kernel_queries == []
         # X^-5 delta^6, the inverse of delta^-6 X^5, with delta^2 after the
         # 2nd, 4th and 5th copies of X^-1; b**5 would also hold w and w^-1,
         # 8 more letters
@@ -656,13 +641,8 @@ _KERNEL_ENTRY_POINTS = {
     "sigma_sign": lambda: sigma_sign(_LONG),
     "compare": lambda: compare(_LONG, delta(4)),
     "reduced_word": lambda: reduced_word(_LONG),
-    "BraidWord.is_trivial": lambda: _LONG.is_trivial(),
-    "braid.is_trivial": lambda: braid.is_trivial(_LONG),
     "dehornoy_floor": lambda: dehornoy_floor(_LONG),
     "power_floor": lambda: power_floor(_LONG, 4),
-    # _LONG fails central_root's crossing-count screen, which sends no
-    # query; (sigma_1 sigma_2 sigma_3)^12 = delta^6 passes it
-    "central_root": lambda: central_root(BraidWord(4, (1, 2, 3) * 12), 4),
     "fdtc_interval": lambda: fdtc_interval(_LONG, Fraction(1, 4)),
     "certify_closed_braid_cover": lambda: certify_closed_braid_cover(
         _LONG, 3, pa_asserted=True),
@@ -677,3 +657,30 @@ def test_budget_env_caps_every_entry_point(monkeypatch, call):
     monkeypatch.setenv("BRAIDCERT_REDUCTION_BUDGET", "5")
     with pytest.raises(ReductionBudgetExceeded):
         call()
+
+
+#: The public entry points that only ask whether a word is trivial, with
+#: their answers.  Dynnikov coordinates decide that, so the kernel's
+#: budget never reaches them.  The words are long and pass the
+#: crossing-count screen to the coordinate walk: delta^2 _LONG delta^-2
+#: _LONG^-1 is trivial, and _LONG [sigma_1^2, sigma_2^2] _LONG^-1 is not.
+#: (sigma_1 sigma_2 sigma_3)^12 = delta^6 passes the screen of
+#: central_root at q = 4, where b^4 = delta^24.
+_TRIVIALITY_ENTRY_POINTS = {
+    "BraidWord.is_trivial": (
+        lambda: (full_twist(4) * _LONG * full_twist(4).inverse() * _LONG.inverse()
+                 ).is_trivial(), True),
+    "braid.is_trivial": (lambda: braid.is_trivial(
+        BraidWord(4, (1, 1, 2, 2, -1, -1, -2, -2)).conjugated_by(_LONG)), False),
+    "central_root": (lambda: central_root(BraidWord(4, (1, 2, 3) * 12), 4), (4, 12)),
+}
+
+
+@pytest.mark.parametrize("call,expected", _TRIVIALITY_ENTRY_POINTS.values(),
+                         ids=_TRIVIALITY_ENTRY_POINTS.keys())
+def test_budget_env_spares_triviality_queries(monkeypatch, call, expected):
+    monkeypatch.setenv("BRAIDCERT_REDUCTION_BUDGET", "5")
+    with recorded_queries() as queries, recorded_tests() as tests:
+        assert call() == expected
+    assert queries == []
+    assert tests
