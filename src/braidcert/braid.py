@@ -51,7 +51,7 @@ class BraidWord:
             )
         reduced: list[int] = []
         for x in raw:
-            if not isinstance(x, int) or x == 0 or abs(x) >= strands:
+            if type(x) is not int or x == 0 or abs(x) >= strands:
                 raise GeneratorOutOfRange(
                     f"letter {x!r} is not a generator of the {strands}-strand braid group"
                 )
@@ -111,13 +111,9 @@ class BraidWord:
 
     def is_trivial(self) -> bool:
         """Word problem: does this word represent the identity braid?
-
-        The strand-pair crossing counts refuse most nontrivial words in
-        one pass; a word they pass is trivial exactly when it fixes the
-        start point of the Dynnikov coordinates.  Handle reduction and
-        its budget are not involved."""
-        return (dynnikov._crosses_like_twist(self.letters, self.strands, 0)
-                and dynnikov.is_trivial(self.letters, self.strands))
+        Dynnikov coordinates decide it (:func:`braidcert.dynnikov.is_trivial`);
+        handle reduction and its budget are not involved."""
+        return dynnikov.is_trivial(self.letters, self.strands)
 
     def __str__(self) -> str:
         return format_braid(self)
@@ -230,7 +226,7 @@ def parse_braid(text: str, line: int = 1) -> BraidWord:
         raise ParseError("expected 'strands: letters', missing ':'", line, len(text) + 1)
     strands_text = head.strip()
     try:
-        strands = int(strands_text)
+        strands = _decimal(strands_text)
     except ValueError:
         raise ParseError(
             f"strand count {strands_text!r} is not an integer",
@@ -245,7 +241,7 @@ def parse_braid(text: str, line: int = 1) -> BraidWord:
     for token in tail.split():
         col = text.index(token, col) + 1  # 1-based column of this token
         try:
-            x = int(token)
+            x = _decimal(token)
         except ValueError:
             raise ParseError(f"letter {token!r} is not an integer", line, col) from None
         if x == 0 or abs(x) >= strands:
@@ -255,6 +251,15 @@ def parse_braid(text: str, line: int = 1) -> BraidWord:
         letters.append(x)
         col += len(token) - 1
     return BraidWord(strands, tuple(letters))
+
+
+def _decimal(token: str) -> int:
+    """int(token) for ASCII digits with an optional sign; ValueError
+    otherwise.  int() alone also reads '_' separators and non-ASCII
+    digits."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(token)
+    return int(token)
 
 
 def _leading_ws(s: str) -> int:

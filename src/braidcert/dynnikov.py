@@ -14,11 +14,9 @@ Here ``m`` strands use ``m`` coordinate pairs, and every sigma_i acts by
 the same formulas on pairs ``i`` and ``i + 1`` (see :func:`act`), so
 sigma_(m-1) needs the m-th pair.  With these formulas the full twist
 delta^2, which is central, moves the start point, as a nontrivial braid
-must.
-
-This module also holds the strand-pair crossing counts, an exact screen
-that refuses most nontrivial words, and most non-roots of the full
-twist, in one cheap pass before any coordinate walk.
+must.  Before any walk, :func:`is_trivial` screens the word by its
+strand-pair crossing counts, which refuse most nontrivial words in one
+cheap pass.
 """
 
 from __future__ import annotations
@@ -78,14 +76,18 @@ def act(point: Sequence[int], letters: Iterable[int]) -> list[int]:
     return point
 
 
-def is_trivial(letters: Iterable[int], m: int) -> bool:
+def is_trivial(letters: Sequence[int], m: int) -> bool:
     """Whether a word on m strands is the identity braid: whether it
-    fixes the start point (0, 1, ..., 0, 1)."""
+    fixes the start point (0, 1, ..., 0, 1).  The strand-pair crossing
+    counts (:func:`_strand_crossings`) come first: the identity's are
+    all 0, so a word with any other count is refused without a walk."""
+    if any(_strand_crossings(letters, m)):
+        return False
     start = [0, 1] * m
     return act(start, letters) == start
 
 
-def _strand_crossings(letters: tuple[int, ...], m: int) -> list[int]:
+def _strand_crossings(letters: Sequence[int], m: int) -> list[int]:
     """Signed crossing counts of a word on m strands, numbered 0 .. m-1
     by where they start: item a * m + c, a < c, is how often strands a
     and c cross, each crossing counted with the sign of its letter.
@@ -108,13 +110,3 @@ def _strand_crossings(letters: tuple[int, ...], m: int) -> list[int]:
         at[i], at[i + 1] = c, a
     return crossings
 
-
-def _crosses_like_twist(letters: tuple[int, ...], m: int, p: int) -> bool:
-    """Whether every pair of strands crosses 2p times in the word, as in
-    delta^(2p): delta crosses every pair once and delta^2 is pure.
-    False proves the word is not delta^(2p), and for p = 0 not the
-    identity.  (Counts of 2p
-    also return every strand home: a pair that crosses an even number of
-    times ends in the order it started.)"""
-    crossings = _strand_crossings(letters, m)
-    return all(crossings[a * m + c] == 2 * p for a in range(m) for c in range(a + 1, m))

@@ -34,7 +34,6 @@ from functools import cache
 
 from braidcert import _kernel, dynnikov
 from braidcert.braid import MAX_WORD_LETTERS, BraidWord, delta
-from braidcert.dynnikov import _crosses_like_twist
 from braidcert.errors import BadParameters, StrandMismatch, WordLengthExceeded
 
 
@@ -82,28 +81,21 @@ def reduced_word(u: BraidWord) -> BraidWord:
     return BraidWord(u.strands, tuple(_kernel.reduce_word(u.letters, u.strands)))
 
 
-def _below_twist(letters: tuple[int, ...], m: int, j: int, positive: bool) -> bool:
-    """Whether u, given by its letters, lies strictly inside
-    delta^(2j+2) in the direction of its sign: u < delta^(2j+2) for
-    positive u, delta^(-2j-2) < u for negative u.  One kernel query:
-    sign(u^-1 delta^(2j+2)) or sign(delta^(2j+2) u) is positive.  The
-    other inequality holds for every j >= 0, because a positive u is
-    above every negative power of delta, and symmetrically."""
-    twist = _delta_power(m, 2 * j + 2)
-    if positive:
-        word = tuple(-x for x in reversed(letters)) + twist
-    else:
-        word = twist + letters
-    return _kernel.sign_of(word, m) > 0
-
-
 def _search_floor(u: BraidWord, positive: bool) -> int:
     """The floor of a nontrivial u of the given sign: gallop from a
-    seed to a bracket, then bisect."""
+    seed to a bracket, then bisect.  holds(k) says whether u lies
+    strictly inside delta^(2k+2) in the direction of its sign:
+    u < delta^(2k+2) for positive u, delta^(-2k-2) < u for negative u.
+    That is one kernel query, whether u^-1 delta^(2k+2) or
+    delta^(2k+2) u is positive (the ladder's probe on one copy of u,
+    :func:`_spread_probe`).  The other inequality holds for every
+    k >= 0, because a positive u is above every negative power of
+    delta, and symmetrically."""
     m = u.strands
 
     def holds(k: int) -> bool:
-        return _below_twist(u.letters, m, k, positive)
+        probe = _spread_probe((), u.letters, m, 1, k + 1, positive)
+        return _kernel.sign_of(probe, m) > 0
 
     seed = abs(u.exponent_sum) // (m * (m - 1))
     if holds(seed):
@@ -186,36 +178,22 @@ def central_root(b: BraidWord, max_power: int) -> tuple[int, int] | None:
 
     The query is on the cyclic core.  Write b = w X w^-1 with X
     cyclically reduced; then b^q = w X^q w^-1, and as delta^2 is
-    central, b^q = delta^(2p) exactly when X^q = delta^(2p).  The query
-    is whether X^-q delta^(2p) (p >= 0) or delta^(-2p) X^q (p < 0) is
-    trivial, a word without the conjugator's 2 |w| letters, and with the
-    |p| full twists spread through the q copies of X as the ladder
-    spreads them (:func:`_spread_probe`).  For p >= 0 that is the
-    inverse of delta^(-2p) X^q, so the verdict is the same.  Dynnikov
-    coordinates decide it (:func:`braidcert.dynnikov.is_trivial`), so
-    no root query reaches the handle-reduction kernel or its budget.
-
-    Before that query a screen on the strand-pair crossing counts of X^q
-    (:func:`braidcert.dynnikov._strand_crossings`) can refuse q, and it
-    never refuses a true root.  These counts depend only on the braid,
-    and delta crosses every pair once and delta^2 is pure, so
-    delta^(2p) crosses every pair 2p times.  A word with other counts is
-    not delta^(2p), and that q needs no coordinate walk.
+    central, b^q = delta^(2p) exactly when X^q delta^(-2p) is trivial,
+    a word without the conjugator's 2 |w| letters.  Dynnikov
+    coordinates decide it (:func:`braidcert.dynnikov.is_trivial`), so no
+    root query reaches the handle-reduction kernel or its budget.
 
     Raises WordLengthExceeded where b**q would, when |b| q passes
     MAX_WORD_LETTERS.
     """
     m = b.strands
-    x = _cyclic_core(b)[1]
-    core = BraidWord(m, x)
+    core = BraidWord(m, _cyclic_core(b)[1])
     for q in (m, m - 1):
         p, rest = divmod(q * b.exponent_sum, m * (m - 1))
         if q > max_power or rest:
             continue
         _power_cap(b, q)
-        if not _crosses_like_twist((core**q).letters, m, p):
-            continue
-        if dynnikov.is_trivial(_spread_probe((), x, m, q, abs(p), p >= 0), m):
+        if dynnikov.is_trivial((core**q).letters + _delta_power(m, -2 * p), m):
             return q, p
     return None
 
@@ -271,9 +249,8 @@ def power_floor(b: BraidWord, k: int) -> int:
     delta^(2i) <= v^-1 exactly when v <= delta^(-2i), so the largest
     such i is -f when v = delta^(2f) and -f - 1 otherwise, and the floor
     is t - f or t - f - 1.  Whether v = delta^(2f) is decided on the
-    cyclic core X of b, as in :func:`central_root`: the crossing screen,
-    then one Dynnikov-coordinate test of X^-|r| delta^(2f), which does
-    not reach the handle-reduction kernel.  No query holds the full twists
+    cyclic core X of b, as in :func:`central_root`: whether
+    X^|r| delta^(-2f) is trivial.  No query holds the full twists
     of delta^(2t), so the cost does not grow with s: at k = 24 a root at
     q = 5 leaves a search on one copy of b, not on delta^(2p 5) b^-1.
 
@@ -331,8 +308,7 @@ def power_floor(b: BraidWord, k: int) -> int:
         if r >= 0:
             return p * s + f
         x = _cyclic_core(b)[1]
-        if (_crosses_like_twist(x * -r, m, f)
-                and dynnikov.is_trivial(_spread_probe((), x, m, -r, f, True), m)):
+        if dynnikov.is_trivial(x * -r + _delta_power(m, -2 * f), m):
             return p * s - f
         return p * s - f - 1
 

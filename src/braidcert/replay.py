@@ -58,6 +58,15 @@ def _as_int(value, context: str) -> int:
     return int(value)
 
 
+def _number(node) -> Fraction:
+    """The value of an operand that must be a number, not a comparison:
+    a Python bool is an int, so True would otherwise count as 1."""
+    value = _eval(node)
+    if not isinstance(value, Fraction):
+        raise ReplayError("a comparison is used as a number")
+    return value
+
+
 def _eval(node):
     if isinstance(node, ast.Expression):
         return _eval(node.body)
@@ -67,7 +76,7 @@ def _eval(node):
         return Fraction(node.value)
     if isinstance(node, ast.UnaryOp):
         if isinstance(node.op, ast.USub):
-            return -_eval(node.operand)
+            return -_number(node.operand)
         if isinstance(node.op, ast.Not):
             operand = _eval(node.operand)
             if not isinstance(operand, bool):
@@ -78,17 +87,17 @@ def _eval(node):
         fn = _BIN_OPS.get(type(node.op))
         if fn is None:
             raise ReplayError(f"operator {type(node.op).__name__} not allowed")
-        left, right = _eval(node.left), _eval(node.right)
+        left, right = _number(node.left), _number(node.right)
         if isinstance(node.op, ast.Mod):
             return Fraction(_as_int(left, "%") % _as_int(right, "%"))
         return fn(left, right)
     if isinstance(node, ast.Compare):
-        left = _eval(node.left)
+        left = _number(node.left)
         for op, comp in zip(node.ops, node.comparators):
             fn = _CMP_OPS.get(type(op))
             if fn is None:
                 raise ReplayError(f"comparison {type(op).__name__} not allowed")
-            right = _eval(comp)
+            right = _number(comp)
             if not fn(left, right):
                 return False
             left = right
@@ -102,7 +111,7 @@ def _eval(node):
         if not isinstance(node.func, ast.Name) or node.keywords:
             raise ReplayError("only plain abs(x) and gcd(a, b) calls are allowed")
         name = node.func.id
-        args = [_eval(a) for a in node.args]
+        args = [_number(a) for a in node.args]
         if name == "abs" and len(args) == 1:
             return abs(args[0])
         if name == "gcd" and len(args) == 2:

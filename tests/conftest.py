@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from braidcert import BraidWord, _kernel, _reduction_py
+from braidcert import BraidWord, _kernel, _reduction_py, dynnikov
 
 try:
     from braidcert import _reduction_c
@@ -90,22 +90,20 @@ def probe_words(draw):
     of C, w (C^-1 delta^(2a_1)) ... (C^-1 delta^(2a_n)) w^-1 and
     w (delta^(2a_1) C) ... (delta^(2a_n) C) w^-1, where
     a_i = floor(j i / n) - floor(j (i - 1) / n).  A central-root query
-    asks whether delta^(-2p) C^q is trivial, q = m or m - 1, with the |p|
-    full twists spread through the q copies of C the same way:
-    (C^-1 delta^(2a_1)) ... (C^-1 delta^(2a_q)), its inverse, for
-    p >= 0 and (delta^(2a_1) C) ... (delta^(2a_q) C) for p < 0.  p is
+    asks whether C^q delta^(-2p) is trivial, q = m or m - 1.  p is
     q e(C) / (m (m-1)) rounded down, off by one or not, so the query is
     trivial for C = delta^(2d) delta_1^r at q = m and for
     C = delta^(2d) epsilon^r at q = m - 1 when p is not moved, and those
     cores are asked at that q."""
     m = draw(st.integers(3, 5))
     half = tuple(x for block in range(m - 1, 0, -1) for x in range(1, block + 1))
+    inverse_half = tuple(-x for x in reversed(half))
     core = draw(st.sampled_from([tuple(range(1, m)), tuple(range(1, m)) + (1,),
                                  (1,), (-1,)]))
     d = draw(st.integers(-1, 1))
     w = tuple(_letters(draw, range(1, m), 4))
     w_inv = tuple(-x for x in reversed(w))
-    twist = half * (2 * abs(d)) if d >= 0 else tuple(-x for x in reversed(half)) * 2
+    twist = half * (2 * abs(d)) if d >= 0 else inverse_half * 2
     c = twist + core * draw(st.integers(1, 3))
     shape = draw(st.sampled_from(["block", "spread", "root"]))
     if shape == "root":
@@ -113,11 +111,9 @@ def probe_words(draw):
         q = roots.get(core) or draw(st.sampled_from([m, m - 1]))
         e = sum(1 if x > 0 else -1 for x in c)
         p = q * e // (m * (m - 1)) + draw(st.sampled_from([0, 0, 1, -1]))
-        w, w_inv = (), ()
-        n, j, inverted = q, abs(p), p >= 0
-    else:
-        n, j = draw(st.integers(1, 4)), draw(st.integers(0, 3))
-        inverted = draw(st.booleans())
+        return m, c * q + (inverse_half if p >= 0 else half) * (2 * abs(p))
+    n, j = draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    inverted = draw(st.booleans())
     if shape == "block":
         u = (w + c + w_inv) * n
         if inverted:
@@ -133,18 +129,26 @@ def probe_words(draw):
 
 
 @contextmanager
-def recorded_queries(module=_kernel, name="sign_of"):
-    """Every call of module.name(letters, strands) made inside the block,
-    as letter tuples: by default the kernel's sign queries."""
+def recorded_queries(module=_kernel, name="sign_of", at=0):
+    """Every call of module.name made inside the block, as the tuple of
+    its letters, argument number ``at``: by default the kernel's sign
+    queries."""
     queries: list[tuple[int, ...]] = []
     original = getattr(module, name)
 
-    def recording(letters, strands):
-        queries.append(tuple(letters))
-        return original(letters, strands)
+    def recording(*args):
+        queries.append(tuple(args[at]))
+        return original(*args)
 
     setattr(module, name, recording)
     try:
         yield queries
     finally:
         setattr(module, name, original)
+
+
+def recorded_walks():
+    """Every Dynnikov-coordinate walk made inside the block, as the
+    letters walked: the triviality tests that passed the crossing
+    screen."""
+    return recorded_queries(dynnikov, "act", at=1)

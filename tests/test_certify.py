@@ -442,6 +442,14 @@ class TestReplayChecker:
         with pytest.raises(ReplayError):
             evaluate_inequality("1 + 1")
 
+    # a Python bool is an int, so each of these would otherwise hold
+    @pytest.mark.parametrize("text", ["(1 < 2) + 1 > 0", "abs(1 < 2) == 1",
+                                      "(1<2) * 3 == 3", "1 == 1 == (2 > 1)",
+                                      "-(1 < 2) < 0", "gcd(1 < 2, 2) == 1"])
+    def test_rejects_comparisons_used_as_numbers(self, text):
+        with pytest.raises(ReplayError):
+            evaluate_inequality(text)
+
     def test_tampered_certificate_fails(self):
         cert = Certificate(
             Verdict.EXCELLENT,

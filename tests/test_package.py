@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import __future__
+import ast
 import importlib
 import inspect
 import pkgutil
 import types
+from pathlib import Path
 
 import braidcert
 
@@ -50,3 +52,51 @@ def test_no_public_callable_takes_a_budget():
     offenders = [name for name, fn in callables.items()
                  if "budget" in inspect.signature(fn).parameters]
     assert offenders == []
+
+
+def _private_uses(source: str, modules: set[str]) -> list[str]:
+    """Where a module's source imports or reaches another braidcert
+    module's _-prefixed name: ``from braidcert.x import _f`` or
+    ``x._f`` with x bound to a braidcert module.  The private modules
+    themselves (``from braidcert import _kernel``) are not names of
+    another module."""
+    tree = ast.parse(source)
+    bound = set()
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("braidcert"):
+            for alias in node.names:
+                if node.module == "braidcert" and alias.name in modules:
+                    bound.add(alias.asname or alias.name)
+                elif alias.name.startswith("_"):
+                    found.append(f"line {node.lineno}: from {node.module} import {alias.name}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("braidcert.") and alias.asname:
+                    bound.add(alias.asname)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in bound and node.attr.startswith("_")
+                and not node.attr.startswith("__") and node.attr not in modules):
+            found.append(f"line {node.lineno}: {node.value.id}.{node.attr}")
+    return found
+
+
+def test_no_module_uses_another_modules_private_names():
+    package = Path(braidcert.__file__).parent
+    modules = {path.name.split(".")[0] for path in package.iterdir()}
+    offenders = {path.name: uses for path in sorted(package.glob("*.py"))
+                 if (uses := _private_uses(path.read_text(), modules))}
+    assert offenders == {}
+
+
+def test_private_use_check_sees_both_forms():
+    modules = {"dynnikov", "_kernel"}
+    assert _private_uses("from braidcert import _kernel, dynnikov\n"
+                         "_kernel.sign_of(w, 3)\n", modules) == []
+    assert _private_uses("from braidcert.dynnikov import _screen\n"
+                         "from braidcert import dynnikov\n"
+                         "dynnikov._screen(w, 3)\n", modules) == [
+        "line 1: from braidcert.dynnikov import _screen",
+        "line 3: dynnikov._screen",
+    ]

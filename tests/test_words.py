@@ -41,6 +41,11 @@ class TestConstruction:
             BraidWord(3, (0,))
         BraidWord(3, (2, -2, 1, -1))  # in range
 
+    def test_bool_letter_rejected(self):
+        # True == 1, but it is not a letter
+        with pytest.raises(GeneratorOutOfRange):
+            BraidWord(3, (True, -2))
+
     def test_free_reduction_on_construction(self):
         assert BraidWord(3, (1, -1)).letters == ()
         assert BraidWord(3, (1, 2, -2, -1)).letters == ()
@@ -188,6 +193,20 @@ class TestParsing:
             parse_braid(text)
         assert info.value.column == column
         assert f"column {column}" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "text, column",
+        [
+            ("30: 1_0", 5),    # int() would read sigma_10
+            ("3: \u0661", 4),  # an Arabic-Indic digit one
+            ("1_0: 1 2", 1),   # int() would read 10 strands
+        ],
+    )
+    def test_only_ascii_decimal_integers(self, text, column):
+        with pytest.raises(ParseError) as info:
+            parse_braid(text)
+        assert info.value.column == column
+        assert parse_braid("3: +1 -2") == BraidWord(3, (1, -2))
 
     def test_parse_error_line_passthrough(self):
         with pytest.raises(ParseError) as info:
