@@ -545,6 +545,26 @@ screen_inputs = st.one_of(
 
 
 class TestCrossingScreen:
+    @given(twisted_families(max_strands=7), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_never_rejects_a_true_root(self, case, invert):
+        b, c, periodic = case
+        assume(periodic)
+        if invert:
+            b, c = b.inverse(), -c
+        m = b.strands
+        # b^q = delta^(2 c q) for q = m (delta_1 powers) or q = m - 1
+        # (epsilon powers), whichever makes c q an integer; the query
+        # X^q delta^(-2p) then crosses every strand pair 0 times net
+        roots = [(q, int(c * q)) for q in (m, m - 1) if (c * q).denominator == 1]
+        assert roots
+        for q, p in roots:
+            twist = _delta_power(m, -2 * p)
+            assert not any(_strand_crossings(core_power(b, q) + twist, m))
+            assert not any(_strand_crossings((b**q).letters + twist, m))
+            assert dynnikov.is_trivial(core_power(b, q) + twist, m)
+        assert central_root(b, m) == roots[0]
+
     @given(braid_words(min_strands=3, max_strands=7, max_len=20), st.data())
     @settings(max_examples=150, deadline=None)
     def test_counts_survive_braid_relations(self, b, data):
@@ -565,6 +585,18 @@ class TestCrossingScreen:
             lhs, rhs = (e * i, -e * i), ()
         u, v = b.letters[:cut], b.letters[cut:]
         assert _strand_crossings(u + lhs + v, m) == _strand_crossings(u + rhs + v, m)
+
+    @given(screen_inputs, st.integers(-1, 1))
+    @settings(max_examples=80, deadline=None)
+    def test_rejection_means_no_root(self, b, shift):
+        # a query the screen refuses is nontrivial for the reference kernel
+        m = b.strands
+        for q in (m, m - 1):
+            p = q * b.exponent_sum // (m * (m - 1)) + shift
+            query = core_power(b, q) + _delta_power(m, -2 * p)
+            if any(_strand_crossings(query, m)):
+                assert not dynnikov.is_trivial(query, m)
+                assert _reduction_py.sign_of(query, m, 10**6) != 0
 
     @given(screen_inputs)
     @settings(max_examples=80, deadline=None)
