@@ -14,6 +14,8 @@ from __future__ import annotations
 import os
 
 from braidcert import _reduction_py
+from braidcert.braid import parse_decimal
+from braidcert.errors import BadParameters
 
 try:
     from braidcert import _reduction_c
@@ -41,17 +43,18 @@ DEFAULT_REDUCTION_BUDGET = 10**6
 
 
 def default_budget() -> int:
-    """Reduction budget: BRAIDCERT_REDUCTION_BUDGET env var, else 10^6."""
+    """Reduction budget: BRAIDCERT_REDUCTION_BUDGET env var, else 10^6.
+    Raises BadParameters when the setting is not a positive integer."""
     raw = os.environ.get("BRAIDCERT_REDUCTION_BUDGET", "").strip()
     if raw:
         try:
-            value = int(raw)
+            value = parse_decimal(raw)
         except ValueError:
-            raise ValueError(
+            raise BadParameters(
                 f"BRAIDCERT_REDUCTION_BUDGET must be an integer, got {raw!r}"
             ) from None
         if value <= 0:
-            raise ValueError("BRAIDCERT_REDUCTION_BUDGET must be positive")
+            raise BadParameters("BRAIDCERT_REDUCTION_BUDGET must be positive")
         return value
     return DEFAULT_REDUCTION_BUDGET
 

@@ -17,7 +17,7 @@ which Dynnikov coordinates decide (:mod:`braidcert.dynnikov`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from braidcert import dynnikov
 from braidcert.errors import (
@@ -32,6 +32,11 @@ from braidcert.errors import (
 #: intermediate produced by compose/power.  Exceeding it raises
 #: WordLengthExceeded rather than silently consuming memory.
 MAX_WORD_LETTERS = 10**6
+
+#: The separators of the text format: ASCII space and tab, nothing else.
+_BLANKS = " \t"
+
+_N = TypeVar("_N")
 
 
 @dataclass(frozen=True)
@@ -218,15 +223,17 @@ def format_braid(u: BraidWord) -> str:
 def parse_braid(text: str, line: int = 1) -> BraidWord:
     """Parse the text format ``m: i1 i2 ...``.
 
-    Raises ParseError with 1-based line/column on malformed input; the
-    resulting word is validated and freely reduced by construction.
+    Numbers are read by :func:`parse_decimal`, and only ASCII spaces and
+    tabs separate them.  Raises ParseError with 1-based line/column on
+    malformed input; the resulting word is validated and freely reduced
+    by construction.
     """
     head, sep, tail = text.partition(":")
     if not sep:
         raise ParseError("expected 'strands: letters', missing ':'", line, len(text) + 1)
-    strands_text = head.strip()
+    strands_text = head.strip(_BLANKS)
     try:
-        strands = _decimal(strands_text)
+        strands = parse_decimal(strands_text)
     except ValueError:
         raise ParseError(
             f"strand count {strands_text!r} is not an integer",
@@ -237,30 +244,34 @@ def parse_braid(text: str, line: int = 1) -> BraidWord:
         raise ParseError(f"strand count must be >= 2, got {strands}", line, 1 + _leading_ws(head))
 
     letters: list[int] = []
-    col = len(head) + len(sep)
-    for token in tail.split():
-        col = text.index(token, col) + 1  # 1-based column of this token
+    col = len(head) + len(sep) + 1  # 1-based column of the next token
+    for token in tail.replace("\t", " ").split(" "):
+        at, col = col, col + len(token) + 1
+        if not token:
+            continue
         try:
-            x = _decimal(token)
+            x = parse_decimal(token)
         except ValueError:
-            raise ParseError(f"letter {token!r} is not an integer", line, col) from None
+            raise ParseError(f"letter {token!r} is not an integer", line, at) from None
         if x == 0 or abs(x) >= strands:
             raise ParseError(
-                f"letter {x} is out of range for {strands} strands", line, col
+                f"letter {x} is out of range for {strands} strands", line, at
             )
         letters.append(x)
-        col += len(token) - 1
     return BraidWord(strands, tuple(letters))
 
 
-def _decimal(token: str) -> int:
-    """int(token) for ASCII digits with an optional sign; ValueError
-    otherwise.  int() alone also reads '_' separators and non-ASCII
-    digits."""
-    if not token.isascii() or "_" in token:
-        raise ValueError(token)
-    return int(token)
+def parse_decimal(text: str, number: Callable[[str], _N] = int) -> _N:
+    """number(text) for ASCII text without '_'; ValueError otherwise.
+
+    The one rule for number text, in braid words, command-line options,
+    corpus parameters and BRAIDCERT_REDUCTION_BUDGET.  int() and
+    Fraction() alone also read '_' separators and non-ASCII digits, so
+    that "1_0" would be 10 and an Arabic-Indic three would be 3."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return number(text)
 
 
 def _leading_ws(s: str) -> int:
-    return len(s) - len(s.lstrip())
+    return len(s) - len(s.lstrip(_BLANKS))

@@ -136,7 +136,17 @@ def slope_distance(s: SurgerySlope, d: DegeneracySlope) -> int:
 
 
 # ---------------------------------------------------------------------------
-# shared inequality builders
+# shared builders
+
+
+def _verdict(justifications, assumptions, notes, otherwise: str) -> Certificate:
+    """Excellent on the applied rules when any applied; otherwise Unknown,
+    with the reason ``otherwise`` after the notes."""
+    if justifications:
+        return Certificate(
+            Verdict.EXCELLENT, tuple(justifications), tuple(assumptions), tuple(notes)
+        )
+    return Certificate(Verdict.UNKNOWN, (), tuple(assumptions), (*notes, otherwise))
 
 
 def _gap_inequality(scale: int, p: int, q: int, v: FdtcValue) -> str | None:
@@ -215,13 +225,9 @@ def certify_fibred_cover(
             )
         )
 
-    if justifications:
-        return Certificate(Verdict.EXCELLENT, tuple(justifications), _FIBRED_ASSUMPTIONS)
-    return Certificate(
-        Verdict.UNKNOWN,
-        (),
-        _FIBRED_ASSUMPTIONS,
-        (f"certified twist data allows |{n} c - {q}| < 1; no rule applies",),
+    return _verdict(
+        justifications, _FIBRED_ASSUMPTIONS, (),
+        f"certified twist data allows |{n} c - {q}| < 1; no rule applies",
     )
 
 
@@ -247,26 +253,19 @@ def certify_orbifold_cover(c_h: FdtcValue, p: int, q: int, m: int) -> Certificat
         raise BadParameters(f"slope ({p}, {q}) is not in lowest terms")
 
     gap = _gap_inequality(m, p, q, c_h)
-    if gap is not None:
-        return Certificate(
-            Verdict.EXCELLENT,
-            (
-                Justification(
-                    rule="orbifold-twist-gap",
-                    citation=(
-                        "the orbifold filling of multiplicity m along slope"
-                        " (p, q) is excellent when m |p c - q| >= 1"
-                    ),
-                    inequality=gap,
-                ),
+    justifications = () if gap is None else (
+        Justification(
+            rule="orbifold-twist-gap",
+            citation=(
+                "the orbifold filling of multiplicity m along slope"
+                " (p, q) is excellent when m |p c - q| >= 1"
             ),
-            _FIBRED_ASSUMPTIONS,
-        )
-    return Certificate(
-        Verdict.UNKNOWN,
-        (),
-        _FIBRED_ASSUMPTIONS,
-        (f"certified twist data allows {m} |{p} c - {q}| < 1; no rule applies",),
+            inequality=gap,
+        ),
+    )
+    return _verdict(
+        justifications, _FIBRED_ASSUMPTIONS, (),
+        f"certified twist data allows {m} |{p} c - {q}| < 1; no rule applies",
     )
 
 
@@ -316,8 +315,7 @@ def _pa_gate(
                 " proceeding on the assertion"
             )
         return None
-    refusal = not_pa if b.strands == 3 else must_assert
-    return Certificate(Verdict.UNKNOWN, (), tuple(assumptions), (refusal,))
+    return _verdict((), assumptions, (), not_pa if b.strands == 3 else must_assert)
 
 
 # ---------------------------------------------------------------------------
@@ -384,15 +382,11 @@ def certify_closed_braid_cover(
             )
             break
 
-    if justifications:
-        return Certificate(
-            Verdict.EXCELLENT, tuple(justifications), tuple(assumptions), tuple(notes)
-        )
-    notes.append(
+    return _verdict(
+        justifications, assumptions, notes,
         f"certified twist bound |c| >= {cmin} admits no qualifying cover order"
-        f" dividing {t}"
+        f" dividing {t}",
     )
-    return Certificate(Verdict.UNKNOWN, (), tuple(assumptions), tuple(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -546,12 +540,10 @@ def certify_satellite(
         return refusal
 
     if math.gcd(m, n) != 1:
-        return Certificate(
-            Verdict.UNKNOWN,
-            (),
-            tuple(assumptions),
-            (f"cover order {n} shares a factor with the braid index {m};"
-             " no rule applies",),
+        return _verdict(
+            (), assumptions, (),
+            f"cover order {n} shares a factor with the braid index {m};"
+            " no rule applies",
         )
 
     justifications = []
@@ -604,9 +596,7 @@ def certify_satellite(
             )
         )
 
-    if justifications:
-        return Certificate(
-            Verdict.EXCELLENT, tuple(justifications), tuple(assumptions), tuple(notes)
-        )
-    notes.append("no satellite rule applies to the certified twist data")
-    return Certificate(Verdict.UNKNOWN, (), tuple(assumptions), tuple(notes))
+    return _verdict(
+        justifications, assumptions, notes,
+        "no satellite rule applies to the certified twist data",
+    )

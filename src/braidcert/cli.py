@@ -4,7 +4,9 @@ Braid words are written ``"m: i1 i2 ..."`` — the strand count, a colon,
 then signed generator indices (``2`` for sigma_2, ``-2`` for its
 inverse).  Reports come in two formats: ``text`` (human-readable) and
 ``json`` (one record per input, stable field order, every rational
-exact as ``"numerator/denominator"`` — never floats).
+exact as ``"numerator/denominator"`` — never floats).  Every number, in
+a braid, an option or a corpus parameter, is read by
+:func:`braidcert.braid.parse_decimal`: plain ASCII, without ``_``.
 
 Every task is one entry of :data:`TASKS`, which both the subcommands and
 the ``corpus`` runner read: a corpus row may give only the parameters
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from braidcert.braid import BraidWord, parse_braid
+from braidcert.braid import BraidWord, parse_braid, parse_decimal
 from braidcert.certify import (
     Certificate,
     Verdict,
@@ -55,7 +57,7 @@ _MISSING_ASSERTION_NOTE = (
 
 def _parse_rational(text: str, what: str) -> Fraction:
     try:
-        return Fraction(text)
+        return parse_decimal(text, Fraction)
     except (ValueError, ZeroDivisionError):
         raise BadParameters(f"{what} must be a rational like 5/12, got {text!r}")
 
@@ -265,11 +267,13 @@ _CORPUS_TASKS = {task.corpus: task for task in TASKS if task.corpus}
 # subcommands
 
 
+def _json_line(record: dict) -> str:
+    """One JSON report line, in the stable separators of the goldens."""
+    return json.dumps(record, separators=(", ", ": "))
+
+
 def _emit(args, record: dict, text: str) -> None:
-    if args.report == "json":
-        print(json.dumps(record, separators=(", ", ": ")))
-    else:
-        print(text)
+    print(_json_line(record) if args.report == "json" else text)
 
 
 def _exit_for(certs: list[Certificate]) -> int:
@@ -309,7 +313,7 @@ def _corpus_value(param: Param, raw: str, line_no: int):
     if param.type is not int:
         return param.type(raw)
     try:
-        return int(raw)
+        return parse_decimal(raw)
     except ValueError:
         raise ParseError(f"parameter {param.corpus} must be an integer, got"
                          f" {raw!r}", line=line_no)
@@ -386,18 +390,15 @@ def _cmd_corpus(args) -> int:
             if cert is not None:
                 certs.append(cert)
             if args.report == "json":
-                record = {"id": entry_id, "task": task}
-                record.update(payload)
-                out.append(json.dumps(record, separators=(", ", ": ")))
+                out.append(_json_line({"id": entry_id, "task": task, **payload}))
             else:
                 out.append(f"{entry_id}\t{text}")
         except BraidError as exc:
             had_error = True
             name = type(exc).__name__
             if args.report == "json":
-                out.append(json.dumps(
-                    {"id": entry_id, "error": name, "message": str(exc)},
-                    separators=(", ", ": ")))
+                out.append(_json_line({"id": entry_id, "error": name,
+                                       "message": str(exc)}))
             else:
                 out.append(f"{entry_id}\terror: {name}: {exc}")
 
@@ -411,11 +412,20 @@ def _cmd_corpus(args) -> int:
 # parser assembly
 
 
+def _option_int(text: str) -> int:
+    """An integer option's value by :func:`parse_decimal`, failing with
+    argparse's own usage message for a bad value."""
+    try:
+        return parse_decimal(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _add_param(p: argparse.ArgumentParser, param: Param) -> None:
     if param.type is None:
         p.add_argument(param.option, action="store_true", help=param.help)
     elif param.option.startswith("-"):
-        p.add_argument(param.option, type=int if param.type is int else None,
+        p.add_argument(param.option, type=_option_int if param.type is int else None,
                        required=param.required, default=param.default,
                        help=param.help)
     elif param.required:
@@ -462,8 +472,7 @@ def main(argv=None) -> int:
     except BraidError as exc:
         name = type(exc).__name__
         if getattr(args, "report", "text") == "json":
-            print(json.dumps({"error": name, "message": str(exc)},
-                             separators=(", ", ": ")))
+            print(_json_line({"error": name, "message": str(exc)}))
         else:
             print(f"error: {name}: {exc}", file=sys.stderr)
         return 1

@@ -184,6 +184,48 @@ class TestErrors:
             assert code == 1, argv
             assert "tolerance must be positive" in err, argv
 
+    # int() and Fraction() alone would read "1_0" as 10 and an
+    # Arabic-Indic three as 3
+    @pytest.mark.parametrize("argv, bad", [
+        (["certify-cover", "--word", "3: 1 -2", "--t", "1_0"], "--t"),
+        (["certify-genus1", "--word", "3: -1 -2", "--n", "\u0663"], "--n"),
+        (["certify-surgery", "--c", "1/2", "--n", "2", "--q", "0",
+          "--genus", "1_0"], "--genus"),
+    ])
+    def test_integer_options_take_ascii_decimals_only(self, capsys, argv, bad):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        value = argv[argv.index(bad) + 1]
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            f"error: argument {bad}: invalid int value: {value!r}")
+
+    @pytest.mark.parametrize("argv, what", [
+        (["fdtc", "4: 1 2 3", "--tol", "1/1_2"], "tol"),
+        (["certify-surgery", "--c", "1_0/3", "--n", "2", "--q", "0"],
+         "twist value"),
+        (["certify-surgery", "--c", "0,\u0661", "--n", "2", "--q", "0"],
+         "interval endpoint"),
+    ])
+    def test_rational_options_take_ascii_decimals_only(self, capsys, argv, what):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: BadParameters: {what} must be a rational")
+
+    def test_exact_decimal_tolerance_still_accepted(self, capsys):
+        code, out, _ = run(capsys, "fdtc", "4: 1 2 3", "--tol", "0.5")
+        assert (code, out) == (0, "c in [0, 1/2]\n")
+
+    def test_bad_budget_setting_is_an_error_line(self, capsys, monkeypatch):
+        monkeypatch.setenv("BRAIDCERT_REDUCTION_BUDGET", "abc")
+        code, out, err = run(capsys, "floor", "3: 1 2")
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [
+            "error: BadParameters: BRAIDCERT_REDUCTION_BUDGET must be an"
+            " integer, got 'abc'"]
+
 
 CORPUS = """\
 # comment lines and blanks are skipped
@@ -282,3 +324,19 @@ class TestCorpus:
         records = [json.loads(line) for line in out.splitlines()]
         assert [r.get("error") for r in records] == ["ParseError"] * 3 + [None]
         assert records[3]["floor"] == 0
+
+    def test_parameters_take_ascii_decimals_only(self, tmp_path, capsys):
+        p = tmp_path / "corpus.tsv"
+        p.write_text("t\tCoverCertify\tt=1_0\t3: 1 -2\n"
+                     "n\tGenus1\tn=\u0663\t3: -1 -2\n"
+                     "tol\tFdtc\ttol=1_2\t4: 1 2 3\n"
+                     "half\tFdtc\ttol=0.5\t4: 1 2 3\n")
+        code, out, _ = run(capsys, "corpus", str(p), "--report", "json")
+        assert code == 1
+        t, n, tol, half = (json.loads(line) for line in out.splitlines())
+        assert t["message"] == ("line 1, column 1: parameter t must be an"
+                                " integer, got '1_0'")
+        assert n["error"] == "ParseError"
+        assert (tol["error"], tol["message"]) == (
+            "BadParameters", "tol must be a rational like 5/12, got '1_2'")
+        assert (half["lo"], half["hi"]) == ("0", "1/2")

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidcert import _reduction_py
-from braidcert.errors import ReductionBudgetExceeded
+from braidcert.errors import BadParameters, ReductionBudgetExceeded
 
 needs_c = pytest.mark.skipif(_reduction_c is None,
                              reason="compiled kernel not built")
@@ -336,10 +336,13 @@ class TestKernelSelection:
         monkeypatch.setenv("BRAIDCERT_REDUCTION_BUDGET", "12345")
         assert _kernel.default_budget() == 12345
         monkeypatch.setenv("BRAIDCERT_REDUCTION_BUDGET", "zero")
-        with pytest.raises(ValueError):
+        with pytest.raises(BadParameters):
             _kernel.default_budget()
         monkeypatch.setenv("BRAIDCERT_REDUCTION_BUDGET", "-3")
-        with pytest.raises(ValueError):
+        with pytest.raises(BadParameters):
+            _kernel.default_budget()
+        monkeypatch.setenv("BRAIDCERT_REDUCTION_BUDGET", "1_0")  # int() reads 10
+        with pytest.raises(BadParameters):
             _kernel.default_budget()
         monkeypatch.delenv("BRAIDCERT_REDUCTION_BUDGET")
         assert _kernel.default_budget() == _kernel.DEFAULT_REDUCTION_BUDGET

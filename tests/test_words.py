@@ -200,6 +200,8 @@ class TestParsing:
             ("30: 1_0", 5),    # int() would read sigma_10
             ("3: \u0661", 4),  # an Arabic-Indic digit one
             ("1_0: 1 2", 1),   # int() would read 10 strands
+            (" 3: 1 2\u30001", 7),  # an ideographic space is no separator
+            ("\u30003: 1", 1),      # nor is it stripped off the strand count
         ],
     )
     def test_only_ascii_decimal_integers(self, text, column):
@@ -207,6 +209,7 @@ class TestParsing:
             parse_braid(text)
         assert info.value.column == column
         assert parse_braid("3: +1 -2") == BraidWord(3, (1, -2))
+        assert parse_braid("\t3 :\t1  -2 ") == BraidWord(3, (1, -2))
 
     def test_parse_error_line_passthrough(self):
         with pytest.raises(ParseError) as info:
