@@ -4,6 +4,10 @@ The compiled extension and the pure-Python module implement the same
 reduction, letter for letter.  Import-time selection prefers the
 extension; set BRAIDCERT_KERNEL=python (or =c) to force a choice.
 
+This module also picks the engine for the power ladder's probes
+(:func:`ladder_sign`): handle reduction under the compiled kernel,
+Dynnikov coordinates under the pure-Python one.
+
 This module is the one place that resolves the reduction budget: every
 kernel call reads BRAIDCERT_REDUCTION_BUDGET afresh, so a program can
 change it between calls.
@@ -13,9 +17,9 @@ from __future__ import annotations
 
 import os
 
-from braidcert import _reduction_py
+from braidcert import _reduction_py, dynnikov
 from braidcert.braid import parse_decimal
-from braidcert.errors import BadParameters
+from braidcert.errors import BadParameters, ReductionBudgetExceeded
 
 try:
     from braidcert import _reduction_c
@@ -62,6 +66,31 @@ def default_budget() -> int:
 def sign_of(letters, strands: int) -> int:
     """Dehornoy sign of a word, -1, 0 or +1, under the process budget."""
     return _impl.sign_of(letters, strands, default_budget())
+
+
+def ladder_sign(letters, strands: int) -> int:
+    """Dehornoy sign of a probe of ordering.power_floor's ladder, under
+    the process budget.
+
+    The compiled kernel decides it by handle reduction, through
+    :func:`sign_of`.  The pure-Python build walks Dynnikov coordinates
+    instead (:func:`braidcert.dynnikov.sign`): on the ladder's probes,
+    hundreds of letters of a power and its full twists, the walk is
+    about twice as fast as pure-Python handle reduction, but slower than
+    compiled handle reduction.  A probe whose freely reduced word
+    is longer than the budget is refused with the kernels' own message,
+    so either engine fails on the same probes in the same words.
+    """
+    if _impl is not _reduction_py:
+        return sign_of(letters, strands)
+    budget = default_budget()
+    if len(letters) > budget:  # free reduction only shortens a word
+        length = len(dynnikov.free_reduce(letters))
+        if length > budget:
+            raise ReductionBudgetExceeded(
+                f"word of length {length} exceeds budget {budget}"
+            )
+    return dynnikov.sign(letters, strands)
 
 
 def reduce_word(letters, strands: int) -> list[int]:

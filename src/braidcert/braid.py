@@ -34,7 +34,7 @@ from braidcert.errors import (
 MAX_WORD_LETTERS = 10**6
 
 #: The separators of the text format: ASCII space and tab, nothing else.
-_BLANKS = " \t"
+BLANKS = " \t"
 
 _N = TypeVar("_N")
 
@@ -231,7 +231,7 @@ def parse_braid(text: str, line: int = 1) -> BraidWord:
     head, sep, tail = text.partition(":")
     if not sep:
         raise ParseError("expected 'strands: letters', missing ':'", line, len(text) + 1)
-    strands_text = head.strip(_BLANKS)
+    strands_text = head.strip(BLANKS)
     try:
         strands = parse_decimal(strands_text)
     except ValueError:
@@ -274,4 +274,4 @@ def parse_decimal(text: str, number: Callable[[str], _N] = int) -> _N:
 
 
 def _leading_ws(s: str) -> int:
-    return len(s) - len(s.lstrip(_BLANKS))
+    return len(s) - len(s.lstrip(BLANKS))

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from braidcert.braid import BraidWord, parse_braid, parse_decimal
+from braidcert.braid import BLANKS, BraidWord, parse_braid, parse_decimal
 from braidcert.certify import (
     Certificate,
     Verdict,
@@ -70,10 +70,11 @@ def _parse_fdtc_value(text: str) -> FdtcValue:
     """Exact rational "a/b", or interval "lo,hi"."""
     if "," in text:
         lo_text, _, hi_text = text.partition(",")
-        lo = _parse_rational(lo_text.strip(), "interval endpoint")
-        hi = _parse_rational(hi_text.strip(), "interval endpoint")
+        lo = _parse_rational(lo_text.strip(BLANKS), "interval endpoint")
+        hi = _parse_rational(hi_text.strip(BLANKS), "interval endpoint")
         return FdtcValue.interval(lo, hi, "command line")
-    return FdtcValue.exact(_parse_rational(text.strip(), "twist value"), "command line")
+    return FdtcValue.exact(_parse_rational(text.strip(BLANKS), "twist value"),
+                           "command line")
 
 
 #: What a required corpus parameter of each type takes, for error messages.
@@ -321,11 +322,11 @@ def _corpus_value(param: Param, raw: str, line_no: int):
 
 def _parse_params(task: Task, text: str, tol: Fraction, line_no: int) -> dict:
     """The task's parameter values from a corpus params field: k=v pairs
-    and bare flags the task declares, or - for none.  The tolerance
-    defaults to the corpus command's --tol."""
+    and bare flags the task declares, separated by spaces, or - for
+    none.  The tolerance defaults to the corpus command's --tol."""
     values = {p.dest: tol if p is _TOL else p.default for p in task.params}
     declared = {p.corpus: p for p in task.params if p.corpus}
-    for token in [] if text == "-" else text.split():
+    for token in [] if text == "-" else filter(None, text.split(" ")):
         key, eq, raw = token.partition("=")
         param = declared.get(key)
         if not eq:
@@ -370,7 +371,7 @@ def _cmd_corpus(args) -> int:
     out: list[str] = []
 
     for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
+        line = raw.strip(BLANKS)
         if not line or line.startswith("#"):
             continue
         entry_id = f"line-{line_no}"
@@ -379,7 +380,7 @@ def _cmd_corpus(args) -> int:
             if len(fields) != 4:
                 raise ParseError("expected id<tab>task<tab>params<tab>braid",
                                  line=line_no)
-            entry_id, task, params, braid_text = (f.strip() for f in fields)
+            entry_id, task, params, braid_text = (f.strip(BLANKS) for f in fields)
             if not entry_id:
                 raise ParseError("empty id", line=line_no)
             if entry_id in seen_ids:

@@ -11,7 +11,8 @@ handle-reduce the word; the empty word is the identity, otherwise the
 lowest generator of the reduced word occurs with one sign only and that
 sign is the answer.  Whether a word is trivial, a question that needs no
 sign, is decided apart from the kernel, by Dynnikov coordinates
-(:mod:`braidcert.dynnikov`).
+(:mod:`braidcert.dynnikov`), and so, in the pure-Python build, are the
+signs of the power ladder's probes (:func:`power_floor`).
 
 The *floor* of a braid ``b`` counts full twists, using the Garside half
 twist ``delta``:
@@ -255,7 +256,7 @@ def power_floor(b: BraidWord, k: int) -> int:
     q = 5 leaves a search on one copy of b, not on delta^(2p 5) b^-1.
 
     Otherwise the floor is quasi-additive on powers of b, and a binary
-    ladder climbs to k with one kernel query per step.
+    ladder climbs to k with one probe per step.
 
     Lemma: for A, B >= 1, floor(b^(A+B)) is S = floor(b^A) + floor(b^B)
     or S + 1.  Proof for b > 1, where every power of b is > 1: a
@@ -286,6 +287,9 @@ def power_floor(b: BraidWord, k: int) -> int:
     X^-1 instead of carrying every negative letter across the whole power
     to one block at the end.  For b < 1 the probe delta^(2J) b^n is
     spread the same way, as w (delta^(2a_1) X) ... (delta^(2a_n) X) w^-1.
+    :func:`braidcert._kernel.ladder_sign` decides each probe: by handle
+    reduction when the compiled kernel is built, by Dynnikov coordinates
+    in the pure-Python build, where the walk is the faster engine.
 
     The ladder reads the bits of k after the leading one: each bit
     doubles n -> 2n, and a set bit then steps n -> n + 1.  So k costs
@@ -322,7 +326,7 @@ def power_floor(b: BraidWord, k: int) -> int:
         # floor(b^n) is s or s + 1 by the lemma; one probe decides
         _power_cap(b, n)
         probe = _spread_probe(w, x, m, n, s + 1, positive)
-        return s if _kernel.sign_of(probe, m) > 0 else s + 1
+        return s if _kernel.ladder_sign(probe, m) > 0 else s + 1
 
     n, f = 1, _search_floor(b, positive)
     f1 = f

@@ -20,7 +20,7 @@ from math import gcd
 
 import conftest
 
-from braidcert import _kernel
+from braidcert import _kernel, dynnikov
 from braidcert import (
     BraidWord,
     Certificate,
@@ -207,19 +207,23 @@ def test_criterion_3_fdtc_exactness():
 
 
 def test_criterion_3_floor_cost(monkeypatch):
-    """The twist intervals of criterion 3 feed the kernel's sign queries
-    fewer letters than restarting the floor search on b^24 does.  Both
-    paths run here, on every fifth criterion-3 word to keep the slow
-    restart path short; letters are counted, not timed."""
+    """The twist intervals of criterion 3 feed the sign engines fewer
+    letters than restarting the floor search on b^24 does.  Both
+    engines count: the kernel's sign queries, and in the pure-Python
+    build the coordinate walks that decide the power ladder's probes.
+    Both paths run here, on every fifth criterion-3 word to keep the
+    slow restart path short; letters are counted, not timed."""
     words = [b for b, _ in _criterion_3_cases()[0][::5]]
     fed = [0]
-    sign_of = _kernel.sign_of
 
-    def counting(letters, strands):
-        fed[0] += len(letters)
-        return sign_of(letters, strands)
+    def counting(engine):
+        def sign(letters, strands):
+            fed[0] += len(letters)
+            return engine(letters, strands)
+        return sign
 
-    monkeypatch.setattr(_kernel, "sign_of", counting)
+    monkeypatch.setattr(_kernel, "sign_of", counting(_kernel.sign_of))
+    monkeypatch.setattr(dynnikov, "sign", counting(dynnikov.sign))
     for b in words:
         fdtc_interval_by_floor(b, Fraction(1, 24))
     refined, fed[0] = fed[0], 0

@@ -206,6 +206,11 @@ class TestErrors:
          "twist value"),
         (["certify-surgery", "--c", "0,\u0661", "--n", "2", "--q", "0"],
          "interval endpoint"),
+        # only ASCII space and tab are blanks around a value
+        (["certify-surgery", "--c", "0,\u30001/2", "--n", "4", "--q", "0"],
+         "interval endpoint"),
+        (["certify-surgery", "--c", "1/2\u3000", "--n", "4", "--q", "0"],
+         "twist value"),
     ])
     def test_rational_options_take_ascii_decimals_only(self, capsys, argv, what):
         code, out, err = run(capsys, *argv)
@@ -340,3 +345,21 @@ class TestCorpus:
         assert (tol["error"], tol["message"]) == (
             "BadParameters", "tol must be a rational like 5/12, got '1_2'")
         assert (half["lo"], half["hi"]) == ("0", "1/2")
+
+    def test_fields_strip_ascii_blanks_only(self, tmp_path, capsys):
+        # an ideographic space (U+3000) is no blank of the text format,
+        # around a field or between parameters
+        p = tmp_path / "corpus.tsv"
+        p.write_text("u\tFloor\t-\t\u30003: 1\u3000\n"
+                     "n\tGenus1\tn=6\u3000t=2\t3: -1 -2\n"
+                     "\u3000\n"
+                     " ok \tFloor\t - \t 3: 1 \n")
+        code, out, _ = run(capsys, "corpus", str(p), "--report", "json")
+        assert code == 1
+        u, n, blank, ok = (json.loads(line) for line in out.splitlines())
+        assert (u["id"], u["error"]) == ("u", "ParseError")
+        assert (n["id"], n["message"]) == (
+            "n", "line 2, column 1: parameter n must be an integer, got "
+                 + repr("6\u3000t=2"))
+        assert (blank["id"], blank["error"]) == ("line-3", "ParseError")
+        assert (ok["id"], ok["floor"]) == ("ok", 0)

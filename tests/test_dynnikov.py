@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidcert import BraidWord, _reduction_py, delta, dynnikov
+from braidcert.ordering import _cyclic_core, _spread_probe
 
 BUDGET = 10**6
 
@@ -63,6 +64,49 @@ def trivial_words(draw):
 kernel_inputs = st.one_of(
     braid_words(max_strands=6, max_len=30).map(lambda b: (b.strands, b.letters)),
     probe_words(),
+    trivial_words(),
+)
+
+
+@st.composite
+def ladder_probes(draw):
+    """(m, probe): a probe of the power ladder on b^n for the twist
+    delta^(2j), in both orientations, as ordering.power_floor sends it."""
+    b = draw(braid_words(min_strands=3, max_strands=6, max_len=8))
+    n, j = draw(st.integers(1, 8)), draw(st.integers(0, 4))
+    w, x = _cyclic_core(b)
+    return b.strands, _spread_probe(w, x, b.strands, n, j, draw(st.booleans()))
+
+
+def power(letters, r):
+    return letters * r if r >= 0 else inverse(letters) * -r
+
+
+@st.composite
+def conjugated_twist_powers(draw):
+    """(m, w X^r delta^(2d) w^-1), the full twists before or after X^r,
+    with X = delta_1 = sigma_1 ... sigma_(m-1) or epsilon = delta_1 sigma_1,
+    whose powers X^q, q = m or m - 1, are delta^2.  r is within 2 of
+    -q d, so the braid is the identity or a few letters of X away."""
+    m = draw(st.integers(3, 7))
+    x = draw(st.sampled_from([tuple(range(1, m)), tuple(range(1, m)) + (1,)]))
+    q = m if len(x) == m - 1 else m - 1
+    d = draw(st.integers(-2, 2))
+    core, twists = power(x, -q * d + draw(st.integers(-2, 2))), power(delta(m).letters, 2 * d)
+    w = tuple(draw(st.lists(st.sampled_from([y for i in range(1, m) for y in (i, -i)]),
+                            max_size=5)))
+    middle = core + twists if draw(st.booleans()) else twists + core
+    return m, w + middle + inverse(w)
+
+
+#: The sign cross-checks' inputs: longer random words on up to 8
+#: strands, the floor-search and ladder probes, conjugated twist powers
+#: and trivial words.
+sign_inputs = st.one_of(
+    braid_words(max_strands=8, max_len=60).map(lambda b: (b.strands, b.letters)),
+    probe_words(),
+    ladder_probes(),
+    conjugated_twist_powers(),
     trivial_words(),
 )
 
@@ -155,6 +199,44 @@ class TestAgainstKernels:
         trivial = c_kernel.sign_of(word, m, BUDGET) == 0
         assert dynnikov.is_trivial(word, m) == trivial
         assert BraidWord(m, word).is_trivial() == trivial
+
+
+class TestSign:
+    @given(sign_inputs)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference_kernel(self, mw):
+        m, word = mw
+        assert dynnikov.sign(word, m) == _reduction_py.sign_of(word, m, BUDGET)
+
+    @given(sign_inputs)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_compiled_kernel(self, c_kernel, mw):
+        m, word = mw
+        assert dynnikov.sign(word, m) == c_kernel.sign_of(word, m, BUDGET)
+
+    @given(sign_inputs)
+    @settings(max_examples=300, deadline=None)
+    def test_first_moved_entry_is_an_a_entry(self, mw):
+        # so the reading "the sign of the first nonzero a_i" agrees
+        m, word = mw
+        start = [0, 1] * m
+        moved = [i for i, (x, y) in enumerate(zip(dynnikov.act(start, word), start))
+                 if x != y]
+        assert moved == [] or moved[0] % 2 == 0
+
+    @pytest.mark.parametrize("m,word,expected", [
+        (3, (), 0),
+        (3, (1, 2, -2, -1), 0),
+        (4, (2, -3, 1, 3), 1),        # sigma_1 occurs positively only
+        (4, (-1, 2, 2, -1), -1),
+        # sigma_1 occurs in both signs, so the walk decides:
+        # sigma_1^(+-1) sigma_2^(-+1) sigma_1^(-+1)
+        # = sigma_2^(-+1) sigma_1^(-+1) sigma_2^(+-1)
+        (3, (1, -2, -1), -1),
+        (3, (-1, 2, 1), 1),
+    ])
+    def test_screen_and_walk(self, m, word, expected):
+        assert dynnikov.sign(word, m) == expected
 
 
 class TestCrossingScreen:

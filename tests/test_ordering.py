@@ -272,13 +272,19 @@ class TestPowerFloor:
         assert root == []
         with recorded_queries() as base:
             dehornoy_floor(b)
-        with recorded_queries() as queries:
+        with (recorded_queries() as queries,
+              recorded_queries(_kernel, "ladder_sign") as probes):
             power_floor(b, k)
+        # the floor of b costs what dehornoy_floor(b) costs, and each
+        # ladder step one probe; the compiled kernel decides the probes
+        # through sign_of, the pure-Python build by coordinates
         steps = k.bit_length() - 1 + bin(k).count("1") - 1
-        assert len(queries) == len(base) + steps
+        assert queries[:len(base)] == base
+        assert len(probes) == steps
+        assert queries[len(base):] in ([], probes)
         # nothing asks for the sign of a bare power
         bare = {(b**n).letters for n in range(2, k + 1)}
-        assert not bare.intersection(queries)
+        assert not bare.intersection(queries + probes)
         # each step's probe on b^n spreads its J full twists through the
         # n copies of the cyclic core; J is read off the probe's length,
         # which is that of b^-n delta^(2J)
@@ -291,7 +297,7 @@ class TestPowerFloor:
             if bit == "1":
                 n += 1
                 powers.append(n)
-        for n, probe in zip(powers, queries[len(base):]):
+        for n, probe in zip(powers, probes):
             j, rest = divmod(len(probe) - 2 * len(w) - n * len(x), m * (m - 1))
             assert rest == 0 and j >= 1
             assert probe == _spread_probe(w, x, m, n, j, positive)
@@ -401,6 +407,57 @@ class TestPowerFloor:
     def test_bad_power(self):
         with pytest.raises(BadParameters):
             power_floor(BraidWord(3, (1,)), 0)
+
+
+#: Braids without a central root at k = 24, positive and negative, on 3
+#: to 5 strands: power_floor climbs the ladder for each.
+_LADDER_BRAIDS = [
+    pa_word(1, [1, 2]).conjugated_by(BraidWord(3, (2,))),
+    pa_word(-2, [3]),
+    BraidWord(4, (1, -2, 3, 1)),
+    BraidWord(5, (-1, 2, -3, -4, 2)),
+]
+
+
+class TestLadderEngine:
+    """_kernel.ladder_sign decides the ladder's probes by handle
+    reduction under the compiled kernel and by Dynnikov coordinates under
+    the pure-Python one."""
+
+    @pytest.mark.parametrize("b", _LADDER_BRAIDS)
+    def test_engines_follow_the_kernel(self, c_kernel, monkeypatch, b):
+        assert central_root(b, 24) is None
+        floors = {}
+        for kernel in (c_kernel, _reduction_py):
+            monkeypatch.setattr(_kernel, "_impl", kernel)
+            with (recorded_queries(_kernel, "ladder_sign") as probes,
+                  recorded_queries(dynnikov, "sign") as walked):
+                floors[kernel] = power_floor(b, 24)
+            assert len(probes) == 5
+            # the compiled kernel sends no walk; the pure-Python build
+            # walks every probe and nothing else
+            assert walked == ([] if kernel is c_kernel else probes)
+        assert set(floors.values()) == {dehornoy_floor(b**24)}
+
+    @pytest.mark.parametrize("b", _LADDER_BRAIDS)
+    def test_over_long_probe_is_refused_alike(self, c_kernel, monkeypatch, b):
+        w, x = _cyclic_core(b)
+        positive = sigma_sign(b) is OrderSign.POSITIVE
+        probe = _spread_probe(w, x, b.strands, 6, 3, positive)
+        length = len(BraidWord(b.strands, probe))
+        padded = probe[:1] + (1, -1) * 4 + probe[1:]
+        monkeypatch.setenv("BRAIDCERT_REDUCTION_BUDGET", str(length - 1))
+        message = f"word of length {length} exceeds budget {length - 1}"
+        for kernel in (c_kernel, _reduction_py):
+            monkeypatch.setattr(_kernel, "_impl", kernel)
+            for letters in (probe, padded):
+                with pytest.raises(ReductionBudgetExceeded) as refused:
+                    _kernel.ladder_sign(letters, b.strands)
+                assert str(refused.value) == message
+        # the budget caps the freely reduced probe, not its letters
+        monkeypatch.setenv("BRAIDCERT_REDUCTION_BUDGET", str(length))
+        assert _kernel.ladder_sign(padded, b.strands) == _reduction_py.sign_of(
+            probe, b.strands, 10**6)
 
 
 def block_probe(b: BraidWord, n: int, j: int) -> BraidWord:

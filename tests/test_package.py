@@ -100,3 +100,35 @@ def test_private_use_check_sees_both_forms():
         "line 1: from braidcert.dynnikov import _screen",
         "line 3: dynnikov._screen",
     ]
+
+
+def _braidcert_imports(source: str) -> list[str]:
+    """The braidcert modules a module's source imports, in any form."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and (
+                node.module or "").split(".")[0] == "braidcert":
+            found.append(node.module)
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            found.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names
+                      if alias.name.split(".")[0] == "braidcert"]
+    return found
+
+
+def test_coordinate_walk_stands_alone():
+    # dynnikov.py is the oracle the handle-reduction kernels are tested
+    # against, and they against it: it shares no code with them
+    source = Path(braidcert.__file__).with_name("dynnikov.py").read_text()
+    assert _braidcert_imports(source) == []
+
+
+def test_import_check_sees_every_form():
+    assert _braidcert_imports("import braidcert.errors\n"
+                              "from braidcert import _kernel\n"
+                              "from braidcert.errors import BraidError\n"
+                              "from . import braid\n"
+                              "import os\nfrom typing import Sequence\n") == [
+        "braidcert.errors", "braidcert", "braidcert.errors", ".",
+    ]
