@@ -4,8 +4,8 @@ The compiled extension and the pure-Python module implement the same
 reduction, letter for letter.  Import-time selection prefers the
 extension; set BRAIDCERT_KERNEL=python (or =c) to force a choice.
 
-This module also picks the engine for the power ladder's probes
-(:func:`ladder_sign`): handle reduction under the compiled kernel,
+This module also picks the one engine for every floor probe
+(:func:`probe_sign`): handle reduction under the compiled kernel,
 Dynnikov coordinates under the pure-Python one.
 
 This module is the one place that resolves the reduction budget: every
@@ -18,7 +18,7 @@ from __future__ import annotations
 import os
 
 from braidcert import _reduction_py, dynnikov
-from braidcert.braid import parse_decimal
+from braidcert.braid import BLANKS, parse_decimal
 from braidcert.errors import BadParameters, ReductionBudgetExceeded
 
 try:
@@ -26,7 +26,7 @@ try:
 except ImportError:  # extension not built; pure fallback
     _reduction_c = None  # type: ignore[assignment]
 
-_forced = os.environ.get("BRAIDCERT_KERNEL", "").strip().lower()
+_forced = os.environ.get("BRAIDCERT_KERNEL", "").strip(BLANKS).lower()
 if _forced == "python":
     _impl = _reduction_py
 elif _forced == "c":
@@ -49,7 +49,7 @@ DEFAULT_REDUCTION_BUDGET = 10**6
 def default_budget() -> int:
     """Reduction budget: BRAIDCERT_REDUCTION_BUDGET env var, else 10^6.
     Raises BadParameters when the setting is not a positive integer."""
-    raw = os.environ.get("BRAIDCERT_REDUCTION_BUDGET", "").strip()
+    raw = os.environ.get("BRAIDCERT_REDUCTION_BUDGET", "").strip(BLANKS)
     if raw:
         try:
             value = parse_decimal(raw)
@@ -68,16 +68,16 @@ def sign_of(letters, strands: int) -> int:
     return _impl.sign_of(letters, strands, default_budget())
 
 
-def ladder_sign(letters, strands: int) -> int:
-    """Dehornoy sign of a probe of ordering.power_floor's ladder, under
-    the process budget.
+def probe_sign(letters, strands: int) -> int:
+    """Dehornoy sign of a floor search's or ladder's probe, under the
+    process budget.
 
     The compiled kernel decides it by handle reduction, through
     :func:`sign_of`.  The pure-Python build walks Dynnikov coordinates
-    instead (:func:`braidcert.dynnikov.sign`): on the ladder's probes,
-    hundreds of letters of a power and its full twists, the walk is
-    about twice as fast as pure-Python handle reduction, but slower than
-    compiled handle reduction.  A probe whose freely reduced word
+    instead (:func:`braidcert.dynnikov.sign`): on the probes, a power
+    or a braid and its full twists, the walk is about twice as fast as
+    pure-Python handle reduction, but slower than compiled handle
+    reduction.  A probe whose freely reduced word
     is longer than the budget is refused with the kernels' own message,
     so either engine fails on the same probes in the same words.
     """

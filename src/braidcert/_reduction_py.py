@@ -3,7 +3,9 @@
 Reference implementation of Dehornoy handle reduction for braid words.
 A word is a list of nonzero ints, letter +i / -i for the i-th Artin
 generator and its inverse.  The compiled twin ``_reduction_c`` mirrors
-this module exactly; tests assert they agree letter for letter.
+this module exactly; tests assert they agree letter for letter.  The
+entry points take the strand count only because the twin, which checks
+letters against it, does.
 
 Algorithm: repeatedly rewrite the handle that closes leftmost.  A
 sigma_i-handle is a subword  (+-i) v (-+i)  whose interior v contains no
@@ -49,9 +51,9 @@ def _free_reduce(letters):
     return out
 
 
-def _definite_sign(cnt, strands):
+def _definite_sign(cnt, top):
     # Sign decided by the lowest generator present; _MIXED if undecided.
-    for j in range(1, strands):
+    for j in range(1, top + 1):
         p = cnt[j]
         n = cnt[-j]
         if p or n:
@@ -63,24 +65,26 @@ def _definite_sign(cnt, strands):
     return 0
 
 
-def _reduce_core(letters, strands, max_len, full):
+def _reduce_core(letters, max_len, full):
     w = _free_reduce(letters)
     if len(w) > max_len:
         raise ReductionBudgetExceeded(
             f"word of length {len(w)} exceeds budget {max_len}"
         )
 
-    # cnt[x] counts the letter x; a negative x indexes from the end.
-    cnt = [0] * (2 * strands)
+    # Tables are sized by the word's highest generator, as a rewrite
+    # brings in no other; cnt[x] counts the letter x, x < 0 from the end.
+    top = max(map(abs, w), default=0)
+    cnt = [0] * (2 * top + 2)
     for x in w:
         cnt[x] += 1
 
     if not full:
-        s = _definite_sign(cnt, strands)
+        s = _definite_sign(cnt, top)
         if s != _MIXED:
             return s, w
 
-    last = [-1] * strands  # last occurrence of each generator in w[:i]
+    last = [-1] * (top + 1)  # last occurrence of each generator in w[:i]
     prev: list[int] = []  # prev[p]: previous occurrence of w[p]'s generator
     i = 0
     n = len(w)
@@ -135,13 +139,13 @@ def _reduce_core(letters, strands, max_len, full):
         # While sigma_1 occurs with both signs the word is mixed, so
         # the scan of cnt can wait.
         if not full and not (cnt[1] and cnt[-1]):
-            sd = _definite_sign(cnt, strands)
+            sd = _definite_sign(cnt, top)
             if sd != _MIXED:
                 return sd, w
 
         # Resume at s.  No generator below g occurs in w[s..i], so only
         # last[g:] can point into it; step those back along prev.
-        for j in range(g, strands):
+        for j in range(g, top + 1):
             p = last[j]
             while p >= s:
                 p = prev[p]
@@ -149,17 +153,17 @@ def _reduce_core(letters, strands, max_len, full):
         del prev[s:]
         i = s
 
-    return _definite_sign(cnt, strands), w
+    return _definite_sign(cnt, top), w
 
 
 def reduce_word(letters, strands, max_len):
     """Fully handle-reduced word equal to the input in the braid group."""
-    _, w = _reduce_core(letters, strands, max_len, True)
+    _, w = _reduce_core(letters, max_len, True)
     return w
 
 
 def sign_of(letters, strands, max_len):
     """Dehornoy sign of the word: +1, 0 or -1 (may stop before full
     reduction once the lowest generator is sign-uniform)."""
-    s, _ = _reduce_core(letters, strands, max_len, False)
+    s, _ = _reduce_core(letters, max_len, False)
     return s

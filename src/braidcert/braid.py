@@ -202,6 +202,9 @@ def delta(m: int) -> BraidWord:
     (sigma_1 ... sigma_{m-1})(sigma_1 ... sigma_{m-2}) ... (sigma_1)."""
     if m < 2:
         raise BadStrands(f"strand count must be >= 2, got {m}")
+    size = m * (m - 1) // 2
+    if size > MAX_WORD_LETTERS:  # refused before a letter is built
+        raise WordLengthExceeded(f"{size} letters exceeds the cap of {MAX_WORD_LETTERS}")
     letters: list[int] = []
     for block in range(m - 1, 0, -1):
         letters.extend(range(1, block + 1))

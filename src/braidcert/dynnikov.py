@@ -12,9 +12,10 @@ coordinates, so their size grows at most linearly with the word's
 length.  No word is rewritten, so no working length can outgrow the
 handle-reduction budget.
 
-Here ``m`` strands use ``m`` coordinate pairs, and every sigma_i acts by
-the same formulas on pairs ``i`` and ``i + 1`` (see :func:`act`), so
-sigma_(m-1) needs the m-th pair.  With these formulas the full twist
+Every sigma_i acts by the same formulas on pairs ``i`` and ``i + 1``
+(see :func:`act`), so a word whose highest generator is ``top`` is
+walked on ``top + 1`` pairs, however many strands it is read on: the
+pairs above stay at (0, 1).  With these formulas the full twist
 delta^2, which is central, moves the start point, as a nontrivial braid
 must.  Before any walk, :func:`is_trivial` screens the word by its
 strand-pair crossing counts, which refuse most nontrivial words in one
@@ -110,10 +111,11 @@ def sign(letters: Iterable[int], m: int) -> int:
     there, so walking the word with more pairs appended gives the same
     p - s followed by zeros: the answer does not depend on how many
     strands the word is read on, as the Dehornoy sign does not on the
-    embedding of B_m in B_(m+1).  On every word that the tests compare
-    with both handle-reduction kernels, the first nonzero entry of p - s
-    is also an a-entry, so the reading "the sign of the first nonzero
-    a_i" gives the same answer there.
+    embedding of B_m in B_(m+1).  So the walk takes the fewest pairs,
+    and m does not enter it.  On every word that the tests compare with
+    both handle-reduction kernels, the first nonzero entry of p - s is
+    also an a-entry, so the reading "the sign of the first nonzero a_i"
+    gives the same answer there.
 
     Before any walk the word is freely reduced and screened as the
     kernels screen it: the empty word has sign 0, and a word whose
@@ -127,7 +129,7 @@ def sign(letters: Iterable[int], m: int) -> int:
     positive, negative = low in word, -low in word
     if positive != negative:
         return 1 if positive else -1
-    start = [0, 1] * m
+    start = [0, 1] * (max(map(abs, word)) + 1)
     for x, y in zip(act(start, word), start):
         if x != y:
             return 1 if x > y else -1
@@ -138,10 +140,13 @@ def is_trivial(letters: Sequence[int], m: int) -> bool:
     """Whether a word on m strands is the identity braid: whether it
     fixes the start point (0, 1, ..., 0, 1).  The strand-pair crossing
     counts (:func:`_strand_crossings`) come first: the identity's are
-    all 0, so a word with any other count is refused without a walk."""
-    if any(_strand_crossings(letters, m)):
+    all 0, so a word with any other count is refused without a walk.
+    As for :func:`sign`, m does not enter either: both read the word on
+    the strands that it reaches."""
+    n = max(map(abs, letters), default=0) + 1
+    if any(_strand_crossings(letters, n)):
         return False
-    start = [0, 1] * m
+    start = [0, 1] * n
     return act(start, letters) == start
 
 

@@ -11,8 +11,8 @@ handle-reduce the word; the empty word is the identity, otherwise the
 lowest generator of the reduced word occurs with one sign only and that
 sign is the answer.  Whether a word is trivial, a question that needs no
 sign, is decided apart from the kernel, by Dynnikov coordinates
-(:mod:`braidcert.dynnikov`), and so, in the pure-Python build, are the
-signs of the power ladder's probes (:func:`power_floor`).
+(:mod:`braidcert.dynnikov`), and so, in the pure-Python build, is every
+probe of a floor search or ladder (:func:`_inside`).
 
 The *floor* of a braid ``b`` counts full twists, using the Garside half
 twist ``delta``:
@@ -87,16 +87,13 @@ def _search_floor(u: BraidWord, positive: bool) -> int:
     seed to a bracket, then bisect.  holds(k) says whether u lies
     strictly inside delta^(2k+2) in the direction of its sign:
     u < delta^(2k+2) for positive u, delta^(-2k-2) < u for negative u.
-    That is one kernel query, whether u^-1 delta^(2k+2) or
-    delta^(2k+2) u is positive (the ladder's probe on one copy of u,
-    :func:`_spread_probe`).  The other inequality holds for every
-    k >= 0, because a positive u is above every negative power of
-    delta, and symmetrically."""
+    That is one probe, the ladder's on one copy of u (:func:`_inside`).
+    The other inequality holds for every k >= 0, because a positive u
+    is above every negative power of delta, and symmetrically."""
     m = u.strands
 
     def holds(k: int) -> bool:
-        probe = _spread_probe((), u.letters, m, 1, k + 1, positive)
-        return _kernel.sign_of(probe, m) > 0
+        return _inside((), u.letters, m, 1, k + 1, positive)
 
     seed = abs(u.exponent_sum) // (m * (m - 1))
     if holds(seed):
@@ -134,8 +131,8 @@ def dehornoy_floor(u: BraidWord) -> int:
     exponent sum of the full twist delta^2, gallops away from it to a
     bracket, then bisects; each candidate needs one sign computation
     because a positive braid is automatically above every negative power
-    of delta, and symmetrically.  Every probe is a kernel query, so the
-    result does not depend on the start, only the number of queries
+    of delta, and symmetrically.  Every probe is decided exactly, so the
+    result does not depend on the start, only the number of probes
     does.
     """
     sign = sigma_sign(u)
@@ -228,32 +225,35 @@ def _spread_probe(w: tuple[int, ...], x: tuple[int, ...], m: int, n: int,
     return tuple(letters)
 
 
+def _inside(w: tuple[int, ...], x: tuple[int, ...], m: int, n: int,
+            j: int, positive: bool) -> bool:
+    """Whether b^n, b = w X w^-1, lies strictly inside delta^(2j) in the
+    direction of its sign: whether the spread probe is positive, which
+    every floor probe asks of :func:`braidcert._kernel.probe_sign`."""
+    return _kernel.probe_sign(_spread_probe(w, x, m, n, j, positive), m) > 0
+
+
 def power_floor(b: BraidWord, k: int) -> int:
     """dehornoy_floor(b**k) for k >= 1, without a search on b^k.
 
     When b has a central root b^q = delta^(2p) with q <= k (see
     :func:`central_root`), the floor is a whole number of twists plus the
-    floor of a short remainder.  b > 1 exactly when p > 0, as b^q and b
-    have the same sign; for p < 0 take b^-1 and -p, since
-    floor(b^k) = floor(b^-k) (see below).  So let p >= 0, and write
-    k = s q + r with the nearest remainder, |r| <= q / 2: r = k mod q,
-    or r - q and s + 1 in its place when 2 r > q.  Then
-    b^k = delta^(2t) b^r with t = p s, and for a positive x the floor is
-    the largest i with delta^(2i) <= x.  Left-invariance and the
-    centrality of delta^2 shift it by whole twists:
+    floor of a remainder.  Write k = s q + r with r = k mod q, so that
+    b^k = delta^(2t) b^r with t = p s.  b > 1 exactly when p > 0, as b^q
+    and b have the same sign.  For p >= 0, every power of b is >= 1, and
+    for an x >= 1 the floor is the largest i with delta^(2i) <= x.
+    Left-invariance and the centrality of delta^2 shift it by whole
+    twists:
 
-        max { i : delta^(2i) <= delta^(2t) y } = t + max { i : delta^(2i) <= y }.
+        max { i : delta^(2i) <= delta^(2t) y } = t + max { i : delta^(2i) <= y },
 
-    For r >= 0, y = b^r >= 1 and the floor is t + dehornoy_floor(b^r)
-    (b^0 is the identity, of floor 0).  For r < 0, y = v^-1 with
-    v = b^|r| > 1 of floor f, so delta^(2f) <= v < delta^(2f+2).
-    delta^(2i) <= v^-1 exactly when v <= delta^(-2i), so the largest
-    such i is -f when v = delta^(2f) and -f - 1 otherwise, and the floor
-    is t - f or t - f - 1.  Whether v = delta^(2f) is decided on the
-    cyclic core X of b, as in :func:`central_root`: whether
-    X^|r| delta^(-2f) is trivial.  No query holds the full twists
-    of delta^(2t), so the cost does not grow with s: at k = 24 a root at
-    q = 5 leaves a search on one copy of b, not on delta^(2p 5) b^-1.
+    so the floor is t + dehornoy_floor(b^r) (b^0 is the identity, of
+    floor 0).  For p < 0, b^-1 has the root b^-q = delta^(-2p) with
+    -p > 0, so floor(b^-k) = -p s + dehornoy_floor(b^-r), and as
+    floor(x) = floor(x^-1) (see below), the floor of b^k is
+    |p| s + dehornoy_floor(b^r) in either case.  No query holds the full
+    twists of delta^(2t), so the cost does not grow with s: the search
+    runs on fewer than q copies of b.
 
     Otherwise the floor is quasi-additive on powers of b, and a binary
     ladder climbs to k with one probe per step.
@@ -287,9 +287,11 @@ def power_floor(b: BraidWord, k: int) -> int:
     X^-1 instead of carrying every negative letter across the whole power
     to one block at the end.  For b < 1 the probe delta^(2J) b^n is
     spread the same way, as w (delta^(2a_1) X) ... (delta^(2a_n) X) w^-1.
-    :func:`braidcert._kernel.ladder_sign` decides each probe: by handle
-    reduction when the compiled kernel is built, by Dynnikov coordinates
-    in the pure-Python build, where the walk is the faster engine.
+    :func:`_inside` decides each probe, as it does the search's
+    (:func:`_search_floor`), through the one probe engine
+    :func:`braidcert._kernel.probe_sign`: handle reduction when the
+    compiled kernel is built, Dynnikov coordinates in the pure-Python
+    build, where the walk is the faster engine.
 
     The ladder reads the bits of k after the leading one: each bit
     doubles n -> 2n, and a set bit then steps n -> n + 1.  So k costs
@@ -303,18 +305,8 @@ def power_floor(b: BraidWord, k: int) -> int:
     root = central_root(b, k)
     if root is not None:
         q, p = root
-        if p < 0:
-            b, p = b.inverse(), -p
         s, r = divmod(k, q)
-        if 2 * r > q:
-            s, r = s + 1, r - q
-        f = dehornoy_floor(BraidWord(m, b.letters * abs(r)))
-        if r >= 0:
-            return p * s + f
-        x = _cyclic_core(b)[1]
-        if dynnikov.is_trivial(x * -r + _delta_power(m, -2 * f), m):
-            return p * s - f
-        return p * s - f - 1
+        return abs(p) * s + dehornoy_floor(BraidWord(m, b.letters * r))
 
     sign = sigma_sign(b)
     if sign is OrderSign.TRIVIAL:
@@ -325,8 +317,7 @@ def power_floor(b: BraidWord, k: int) -> int:
     def floor_of_power(n: int, s: int) -> int:
         # floor(b^n) is s or s + 1 by the lemma; one probe decides
         _power_cap(b, n)
-        probe = _spread_probe(w, x, m, n, s + 1, positive)
-        return s if _kernel.ladder_sign(probe, m) > 0 else s + 1
+        return s if _inside(w, x, m, n, s + 1, positive) else s + 1
 
     n, f = 1, _search_floor(b, positive)
     f1 = f

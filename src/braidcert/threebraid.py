@@ -225,12 +225,6 @@ class Mat2:
             self.c * o.b + self.d * o.d,
         )
 
-    def __pow__(self, k: int) -> "Mat2":
-        m = Mat2.identity()
-        for _ in range(k):
-            m = m * self
-        return m
-
     @property
     def trace(self) -> int:
         return self.a + self.d

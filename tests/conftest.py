@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sysconfig
+import tracemalloc
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -152,3 +153,15 @@ def recorded_walks():
     letters walked: the triviality tests that passed the crossing
     screen."""
     return recorded_queries(dynnikov, "act", at=1)
+
+
+def traced_peak(call):
+    """call() and the peak of the Python allocations made while it ran,
+    in bytes."""
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak

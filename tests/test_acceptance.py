@@ -210,7 +210,7 @@ def test_criterion_3_floor_cost(monkeypatch):
     """The twist intervals of criterion 3 feed the sign engines fewer
     letters than restarting the floor search on b^24 does.  Both
     engines count: the kernel's sign queries, and in the pure-Python
-    build the coordinate walks that decide the power ladder's probes.
+    build the coordinate walks that decide every floor probe.
     Both paths run here, on every fifth criterion-3 word to keep the
     slow restart path short; letters are counted, not timed."""
     words = [b for b, _ in _criterion_3_cases()[0][::5]]

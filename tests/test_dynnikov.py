@@ -4,7 +4,7 @@ on known braids, and agreement with both handle-reduction kernels."""
 from __future__ import annotations
 
 import pytest
-from conftest import braid_words, probe_words, recorded_walks
+from conftest import braid_words, probe_words, recorded_walks, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -256,3 +256,19 @@ class TestCrossingScreen:
         with recorded_walks() as walks:
             assert not BraidWord(3, word).is_trivial()
         assert walks == [word]
+
+
+def test_tables_follow_the_word_not_strands():
+    # Pairs or crossing counts sized by strands would take megabytes
+    # here: 2 * 10^5 pairs, or 3000^2 counts.  [sigma_1^2, sigma_2^2]
+    # passes the crossing screen to the walk; sigma_1 sigma_2^-1
+    # sigma_1^-1 sigma_2 crosses strands 1 and 2 twice.
+    commutator = (1, 1, 2, 2, -1, -1, -2, -2)
+    answers, peak = traced_peak(lambda: (
+        dynnikov.sign((1, -2, -1), 10**5),
+        dynnikov.sign(commutator, 10**5),
+        dynnikov.is_trivial(commutator, 3000),
+        dynnikov.is_trivial(commutator + inverse(commutator), 3000),
+        BraidWord(3000, (1, -2, -1, 2)).is_trivial()))
+    assert answers == (-1, dynnikov.sign(commutator, 3), False, True, False)
+    assert peak < 100_000

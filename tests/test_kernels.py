@@ -12,10 +12,9 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
-import tracemalloc
 
 import pytest
-from conftest import _letters, _reduction_c, letter_lists, probe_words
+from conftest import _letters, _reduction_c, letter_lists, probe_words, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -199,6 +198,16 @@ class TestReferenceKernel:
         with pytest.raises(ReductionBudgetExceeded):
             _reduction_py.reduce_word(w, 3, 10)
 
+    def test_tables_follow_the_word_not_strands(self):
+        # Tables sized by strands would take megabytes here.
+        answers, peak = traced_peak(lambda: (
+            _reduction_py.reduce_word((1, 2, -1), 10**5, BUDGET),
+            _reduction_py.sign_of((-2, 3, 2), 10**5, BUDGET),
+            _reduction_py.sign_of((1, -2, -1), 10**5, BUDGET),
+            _reduction_py.sign_of((1,), 10**5, BUDGET)))
+        assert answers == ([-2, 1, 2], 1, -1, 1)
+        assert peak < 100_000
+
 
 class TestKernelParity:
     @given(words_with_strands(max_len=80))
@@ -295,13 +304,10 @@ class TestCompiledBoundary:
 
     def test_tables_follow_the_word_not_strands(self, c_kernel):
         # Tables sized by strands would take megabytes here.
-        tracemalloc.start()
-        try:
-            assert c_kernel.reduce_word((1, 2, -1), 10**6, BUDGET) == [-2, 1, 2]
-            assert c_kernel.sign_of((-2, 3, 2), 10**6, BUDGET) == 1
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        answers, peak = traced_peak(lambda: (
+            c_kernel.reduce_word((1, 2, -1), 10**6, BUDGET),
+            c_kernel.sign_of((-2, 3, 2), 10**6, BUDGET)))
+        assert answers == ([-2, 1, 2], 1)
         assert peak < 100_000
 
 
@@ -330,6 +336,16 @@ class TestKernelSelection:
         result = self._kernel_in_subprocess("fortran")
         assert result.returncode != 0
 
+    def test_kernel_name_strips_ascii_blanks_only(self):
+        result = self._kernel_in_subprocess(" \tpython ")
+        assert result.returncode == 0
+        assert result.stdout.strip() == "python"
+        # an ideographic or a no-break space is not a blank
+        for setting in ("\u3000python", "python\u00a0"):
+            result = self._kernel_in_subprocess(setting)
+            assert result.returncode != 0
+            assert "BRAIDCERT_KERNEL must be" in result.stderr
+
     def test_budget_env(self, monkeypatch):
         from braidcert import _kernel
 
@@ -346,3 +362,13 @@ class TestKernelSelection:
             _kernel.default_budget()
         monkeypatch.delenv("BRAIDCERT_REDUCTION_BUDGET")
         assert _kernel.default_budget() == _kernel.DEFAULT_REDUCTION_BUDGET
+
+    def test_budget_strips_ascii_blanks_only(self, monkeypatch):
+        from braidcert import _kernel
+
+        monkeypatch.setenv("BRAIDCERT_REDUCTION_BUDGET", " \t5 ")
+        assert _kernel.default_budget() == 5
+        for setting in ("\u3000 5", "5\u00a0", "\u20035"):
+            monkeypatch.setenv("BRAIDCERT_REDUCTION_BUDGET", setting)
+            with pytest.raises(BadParameters):
+                _kernel.default_budget()

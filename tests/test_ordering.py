@@ -270,18 +270,21 @@ class TestPowerFloor:
             assume(central_root(b, k) is None)
         # the central-root test decides triviality off the kernel
         assert root == []
-        with recorded_queries() as base:
+        with recorded_queries(_kernel, "probe_sign") as base:
             dehornoy_floor(b)
         with (recorded_queries() as queries,
-              recorded_queries(_kernel, "ladder_sign") as probes):
+              recorded_queries(_kernel, "probe_sign") as probes):
             power_floor(b, k)
         # the floor of b costs what dehornoy_floor(b) costs, and each
-        # ladder step one probe; the compiled kernel decides the probes
-        # through sign_of, the pure-Python build by coordinates
+        # ladder step one probe; the one sign query is of b, and the
+        # compiled kernel decides the probes through sign_of, the
+        # pure-Python build by coordinates
         steps = k.bit_length() - 1 + bin(k).count("1") - 1
-        assert queries[:len(base)] == base
-        assert len(probes) == steps
-        assert queries[len(base):] in ([], probes)
+        assert probes[:len(base)] == base
+        assert len(probes) == len(base) + steps
+        assert queries[:1] == [b.letters]
+        assert queries[1:] in ([], probes)
+        probes = probes[len(base):]
         # nothing asks for the sign of a bare power
         bare = {(b**n).letters for n in range(2, k + 1)}
         assert not bare.intersection(queries + probes)
@@ -317,7 +320,7 @@ class TestPowerFloor:
               Fraction(3, 5), True), 12, True)
     @example((BraidWord(4, (1, 2, 3)).conjugated_by(BraidWord(4, (3, -1))),
               Fraction(1, 4), True), 10, True)
-    # remainders b^-2 that are themselves central: delta^4 and delta^2
+    # remainders b^r that are themselves central: delta^6 and delta^4
     @example((full_twist(5).conjugated_by(BraidWord(5, (2, -3))),
               Fraction(1), True), 8, False)
     @example((full_twist(5).conjugated_by(BraidWord(5, (2, -3))),
@@ -327,7 +330,7 @@ class TestPowerFloor:
     @example(((BraidWord(6, (1, 2, 3, 4, 5)) ** 3).conjugated_by(BraidWord(6, (4, -1))),
               Fraction(1, 2), True), 10, True)
     @settings(max_examples=40, deadline=None)
-    def test_nearest_remainder_matches_floor_of_power(self, case, k, invert):
+    def test_remainder_matches_floor_of_power(self, case, k, invert):
         # k mod q above, at and below q / 2, on both signs of b
         b, _, periodic = case
         assume(periodic)
@@ -337,13 +340,15 @@ class TestPowerFloor:
         assert power_floor(b, k) == dehornoy_floor(b**k)
 
     #: (m, j, k, r): b = delta_1^j, conjugated, on m strands, has its root
-    #: at q = m; the search runs on b^|r| for b > 1 and on b^-|r| for
-    #: b < 1, the copies of b left after delta^(2p (k - r) / q)
+    #: at q = m; r is the remainder nearest to 0, |r| <= q / 2, so that
+    #: k mod q lies above q / 2 where r < 0.  Whatever the sign of b, the
+    #: search runs on b^(k mod q), the copies of b left after
+    #: delta^(2p (k - k mod q) / q)
     REMAINDERS = [
-        (5, 3, 24, -1),  # 24 = 5 * 5 - 1: one copy of b, not four
+        (5, 3, 24, -1),  # 24 = 4 * 5 + 4: four copies of b
         (5, 3, 12, 2),
         (5, -2, 23, -2),
-        (4, 1, 10, 2),  # the tie 2 r = q keeps r = 2
+        (4, 1, 10, 2),  # k mod q = q / 2
         (4, 1, 11, -1),
         (4, 2, 8, 0),
     ]
@@ -354,8 +359,8 @@ class TestPowerFloor:
         b = (BraidWord(m, tuple(range(1, m))) ** j).conjugated_by(BraidWord(m, (2, -1)))
         if invert:
             b = b.inverse()
-        q, p = central_root(b, k)
-        assert q == m
+        q, _ = central_root(b, k)
+        assert q == m and k % q == r % q
         searched = []
 
         def recording(u):
@@ -364,8 +369,7 @@ class TestPowerFloor:
 
         monkeypatch.setattr(ordering, "dehornoy_floor", recording)
         assert power_floor(b, k) == dehornoy_floor(b**k)
-        above = b if p > 0 else b.inverse()
-        assert searched == [above ** abs(r)]
+        assert searched == [b ** (k % q)]
 
     @given(twisted_families(max_strands=5), st.integers(0, 12), st.booleans())
     @example((BraidWord(5, (1, 2, 3, 4) * 3).conjugated_by(BraidWord(5, (2, -3))),
@@ -420,9 +424,9 @@ _LADDER_BRAIDS = [
 
 
 class TestLadderEngine:
-    """_kernel.ladder_sign decides the ladder's probes by handle
-    reduction under the compiled kernel and by Dynnikov coordinates under
-    the pure-Python one."""
+    """_kernel.probe_sign decides every floor probe, the search's and the
+    ladder's, by handle reduction under the compiled kernel and by
+    Dynnikov coordinates under the pure-Python one."""
 
     @pytest.mark.parametrize("b", _LADDER_BRAIDS)
     def test_engines_follow_the_kernel(self, c_kernel, monkeypatch, b):
@@ -430,14 +434,37 @@ class TestLadderEngine:
         floors = {}
         for kernel in (c_kernel, _reduction_py):
             monkeypatch.setattr(_kernel, "_impl", kernel)
-            with (recorded_queries(_kernel, "ladder_sign") as probes,
+            with recorded_queries(_kernel, "probe_sign") as searched:
+                dehornoy_floor(b)
+            with (recorded_queries(_kernel, "probe_sign") as probes,
                   recorded_queries(dynnikov, "sign") as walked):
                 floors[kernel] = power_floor(b, 24)
-            assert len(probes) == 5
+            # the search's probes, then one per ladder step
+            assert probes[:len(searched)] == searched
+            assert len(probes) == len(searched) + 5
             # the compiled kernel sends no walk; the pure-Python build
             # walks every probe and nothing else
             assert walked == ([] if kernel is c_kernel else probes)
         assert set(floors.values()) == {dehornoy_floor(b**24)}
+
+    @pytest.mark.parametrize("b", _LADDER_BRAIDS)
+    def test_search_asks_one_sign_and_probes_the_rest(self, c_kernel, monkeypatch, b):
+        for kernel in (c_kernel, _reduction_py):
+            monkeypatch.setattr(_kernel, "_impl", kernel)
+            with (recorded_queries() as signs,
+                  recorded_queries(_kernel, "probe_sign") as probes,
+                  recorded_queries(dynnikov, "sign") as walked):
+                dehornoy_floor(b)
+            assert probes
+            # sign_of is asked for the sign of b; the compiled kernel
+            # decides the probes through it, the pure-Python build walks
+            # every probe
+            if kernel is c_kernel:
+                assert signs == [b.letters] + probes
+                assert walked == []
+            else:
+                assert signs == [b.letters]
+                assert walked == probes
 
     @pytest.mark.parametrize("b", _LADDER_BRAIDS)
     def test_over_long_probe_is_refused_alike(self, c_kernel, monkeypatch, b):
@@ -452,11 +479,11 @@ class TestLadderEngine:
             monkeypatch.setattr(_kernel, "_impl", kernel)
             for letters in (probe, padded):
                 with pytest.raises(ReductionBudgetExceeded) as refused:
-                    _kernel.ladder_sign(letters, b.strands)
+                    _kernel.probe_sign(letters, b.strands)
                 assert str(refused.value) == message
         # the budget caps the freely reduced probe, not its letters
         monkeypatch.setenv("BRAIDCERT_REDUCTION_BUDGET", str(length))
-        assert _kernel.ladder_sign(padded, b.strands) == _reduction_py.sign_of(
+        assert _kernel.probe_sign(padded, b.strands) == _reduction_py.sign_of(
             probe, b.strands, 10**6)
 
 

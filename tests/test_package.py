@@ -132,3 +132,43 @@ def test_import_check_sees_every_form():
                               "import os\nfrom typing import Sequence\n") == [
         "braidcert.errors", "braidcert", "braidcert.errors", ".",
     ]
+
+
+def _attribute_uses(source: str, module: str) -> dict[str, set[str]]:
+    """Where a module's source reaches ``module.name``: for each name, the
+    top-level functions that name it, "<module>" for any other place."""
+    uses: dict[str, set[str]] = {}
+    tree = ast.parse(source)
+    for top in tree.body:
+        function = isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef))
+        owner = top.name if function else "<module>"
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == module):
+                uses.setdefault(node.attr, set()).add(owner)
+    return uses
+
+
+def test_floor_probes_have_one_engine():
+    # every floor probe goes through the probe helper to
+    # _kernel.probe_sign; sign_of answers the other sign queries only
+    source = Path(braidcert.__file__).with_name("ordering.py").read_text()
+    assert _attribute_uses(source, "_kernel") == {
+        "sign_of": {"sigma_sign", "compare"},
+        "probe_sign": {"_inside"},
+        "reduce_word": {"reduced_word"},
+    }
+    assert "sign" not in _attribute_uses(source, "dynnikov")
+
+
+def test_attribute_check_sees_nested_and_module_level_uses():
+    source = ("from braidcert import _kernel\n"
+              "ENGINE = _kernel.sign_of\n"
+              "def floor(u):\n"
+              "    def holds(k):\n"
+              "        return _kernel.sign_of(k, 3)\n"
+              "    return _kernel.probe_sign(u, 3) + kernel.sign_of(u, 3)\n")
+    assert _attribute_uses(source, "_kernel") == {
+        "sign_of": {"<module>", "floor"},
+        "probe_sign": {"floor"},
+    }

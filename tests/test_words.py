@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from conftest import braid_words
+from conftest import braid_words, traced_peak
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -17,6 +17,7 @@ from braidcert import (
     StrandMismatch,
     WordLengthExceeded,
     delta,
+    fdtc_interval,
     format_braid,
     full_twist,
     identity,
@@ -127,6 +128,20 @@ class TestGarsideElements:
             p = delta(m).permutation()
             assert p.images == tuple(range(m, 0, -1))
             assert full_twist(m).permutation().is_identity
+
+    def test_over_long_half_twist_is_refused_before_it_is_built(self):
+        # delta(3000) would have 4,498,500 letters: past the cap, and
+        # tens of megabytes if built before the check
+        def refused():
+            with pytest.raises(WordLengthExceeded) as half:
+                delta(3000)
+            with pytest.raises(WordLengthExceeded) as interval:
+                fdtc_interval(BraidWord(3000, (1, -2)), 1)
+            return str(half.value), str(interval.value)
+
+        messages, peak = traced_peak(refused)
+        assert messages == (f"4498500 letters exceeds the cap of {MAX_WORD_LETTERS}",) * 2
+        assert peak < 100_000
 
 
 class TestPermutations:
