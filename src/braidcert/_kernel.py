@@ -90,7 +90,7 @@ def probe_sign(letters, strands: int) -> int:
             raise ReductionBudgetExceeded(
                 f"word of length {length} exceeds budget {budget}"
             )
-    return dynnikov.sign(letters, strands)
+    return dynnikov.sign(letters)
 
 
 def reduce_word(letters, strands: int) -> list[int]:

@@ -118,7 +118,7 @@ class BraidWord:
         """Word problem: does this word represent the identity braid?
         Dynnikov coordinates decide it (:func:`braidcert.dynnikov.is_trivial`);
         handle reduction and its budget are not involved."""
-        return dynnikov.is_trivial(self.letters, self.strands)
+        return dynnikov.is_trivial(self.letters)
 
     def __str__(self) -> str:
         return format_braid(self)

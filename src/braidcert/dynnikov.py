@@ -17,9 +17,8 @@ Every sigma_i acts by the same formulas on pairs ``i`` and ``i + 1``
 walked on ``top + 1`` pairs, however many strands it is read on: the
 pairs above stay at (0, 1).  With these formulas the full twist
 delta^2, which is central, moves the start point, as a nontrivial braid
-must.  Before any walk, :func:`is_trivial` screens the word by its
-strand-pair crossing counts, which refuse most nontrivial words in one
-cheap pass.
+must.  Both questions read the letters alone: neither takes a strand
+count.
 """
 
 from __future__ import annotations
@@ -95,9 +94,15 @@ def free_reduce(letters: Iterable[int]) -> list[int]:
     return out
 
 
-def sign(letters: Iterable[int], m: int) -> int:
-    """Dehornoy sign of a word on m strands, -1, 0 or +1, read off its
-    Dynnikov coordinates.
+def _start(word: Sequence[int]) -> list[int]:
+    """The start point (0, 1, ..., 0, 1) with one pair more than the
+    word's highest generator: the fewest pairs its letters reach."""
+    return [0, 1] * (max(map(abs, word), default=0) + 1)
+
+
+def sign(letters: Iterable[int]) -> int:
+    """Dehornoy sign of a word, -1, 0 or +1, read off its Dynnikov
+    coordinates.
 
     The criterion (Dehornoy, Dynnikov, Rolfsen and Wiest, *Ordering
     Braids*, 2008, ch. XII; Dehornoy, "Efficient solutions to the braid
@@ -106,70 +111,32 @@ def sign(letters: Iterable[int], m: int) -> int:
     identity when p = s, and otherwise has the sign of the first nonzero
     entry of p - s.
 
-    It carries over to the m pairs used here.  A letter of B_m changes
+    It carries over to the pairs used here.  A letter of B_m changes
     only pairs 1 .. m, and a pair at (0, 1) that no letter touches stays
     there, so walking the word with more pairs appended gives the same
     p - s followed by zeros: the answer does not depend on how many
     strands the word is read on, as the Dehornoy sign does not on the
-    embedding of B_m in B_(m+1).  So the walk takes the fewest pairs,
-    and m does not enter it.  On every word that the tests compare with
-    both handle-reduction kernels, the first nonzero entry of p - s is
-    also an a-entry, so the reading "the sign of the first nonzero a_i"
-    gives the same answer there.
+    embedding of B_m in B_(m+1).  So the walk takes the fewest pairs.
+    On every word that the tests compare with both handle-reduction
+    kernels, the first nonzero entry of p - s is also an a-entry, so the
+    reading "the sign of the first nonzero a_i" gives the same answer
+    there.
 
-    Before any walk the word is freely reduced and screened as the
-    kernels screen it: the empty word has sign 0, and a word whose
-    lowest generator occurs with one sign only is sigma-definite, of
-    that sign.
+    The word is freely reduced before the walk: on the floor probes,
+    a power of a braid and its full twists, that drops about half the
+    letters.
     """
     word = free_reduce(letters)
-    if not word:
-        return 0
-    low = min(x if x > 0 else -x for x in word)
-    positive, negative = low in word, -low in word
-    if positive != negative:
-        return 1 if positive else -1
-    start = [0, 1] * (max(map(abs, word)) + 1)
+    start = _start(word)
     for x, y in zip(act(start, word), start):
         if x != y:
             return 1 if x > y else -1
     return 0
 
 
-def is_trivial(letters: Sequence[int], m: int) -> bool:
-    """Whether a word on m strands is the identity braid: whether it
-    fixes the start point (0, 1, ..., 0, 1).  The strand-pair crossing
-    counts (:func:`_strand_crossings`) come first: the identity's are
-    all 0, so a word with any other count is refused without a walk.
-    As for :func:`sign`, m does not enter either: both read the word on
-    the strands that it reaches."""
-    n = max(map(abs, letters), default=0) + 1
-    if any(_strand_crossings(letters, n)):
-        return False
-    start = [0, 1] * n
+def is_trivial(letters: Sequence[int]) -> bool:
+    """Whether a word is the identity braid: whether it fixes the start
+    point (0, 1, ..., 0, 1).  As for :func:`sign`, the walk takes the
+    pairs that the word reaches."""
+    start = _start(letters)
     return act(start, letters) == start
-
-
-def _strand_crossings(letters: Sequence[int], m: int) -> list[int]:
-    """Signed crossing counts of a word on m strands, numbered 0 .. m-1
-    by where they start: item a * m + c, a < c, is how often strands a
-    and c cross, each crossing counted with the sign of its letter.
-
-    These counts depend only on the braid, as each defining relation
-    keeps them and leaves the strands in the same places: free
-    cancellation removes a +1 and a -1 for the same pair;
-    sigma_i sigma_j = sigma_j sigma_i, |i - j| >= 2, crosses the same
-    two disjoint pairs in either order; and both sides of
-    sigma_i sigma_(i+1) sigma_i = sigma_(i+1) sigma_i sigma_(i+1) cross
-    each pair of the three strands at positions i, i + 1, i + 2 once,
-    with the same sign.
-    """
-    at = list(range(m))  # at[i]: the strand now at position i
-    crossings = [0] * (m * m)
-    for x in letters:
-        i = (x if x > 0 else -x) - 1
-        a, c = at[i], at[i + 1]
-        crossings[a * m + c if a < c else c * m + a] += 1 if x > 0 else -1
-        at[i], at[i + 1] = c, a
-    return crossings
-

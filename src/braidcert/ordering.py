@@ -191,7 +191,7 @@ def central_root(b: BraidWord, max_power: int) -> tuple[int, int] | None:
         if q > max_power or rest:
             continue
         _power_cap(b, q)
-        if dynnikov.is_trivial((core**q).letters + _delta_power(m, -2 * p), m):
+        if dynnikov.is_trivial((core**q).letters + _delta_power(m, -2 * p)):
             return q, p
     return None
 

@@ -24,6 +24,7 @@ of ``C``.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -105,20 +106,38 @@ def _quotient_word(letters: tuple[int, ...]) -> list[int]:
 
 
 def _cyclic_reduce(word: list[int]) -> list[int]:
-    w = list(word)
+    w = deque(word)
     while len(w) >= 2 and (w[0] == _X) == (w[-1] == _X):
         last = w.pop()
-        first = w.pop(0)
+        first = w.popleft()
         if last == _X:
             continue  # x x annihilates
         e = (last + first) % 3
         if e:
-            w.insert(0, e)
-    return w
+            w.appendleft(e)
+    return list(w)
 
 
 def _min_rotation(a: tuple[int, ...]) -> tuple[int, ...]:
-    return min(tuple(a[i:] + a[:i]) for i in range(len(a)))
+    # The least rotation in linear time.  i < j are the two candidate
+    # starts, and their rotations agree on their first k entries.  If
+    # entry k is larger at i, every start i + t, t <= k, is beaten by
+    # j + t, so i moves past them; likewise for j.
+    n, doubled = len(a), a + a
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        x, y = doubled[i + k], doubled[j + k]
+        if x == y:
+            k += 1
+            continue
+        if x > y:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        i, j, k = min(i, j), max(i, j), 0
+    return doubled[i:i + n]
 
 
 def normal_form(b: BraidWord) -> ThreeBraidNormalForm:

@@ -150,8 +150,8 @@ def recorded_queries(module=_kernel, name="sign_of", at=0):
 
 def recorded_walks():
     """Every Dynnikov-coordinate walk made inside the block, as the
-    letters walked: the triviality tests that passed the crossing
-    screen."""
+    letters walked: one for each triviality test, and one for each sign,
+    on its freely reduced word."""
     return recorded_queries(dynnikov, "act", at=1)
 
 

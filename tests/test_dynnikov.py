@@ -157,7 +157,7 @@ class TestKnownBraids:
     @pytest.mark.parametrize("m", range(2, 8))
     def test_twists_and_commutators_are_nontrivial(self, m):
         for name, word in known_nontrivial(m).items():
-            assert not dynnikov.is_trivial(word, m), name
+            assert not dynnikov.is_trivial(word), name
             assert not BraidWord(m, word).is_trivial(), name
 
     @pytest.mark.parametrize("m", range(3, 8))
@@ -165,21 +165,21 @@ class TestKnownBraids:
         # (sigma_1 sigma_2^-1)^3 = [sigma_1^2, sigma_2^2], and the full
         # twist is central
         borromean, bracket = (1, -2) * 3, commutator((1, 1), (2, 2))
-        assert dynnikov.is_trivial(borromean + inverse(bracket), m)
+        assert dynnikov.is_trivial(borromean + inverse(bracket))
         full = delta(m).letters * 2
-        assert dynnikov.is_trivial(commutator(full, borromean), m)
+        assert dynnikov.is_trivial(commutator(full, borromean))
 
     @given(trivial_words(), st.data())
     @settings(max_examples=200, deadline=None)
     def test_relators_are_trivial_and_one_letter_more_is_not(self, mw, data):
         m, word = mw
-        assert dynnikov.is_trivial(word, m)
+        assert dynnikov.is_trivial(word)
         assert BraidWord(m, word).is_trivial()
         x = data.draw(st.integers(1, m - 1), label="i") * data.draw(
             st.sampled_from([1, -1]), label="e")
         cut = data.draw(st.integers(0, len(word)), label="cut")
         longer = word[:cut] + (x,) + word[cut:]
-        assert not dynnikov.is_trivial(longer, m)
+        assert not dynnikov.is_trivial(longer)
         assert not BraidWord(m, longer).is_trivial()
 
 
@@ -189,7 +189,7 @@ class TestAgainstKernels:
     def test_matches_reference_kernel(self, mw):
         m, word = mw
         trivial = _reduction_py.sign_of(word, m, BUDGET) == 0
-        assert dynnikov.is_trivial(word, m) == trivial
+        assert dynnikov.is_trivial(word) == trivial
         assert BraidWord(m, word).is_trivial() == trivial
 
     @given(kernel_inputs)
@@ -197,7 +197,7 @@ class TestAgainstKernels:
     def test_matches_compiled_kernel(self, c_kernel, mw):
         m, word = mw
         trivial = c_kernel.sign_of(word, m, BUDGET) == 0
-        assert dynnikov.is_trivial(word, m) == trivial
+        assert dynnikov.is_trivial(word) == trivial
         assert BraidWord(m, word).is_trivial() == trivial
 
 
@@ -206,13 +206,13 @@ class TestSign:
     @settings(max_examples=400, deadline=None)
     def test_matches_reference_kernel(self, mw):
         m, word = mw
-        assert dynnikov.sign(word, m) == _reduction_py.sign_of(word, m, BUDGET)
+        assert dynnikov.sign(word) == _reduction_py.sign_of(word, m, BUDGET)
 
     @given(sign_inputs)
     @settings(max_examples=400, deadline=None)
     def test_matches_compiled_kernel(self, c_kernel, mw):
         m, word = mw
-        assert dynnikov.sign(word, m) == c_kernel.sign_of(word, m, BUDGET)
+        assert dynnikov.sign(word) == c_kernel.sign_of(word, m, BUDGET)
 
     @given(sign_inputs)
     @settings(max_examples=300, deadline=None)
@@ -229,46 +229,31 @@ class TestSign:
         (3, (1, 2, -2, -1), 0),
         (4, (2, -3, 1, 3), 1),        # sigma_1 occurs positively only
         (4, (-1, 2, 2, -1), -1),
-        # sigma_1 occurs in both signs, so the walk decides:
+        # sigma_1 occurs in both signs:
         # sigma_1^(+-1) sigma_2^(-+1) sigma_1^(-+1)
         # = sigma_2^(-+1) sigma_1^(-+1) sigma_2^(+-1)
         (3, (1, -2, -1), -1),
         (3, (-1, 2, 1), 1),
     ])
     def test_screen_and_walk(self, m, word, expected):
-        assert dynnikov.sign(word, m) == expected
-
-
-class TestCrossingScreen:
-    @pytest.mark.parametrize("m,word", [
-        (5, (1, 2, 3, 4, 2, 1, 3) * 200),
-        (3, (1, -2) * 1501),
-    ], ids=["positive", "s1_s2inv_1501"])
-    def test_refuses_before_any_walk(self, m, word):
+        # sigma-definite words and the rest alike are walked, and the
+        # walk agrees with the kernels' sign on m strands
         with recorded_walks() as walks:
-            assert not BraidWord(m, word).is_trivial()
-        assert walks == []
-
-    def test_passes_a_pure_word_with_no_net_crossings(self):
-        # (sigma_1 sigma_2^-1)^1500, a power of the Borromean braid, has
-        # every count 0; the coordinate walk refuses it
-        word = (1, -2) * 1500
-        with recorded_walks() as walks:
-            assert not BraidWord(3, word).is_trivial()
-        assert walks == [word]
+            assert dynnikov.sign(word) == expected
+        assert walks == [tuple(dynnikov.free_reduce(word))]
+        assert _reduction_py.sign_of(word, m, BUDGET) == expected
 
 
 def test_tables_follow_the_word_not_strands():
-    # Pairs or crossing counts sized by strands would take megabytes
-    # here: 2 * 10^5 pairs, or 3000^2 counts.  [sigma_1^2, sigma_2^2]
-    # passes the crossing screen to the walk; sigma_1 sigma_2^-1
-    # sigma_1^-1 sigma_2 crosses strands 1 and 2 twice.
+    # Pairs sized by strands would take megabytes here: 10^5 or 3000
+    # pairs.  [sigma_1^2, sigma_2^2] and sigma_1 sigma_2^-1 sigma_1^-1
+    # sigma_2 are nontrivial, and each is walked.
     commutator = (1, 1, 2, 2, -1, -1, -2, -2)
     answers, peak = traced_peak(lambda: (
-        dynnikov.sign((1, -2, -1), 10**5),
-        dynnikov.sign(commutator, 10**5),
-        dynnikov.is_trivial(commutator, 3000),
-        dynnikov.is_trivial(commutator + inverse(commutator), 3000),
+        dynnikov.sign((1, -2, -1)),
+        dynnikov.sign(commutator),
+        BraidWord(10**5, commutator).is_trivial(),
+        dynnikov.is_trivial(commutator + inverse(commutator)),
         BraidWord(3000, (1, -2, -1, 2)).is_trivial()))
-    assert answers == (-1, dynnikov.sign(commutator, 3), False, True, False)
+    assert answers == (-1, _reduction_py.sign_of(commutator, 3, BUDGET), False, True, False)
     assert peak < 100_000

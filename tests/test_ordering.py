@@ -41,7 +41,6 @@ from braidcert import (
     sigma_sign,
 )
 from braidcert import _kernel, _reduction_py, braid, dynnikov, ordering
-from braidcert.dynnikov import _strand_crossings
 from braidcert.ordering import _cyclic_core, _delta_power, _spread_probe, central_root
 
 
@@ -394,15 +393,15 @@ class TestPowerFloor:
 
     def test_root_keeps_the_power_letter_cap(self, monkeypatch):
         # the root query holds only the core's q copies, but it is
-        # refused where b**q is, before the screen
+        # refused where b**q is, before the walk
         b = BraidWord(4, (1, 2, 3)).conjugated_by(BraidWord(4, (2,)))
-        screened = BraidWord(4, (1, 1, 1)).conjugated_by(BraidWord(4, (2,)))
-        assert len(b) == len(screened) == 5
+        rootless = BraidWord(4, (1, 1, 1)).conjugated_by(BraidWord(4, (2,)))
+        assert len(b) == len(rootless) == 5
         monkeypatch.setattr(ordering, "MAX_WORD_LETTERS", 20)
         assert central_root(b, 4) == (4, 1)
-        assert central_root(screened, 4) is None
+        assert central_root(rootless, 4) is None
         monkeypatch.setattr(ordering, "MAX_WORD_LETTERS", 19)
-        for braid_ in (b, screened):
+        for braid_ in (b, rootless):
             with pytest.raises(WordLengthExceeded):
                 central_root(braid_, 4)
             with pytest.raises(WordLengthExceeded):
@@ -629,6 +628,9 @@ screen_inputs = st.one_of(
 
 
 class TestCrossingScreen:
+    """central_root's screen: exponent sums pick the candidate roots
+    (q, p), and one coordinate walk decides each candidate."""
+
     @given(twisted_families(max_strands=7), st.booleans())
     @settings(max_examples=80, deadline=None)
     def test_never_rejects_a_true_root(self, case, invert):
@@ -639,48 +641,18 @@ class TestCrossingScreen:
         m = b.strands
         # b^q = delta^(2 c q) for q = m (delta_1 powers) or q = m - 1
         # (epsilon powers), whichever makes c q an integer; the query
-        # X^q delta^(-2p) then crosses every strand pair 0 times net
+        # X^q delta^(-2p) on the core, and b^q delta^(-2p) with the
+        # conjugator's letters, are then both walked back to the start
         roots = [(q, int(c * q)) for q in (m, m - 1) if (c * q).denominator == 1]
         assert roots
         for q, p in roots:
             twist = _delta_power(m, -2 * p)
-            assert not any(_strand_crossings(core_power(b, q) + twist, m))
-            assert not any(_strand_crossings((b**q).letters + twist, m))
-            assert dynnikov.is_trivial(core_power(b, q) + twist, m)
-        assert central_root(b, m) == roots[0]
-
-    @given(braid_words(min_strands=3, max_strands=7, max_len=20), st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_counts_survive_braid_relations(self, b, data):
-        m = b.strands
-        cut = data.draw(st.integers(0, len(b)), label="cut")
-        i = data.draw(st.integers(1, m - 2), label="i")
-        e = data.draw(st.sampled_from([1, -1]), label="e")
-        relation = data.draw(st.sampled_from(["braid", "far", "free"]), label="relation")
-        if relation == "braid":
-            lhs, rhs = (e * i, e * (i + 1), e * i), (e * (i + 1), e * i, e * (i + 1))
-        elif relation == "far":
-            far = [j for j in range(1, m) if abs(j - i) >= 2]
-            assume(far)
-            j = data.draw(st.sampled_from(far), label="j") * data.draw(
-                st.sampled_from([1, -1]), label="f")
-            lhs, rhs = (e * i, j), (j, e * i)
-        else:
-            lhs, rhs = (e * i, -e * i), ()
-        u, v = b.letters[:cut], b.letters[cut:]
-        assert _strand_crossings(u + lhs + v, m) == _strand_crossings(u + rhs + v, m)
-
-    @given(screen_inputs, st.integers(-1, 1))
-    @settings(max_examples=80, deadline=None)
-    def test_rejection_means_no_root(self, b, shift):
-        # a query the screen refuses is nontrivial for the reference kernel
-        m = b.strands
-        for q in (m, m - 1):
-            p = q * b.exponent_sum // (m * (m - 1)) + shift
-            query = core_power(b, q) + _delta_power(m, -2 * p)
-            if any(_strand_crossings(query, m)):
-                assert not dynnikov.is_trivial(query, m)
-                assert _reduction_py.sign_of(query, m, 10**6) != 0
+            assert dynnikov.is_trivial(core_power(b, q) + twist)
+            assert dynnikov.is_trivial((b**q).letters + twist)
+        with recorded_walks() as walks:
+            assert central_root(b, m) == roots[0]
+        q, p = roots[0]
+        assert walks == [core_power(b, q) + _delta_power(m, -2 * p)]
 
     @given(screen_inputs)
     @settings(max_examples=80, deadline=None)
@@ -688,7 +660,7 @@ class TestCrossingScreen:
         # against the reference kernel: try q = m, then m - 1, each with
         # p = q e(b) / (m (m-1)) rounded down and moved by -1, 0 or 1;
         # exponent sums rule out every p but an exact quotient, so the
-        # screen and the walk must find exactly the first trivial one
+        # walks must find exactly the first trivial one
         m = b.strands
         trivial = [
             (q, p) for q in (m, m - 1)
@@ -701,9 +673,8 @@ class TestCrossingScreen:
     @settings(max_examples=80, deadline=None)
     def test_screened_out_q_sends_no_query(self, b):
         # the only coordinate tests are of X^q delta^(-2p) on the core,
-        # one for each candidate up to the first root, and only those
-        # whose strand pairs all cross 0 times net are walked; the
-        # kernel is never asked
+        # one for each candidate up to the first root, and each is
+        # walked; the kernel is never asked
         m = b.strands
         candidates = candidate_roots(b)
         asked = [core_power(b, q) + _delta_power(m, -2 * p) for q, p in candidates]
@@ -712,17 +683,18 @@ class TestCrossingScreen:
             root = central_root(b, m)
         assert kernel_queries == []
         assert queries == asked[:candidates.index(root) + 1 if root else None]
-        assert walks == [query for query in queries if not any(_strand_crossings(query, m))]
+        assert walks == queries
 
     def test_screen_refuses_without_a_query(self):
         # sigma_1^3 on 4 strands passes the exponent-sum test at q = 4,
-        # p = 1, but in its 4th power strands 1 and 2 cross 12 times and
-        # no other pair crosses, where delta^2 crosses every pair twice
+        # p = 1, but its 4th power is a reducible braid, not delta^2:
+        # one walk on the core refuses it, and the kernel is never asked
         b = BraidWord(4, (1, 1, 1)).conjugated_by(BraidWord(4, (3, 2)))
         assert candidate_roots(b) == [(4, 1)]
         with recorded_queries() as kernel_queries, recorded_walks() as walks:
             assert central_root(b, 4) is None
-        assert kernel_queries == walks == []
+        assert kernel_queries == []
+        assert walks == [core_power(b, 4) + _delta_power(4, -2)]
 
     def test_query_holds_no_conjugator_letters(self):
         w = BraidWord(5, (2, -3, 4, 1))
@@ -766,11 +738,10 @@ def test_budget_env_caps_every_entry_point(monkeypatch, call):
 
 #: The public entry points that only ask whether a word is trivial, with
 #: their answers.  Dynnikov coordinates decide that, so the kernel's
-#: budget never reaches them.  The words are long and pass the
-#: crossing-count screen to the coordinate walk: delta^2 _LONG delta^-2
-#: _LONG^-1 is trivial, and _LONG [sigma_1^2, sigma_2^2] _LONG^-1 is not.
-#: (sigma_1 sigma_2 sigma_3)^12 = delta^6 passes the screen of
-#: central_root at q = 4, where b^4 = delta^24.
+#: budget never reaches them.  The words are long: delta^2 _LONG
+#: delta^-2 _LONG^-1 is trivial, and _LONG [sigma_1^2, sigma_2^2]
+#: _LONG^-1 is not.  (sigma_1 sigma_2 sigma_3)^12 = delta^6 passes the
+#: exponent-sum test of central_root at q = 4, where b^4 = delta^24.
 _TRIVIALITY_ENTRY_POINTS = {
     "BraidWord.is_trivial": (
         lambda: (full_twist(4) * _LONG * full_twist(4).inverse() * _LONG.inverse()

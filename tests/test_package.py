@@ -172,3 +172,58 @@ def test_attribute_check_sees_nested_and_module_level_uses():
         "sign_of": {"<module>", "floor"},
         "probe_sign": {"floor"},
     }
+
+
+def _unread_parameters(source: str) -> list[str]:
+    """Where a module's source defines a public function or method with a
+    parameter that its body never reads, as "name(parameter)".  A
+    method's self or cls is not counted."""
+    tree = ast.parse(source)
+    methods = {id(node) for top in ast.walk(tree) if isinstance(top, ast.ClassDef)
+               for node in top.body}
+    found = []
+    for node in ast.walk(tree):
+        if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                or node.name.startswith("_")):
+            continue
+        args = node.args
+        params = [arg.arg for arg in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [arg.arg for arg in (args.vararg, args.kwarg) if arg]
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                     for d in node.decorator_list)
+        if id(node) in methods and not static:
+            params = params[1:]
+        read = {name.id for statement in node.body for name in ast.walk(statement)
+                if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)}
+        found += [f"{node.name}({param})" for param in params if param not in read]
+    return found
+
+
+def test_every_public_parameter_is_read():
+    # no parameter is accepted and then ignored; the pure-Python
+    # kernel's entry points take the strand count only to keep the
+    # compiled kernel's signature
+    package = Path(braidcert.__file__).parent
+    offenders = {path.name: unread for path in sorted(package.glob("*.py"))
+                 if (unread := _unread_parameters(path.read_text()))}
+    assert offenders == {
+        "_reduction_py.py": ["reduce_word(strands)", "sign_of(strands)"],
+    }
+
+
+def test_unread_check_sees_functions_and_methods():
+    source = ("def sign(letters, m):\n"
+              "    return len(letters)\n"
+              "def _helper(unused):\n"
+              "    return 0\n"
+              "class Word:\n"
+              "    def walk(self, start, *rest, pairs=2, **options):\n"
+              "        def inner(k):\n"
+              "            return start + k + len(rest)\n"
+              "        return inner\n"
+              "    @staticmethod\n"
+              "    def parse(text):\n"
+              "        return 0\n")
+    assert _unread_parameters(source) == [
+        "sign(m)", "walk(pairs)", "walk(options)", "parse(text)",
+    ]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 from conftest import three_braids
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from braidcert import (
     representative,
     sl2_image,
 )
+from braidcert.threebraid import _cyclic_reduce, _min_rotation, _quotient_word
 
 C = full_twist(3)
 
@@ -103,6 +106,43 @@ class TestNormalFormInvariance:
     def test_exponent_sum_reconstruction(self, b):
         nf = normal_form(b)
         assert representative(nf).exponent_sum == b.exponent_sum
+
+
+def cyclic_reduce_by_definition(word):
+    """Join the two ends while both are x or both are y-powers: x x
+    cancels, and y-exponents add mod 3 (as _X is 0, one sum does both)."""
+    w = list(word)
+    while len(w) >= 2 and (w[0] == 0) == (w[-1] == 0):
+        e = (w[0] + w[-1]) % 3
+        w = [e] * (e != 0) + w[1:-1]
+    return w
+
+
+class TestLinearHelpers:
+    @given(st.one_of(st.lists(st.integers(0, 2), max_size=16),
+                     three_braids(max_len=16).map(lambda b: _quotient_word(b.letters))))
+    @settings(max_examples=300)
+    def test_cyclic_reduce_matches_definition(self, word):
+        assert _cyclic_reduce(word) == cyclic_reduce_by_definition(word)
+
+    @given(st.one_of(st.lists(st.integers(0, 1), min_size=1, max_size=12),
+                     st.lists(st.integers(0, 4), min_size=1, max_size=12)))
+    @settings(max_examples=300)
+    def test_min_rotation_matches_every_rotation(self, a):
+        a = tuple(a)
+        assert _min_rotation(a) == min(a[i:] + a[:i] for i in range(len(a)))
+
+    @pytest.mark.parametrize("conjugator,core,expected", [
+        ((1, -2) * 40000, (1, -2, -2), PseudoAnosovForm(0, (2,))),
+        ((), (1, -2) * 40000, PseudoAnosovForm(0, (1,) * 40000)),
+    ], ids=["160k_conjugated", "s1_s2inv_40000"])
+    def test_long_words_classify_in_linear_time(self, conjugator, core, expected):
+        # a long conjugator to peel, or 40000 syllables to rotate:
+        # quadratic helpers take seconds on each, linear ones about 0.1 s
+        b = BraidWord(3, core).conjugated_by(BraidWord(3, conjugator))
+        start = time.perf_counter()
+        assert normal_form(b) == expected
+        assert time.perf_counter() - start < 2
 
 
 class TestSL2:
