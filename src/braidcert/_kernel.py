@@ -4,6 +4,10 @@ The compiled extension and the pure-Python module implement the same
 reduction, letter for letter.  Import-time selection prefers the
 extension; set BRAIDCERT_KERNEL=python (or =c) to force a choice.
 
+Every entry point takes letters alone: the callers pass the letters of
+a BraidWord, which has already checked them against its strand count
+(:mod:`braidcert.braid`), and no engine needs more.
+
 This module also picks the one engine for every floor probe
 (:func:`probe_sign`): handle reduction under the compiled kernel,
 Dynnikov coordinates under the pure-Python one.
@@ -63,12 +67,12 @@ def default_budget() -> int:
     return DEFAULT_REDUCTION_BUDGET
 
 
-def sign_of(letters, strands: int) -> int:
+def sign_of(letters) -> int:
     """Dehornoy sign of a word, -1, 0 or +1, under the process budget."""
-    return _impl.sign_of(letters, strands, default_budget())
+    return _impl.sign_of(letters, default_budget())
 
 
-def probe_sign(letters, strands: int) -> int:
+def probe_sign(letters) -> int:
     """Dehornoy sign of a floor search's or ladder's probe, under the
     process budget.
 
@@ -82,7 +86,7 @@ def probe_sign(letters, strands: int) -> int:
     so either engine fails on the same probes in the same words.
     """
     if _impl is not _reduction_py:
-        return sign_of(letters, strands)
+        return sign_of(letters)
     budget = default_budget()
     if len(letters) > budget:  # free reduction only shortens a word
         length = len(dynnikov.free_reduce(letters))
@@ -93,10 +97,10 @@ def probe_sign(letters, strands: int) -> int:
     return dynnikov.sign(letters)
 
 
-def reduce_word(letters, strands: int) -> list[int]:
+def reduce_word(letters) -> list[int]:
     """A fully handle-reduced word equal to the given one, under the
     process budget."""
-    return _impl.reduce_word(letters, strands, default_budget())
+    return _impl.reduce_word(letters, default_budget())
 
 
 def kernel_name() -> str:

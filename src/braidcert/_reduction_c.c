@@ -4,11 +4,11 @@
    exit for sign queries, same buffer growth and the same budget
    messages, so the parity tests can compare the two letter for letter.
    Unlike the pure module it checks its input before touching memory:
-   strands >= 2 and every letter an int x with 0 < |x| < strands, else
-   ValueError (TypeError or OverflowError for a non-int or one too big
-   for a C long).  The generator tables are sized by the largest
-   generator in the word, not by strands: a rewrite only brings in
-   generators already present.  Built by setup.py with a plain C
+   every letter an int x with 0 < |x| < INT_MAX, else ValueError
+   (TypeError or OverflowError for a non-int or one too big for a C
+   long).  The generator tables are sized by the largest generator in
+   the word, as a rewrite only brings in generators already present;
+   BraidWord's strand cap bounds it.  Built by setup.py with a plain C
    compiler and the CPython headers. */
 
 #define PY_SSIZE_T_CLEAN
@@ -92,21 +92,17 @@ definite_sign(const Py_ssize_t *cnt, int top)
 static int
 reduce_core(PyObject *args, PyObject *kwds, int full, int **wp, Py_ssize_t *np)
 {
-    static char *kwlist[] = {"letters", "strands", "max_len", NULL};
+    static char *kwlist[] = {"letters", "max_len", NULL};
     PyObject *letters, *seq;
-    int strands, top = 1, sign = FAILED;
+    int top = 1, sign = FAILED;
     Py_ssize_t max_len, n0, n = 0, cap, seg_cap = 64, seg_n, i, s, q;
     int *w = NULL, *seg = NULL;
     Py_ssize_t *tables = NULL, *cnt, *last, *prev = NULL;
 
     *wp = NULL;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "Oin", kwlist,
-                                     &letters, &strands, &max_len))
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "On", kwlist,
+                                     &letters, &max_len))
         return FAILED;
-    if (strands < 2) {
-        PyErr_Format(PyExc_ValueError, "strands must be >= 2, got %d", strands);
-        return FAILED;
-    }
     seq = PySequence_Fast(letters, "letters must be iterable");
     if (seq == NULL)
         return FAILED;
@@ -128,9 +124,8 @@ reduce_core(PyObject *args, PyObject *kwds, int full, int **wp, Py_ssize_t *np)
         long v = PyLong_AsLong(item);
         if (v == -1 && PyErr_Occurred())
             goto fail;
-        if (v == 0 || v >= strands || v <= -strands) {
-            PyErr_Format(PyExc_ValueError,
-                         "letter %ld out of range for %d strands", v, strands);
+        if (v == 0 || v >= INT_MAX || v <= -INT_MAX) {  /* gen(x) + 1 fits */
+            PyErr_Format(PyExc_ValueError, "letter %ld out of range", v);
             goto fail;
         }
         int x = (int)v;
@@ -281,11 +276,11 @@ sign_of(PyObject *self, PyObject *args, PyObject *kwds)
 static PyMethodDef methods[] = {
     {"reduce_word", (PyCFunction)(void (*)(void))reduce_word,
      METH_VARARGS | METH_KEYWORDS,
-     "reduce_word(letters, strands, max_len)\n--\n\n"
+     "reduce_word(letters, max_len)\n--\n\n"
      "Fully handle-reduced word equal to the input in the braid group."},
     {"sign_of", (PyCFunction)(void (*)(void))sign_of,
      METH_VARARGS | METH_KEYWORDS,
-     "sign_of(letters, strands, max_len)\n--\n\n"
+     "sign_of(letters, max_len)\n--\n\n"
      "Dehornoy sign of the word: +1, 0 or -1."},
     {NULL, NULL, 0, NULL},
 };

@@ -3,9 +3,7 @@
 Reference implementation of Dehornoy handle reduction for braid words.
 A word is a list of nonzero ints, letter +i / -i for the i-th Artin
 generator and its inverse.  The compiled twin ``_reduction_c`` mirrors
-this module exactly; tests assert they agree letter for letter.  The
-entry points take the strand count only because the twin, which checks
-letters against it, does.
+this module exactly; tests assert they agree letter for letter.
 
 Algorithm: repeatedly rewrite the handle that closes leftmost.  A
 sigma_i-handle is a subword  (+-i) v (-+i)  whose interior v contains no
@@ -156,13 +154,13 @@ def _reduce_core(letters, max_len, full):
     return _definite_sign(cnt, top), w
 
 
-def reduce_word(letters, strands, max_len):
+def reduce_word(letters, max_len):
     """Fully handle-reduced word equal to the input in the braid group."""
     _, w = _reduce_core(letters, max_len, True)
     return w
 
 
-def sign_of(letters, strands, max_len):
+def sign_of(letters, max_len):
     """Dehornoy sign of the word: +1, 0 or -1 (may stop before full
     reduction once the lowest generator is sign-uniform)."""
     s, _ = _reduce_core(letters, max_len, False)

@@ -30,7 +30,10 @@ from braidcert.errors import (
 
 #: Hard cap on the letter count of any braid word, including every
 #: intermediate produced by compose/power.  Exceeding it raises
-#: WordLengthExceeded rather than silently consuming memory.
+#: WordLengthExceeded rather than silently consuming memory.  It also
+#: caps the strand count at MAX_WORD_LETTERS + 1, so that no generator
+#: index passes it either: the kernels' tables and the Dynnikov walk's
+#: start point are sized by the highest generator of a word.
 MAX_WORD_LETTERS = 10**6
 
 #: The separators of the text format: ASCII space and tab, nothing else.
@@ -47,8 +50,11 @@ class BraidWord:
     letters: tuple[int, ...]
 
     def __init__(self, strands: int, letters: Iterable[int] = ()):
-        if not isinstance(strands, int) or strands < 2:
-            raise BadStrands(f"strand count must be an integer >= 2, got {strands!r}")
+        if not isinstance(strands, int) or not 2 <= strands <= MAX_WORD_LETTERS + 1:
+            raise BadStrands(
+                f"strand count must be an integer from 2 to {MAX_WORD_LETTERS + 1},"
+                f" got {strands!r}"
+            )
         raw = tuple(letters)
         if len(raw) > MAX_WORD_LETTERS:
             raise WordLengthExceeded(
@@ -77,12 +83,8 @@ class BraidWord:
         return compose(self, other)
 
     def __pow__(self, k: int) -> "BraidWord":
+        check_power(self, k)
         base = self if k >= 0 else self.inverse()
-        total = len(base.letters) * abs(k)
-        if total > MAX_WORD_LETTERS:
-            raise WordLengthExceeded(
-                f"power would have {total} letters, cap is {MAX_WORD_LETTERS}"
-            )
         return BraidWord(self.strands, base.letters * abs(k))
 
     def __invert__(self) -> "BraidWord":
@@ -157,10 +159,6 @@ class Permutation:
             inv[j - 1] = i
         return Permutation(tuple(inv))
 
-    @property
-    def is_identity(self) -> bool:
-        return all(j == i for i, j in enumerate(self.images, start=1))
-
     def cycle_count(self) -> int:
         seen = [False] * len(self.images)
         count = 0
@@ -185,6 +183,16 @@ def compose(u: BraidWord, v: BraidWord) -> BraidWord:
             f"product would have {len(u.letters) + len(v.letters)} letters"
         )
     return BraidWord(u.strands, u.letters + v.letters)
+
+
+def check_power(b: BraidWord, k: int) -> None:
+    """Refuse the power b^k, built or not, when it would have more than
+    MAX_WORD_LETTERS letters."""
+    total = len(b.letters) * abs(k)
+    if total > MAX_WORD_LETTERS:
+        raise WordLengthExceeded(
+            f"power would have {total} letters, cap is {MAX_WORD_LETTERS}"
+        )
 
 
 # kept as a function: perfbench's order-mix workload calls it
@@ -243,8 +251,12 @@ def parse_braid(text: str, line: int = 1) -> BraidWord:
             line,
             1 + _leading_ws(head),
         ) from None
-    if strands < 2:
-        raise ParseError(f"strand count must be >= 2, got {strands}", line, 1 + _leading_ws(head))
+    if not 2 <= strands <= MAX_WORD_LETTERS + 1:
+        raise ParseError(
+            f"strand count must be from 2 to {MAX_WORD_LETTERS + 1}, got {strands}",
+            line,
+            1 + _leading_ws(head),
+        )
 
     letters: list[int] = []
     col = len(head) + len(sep) + 1  # 1-based column of the next token

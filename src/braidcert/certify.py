@@ -20,7 +20,6 @@ L-space, not left-orderable, no such foliation).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -80,9 +79,6 @@ class Certificate:
             "assumptions": list(self.assumptions),
             "notes": list(self.notes),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_record(), separators=(", ", ": "))
 
     def render_text(self) -> str:
         lines = [self.verdict.value]

@@ -12,7 +12,7 @@ class BraidError(Exception):
 
 
 class BadStrands(BraidError):
-    """Strand count below 2, or otherwise unusable."""
+    """Strand count below 2 or past MAX_WORD_LETTERS + 1, or otherwise unusable."""
 
 
 class GeneratorOutOfRange(BraidError):

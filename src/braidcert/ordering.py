@@ -34,8 +34,8 @@ from enum import Enum
 from functools import cache
 
 from braidcert import _kernel, dynnikov
-from braidcert.braid import MAX_WORD_LETTERS, BraidWord, delta
-from braidcert.errors import BadParameters, StrandMismatch, WordLengthExceeded
+from braidcert.braid import BraidWord, check_power, delta
+from braidcert.errors import BadParameters, StrandMismatch
 
 
 class OrderSign(Enum):
@@ -59,7 +59,7 @@ def sigma_sign(u: BraidWord) -> OrderSign:
     working-length budget (BRAIDCERT_REDUCTION_BUDGET, else 10^6
     letters).
     """
-    return OrderSign(_kernel.sign_of(u.letters, u.strands))
+    return OrderSign(_kernel.sign_of(u.letters))
 
 
 def compare(u: BraidWord, v: BraidWord) -> Comparison:
@@ -70,7 +70,7 @@ def compare(u: BraidWord, v: BraidWord) -> Comparison:
         )
     word = tuple(-x for x in reversed(u.letters)) + v.letters
     # sign(u^-1 v) = +1 places u BELOW v in the order
-    return Comparison(-_kernel.sign_of(word, u.strands))
+    return Comparison(-_kernel.sign_of(word))
 
 
 def reduced_word(u: BraidWord) -> BraidWord:
@@ -79,7 +79,7 @@ def reduced_word(u: BraidWord) -> BraidWord:
     The result is sigma-definite: empty, or its lowest generator occurs
     with a single sign.
     """
-    return BraidWord(u.strands, tuple(_kernel.reduce_word(u.letters, u.strands)))
+    return BraidWord(u.strands, tuple(_kernel.reduce_word(u.letters)))
 
 
 def _search_floor(u: BraidWord, positive: bool) -> int:
@@ -154,15 +154,6 @@ def _delta_power(m: int, n: int) -> tuple[int, ...]:
     return half * n if n >= 0 else inverse * -n
 
 
-def _power_cap(b: BraidWord, n: int) -> None:
-    """Refuse a power b^n that is never built where b**n would be
-    refused: when it would have more than MAX_WORD_LETTERS letters."""
-    if len(b.letters) * n > MAX_WORD_LETTERS:
-        raise WordLengthExceeded(
-            f"power would have {len(b.letters) * n} letters, cap is {MAX_WORD_LETTERS}"
-        )
-
-
 def central_root(b: BraidWord, max_power: int) -> tuple[int, int] | None:
     """(q, p) with b^q = delta^(2p), trying q = m, then q = m - 1, and
     skipping any q above max_power; None if neither holds.
@@ -190,7 +181,7 @@ def central_root(b: BraidWord, max_power: int) -> tuple[int, int] | None:
         p, rest = divmod(q * b.exponent_sum, m * (m - 1))
         if q > max_power or rest:
             continue
-        _power_cap(b, q)
+        check_power(b, q)
         if dynnikov.is_trivial((core**q).letters + _delta_power(m, -2 * p)):
             return q, p
     return None
@@ -230,7 +221,7 @@ def _inside(w: tuple[int, ...], x: tuple[int, ...], m: int, n: int,
     """Whether b^n, b = w X w^-1, lies strictly inside delta^(2j) in the
     direction of its sign: whether the spread probe is positive, which
     every floor probe asks of :func:`braidcert._kernel.probe_sign`."""
-    return _kernel.probe_sign(_spread_probe(w, x, m, n, j, positive), m) > 0
+    return _kernel.probe_sign(_spread_probe(w, x, m, n, j, positive)) > 0
 
 
 def power_floor(b: BraidWord, k: int) -> int:
@@ -316,7 +307,7 @@ def power_floor(b: BraidWord, k: int) -> int:
 
     def floor_of_power(n: int, s: int) -> int:
         # floor(b^n) is s or s + 1 by the lemma; one probe decides
-        _power_cap(b, n)
+        check_power(b, n)
         return s if _inside(w, x, m, n, s + 1, positive) else s + 1
 
     n, f = 1, _search_floor(b, positive)

@@ -248,14 +248,6 @@ class Mat2:
     def trace(self) -> int:
         return self.a + self.d
 
-    @property
-    def det(self) -> int:
-        return self.a * self.d - self.b * self.c
-
-    @property
-    def is_plus_minus_identity(self) -> bool:
-        return self in (Mat2(1, 0, 0, 1), Mat2(-1, 0, 0, -1))
-
 
 _SL2_IMAGES = {
     1: Mat2(1, 1, 0, 1),

@@ -48,28 +48,43 @@ def three_braids(draw, max_len: int = 30) -> BraidWord:
     return BraidWord(3, tuple(draw(letter_lists(3, max_len))))
 
 
+_EXTENSION = "_reduction_c" + sysconfig.get_config_var("EXT_SUFFIX")
+
+
 @pytest.fixture(scope="session")
-def c_kernel(tmp_path_factory):
-    """The compiled kernel: the built extension if importable, else
-    ``_reduction_c.c`` compiled here with gcc and loaded from a temporary
-    directory without entering ``sys.modules``."""
+def c_package(tmp_path_factory):
+    """A directory whose ``braidcert`` package has the compiled kernel:
+    the package's own parent if the extension is built, else a temporary
+    copy of the package with ``_reduction_c.c`` compiled into it by gcc."""
+    package = Path(_reduction_py.__file__).parent
     if _reduction_c is not None:
-        return _reduction_c
+        return package.parent
     include = sysconfig.get_paths()["include"]
     gcc = shutil.which("gcc")
     if gcc is None or not os.path.exists(os.path.join(include, "Python.h")):
         pytest.skip("no gcc or Python.h to compile the kernel")
-    source = Path(_reduction_py.__file__).with_name("_reduction_c.c")
-    target = tmp_path_factory.mktemp("kernel") / (
-        "_reduction_c" + sysconfig.get_config_var("EXT_SUFFIX")
-    )
+    root = tmp_path_factory.mktemp("kernel")
+    copy = shutil.copytree(package, root / "braidcert",
+                           ignore=shutil.ignore_patterns("__pycache__"))
     built = subprocess.run(
         [gcc, "-shared", "-fPIC", "-O2", "-std=c99", "-pedantic", "-Wall",
-         "-Wextra", "-Werror", f"-I{include}", str(source), "-o", str(target)],
+         "-Wextra", "-Werror", f"-I{include}", str(copy / "_reduction_c.c"),
+         "-o", str(copy / _EXTENSION)],
         capture_output=True, text=True,
     )
     if built.returncode != 0:
         pytest.fail(f"kernel does not compile:\n{built.stderr}")
+    return root
+
+
+@pytest.fixture(scope="session")
+def c_kernel(c_package):
+    """The compiled kernel: the built extension if importable, else the
+    one compiled into :func:`c_package`, loaded without entering
+    ``sys.modules``."""
+    if _reduction_c is not None:
+        return _reduction_c
+    target = c_package / "braidcert" / _EXTENSION
     spec = importlib.util.spec_from_file_location("braidcert._reduction_c", target)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)

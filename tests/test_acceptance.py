@@ -217,9 +217,9 @@ def test_criterion_3_floor_cost(monkeypatch):
     fed = [0]
 
     def counting(engine):
-        def sign(letters, *strands):
+        def sign(letters):
             fed[0] += len(letters)
-            return engine(letters, *strands)
+            return engine(letters)
         return sign
 
     monkeypatch.setattr(_kernel, "sign_of", counting(_kernel.sign_of))

@@ -174,6 +174,15 @@ class TestErrors:
         assert code == 1
         assert "column" in err
 
+    def test_strand_count_past_the_cap(self, capsys):
+        # refused at the strand count, before a kernel table is sized by
+        # the generator; one strand fewer is answered
+        code, _, err = run(capsys, "order", "1000002: 1000001")
+        assert code == 1
+        assert "line 1, column 1: strand count must be from 2 to 1000001" in err
+        code, out, _ = run(capsys, "order", "1000001: 1000000")
+        assert (code, out) == (0, "Positive\n")
+
     def test_bad_tolerance(self, capsys):
         pa_twisted = "3: 1 2 1 1 2 1 1 2 1 1 2 1 1 -2"
         for argv in (["fdtc", "4: 1"], ["fdtc", "3: 1 2"],
@@ -284,6 +293,18 @@ class TestCorpus:
         lines = out.splitlines()
         assert lines[0].startswith("bad\terror:")
         assert lines[1] == "ok\t0"
+
+    def test_strand_count_past_the_cap_is_an_error_record(self, tmp_path, capsys):
+        # refused at parse time, before a table or start point is sized
+        # by the generator
+        p = tmp_path / "corpus.tsv"
+        p.write_text("wide\tFloor\t-\t1000002: 1000001\nok\tFloor\t-\t3: 1\n")
+        code, out, _ = run(capsys, "corpus", str(p), "--report", "json")
+        assert code == 1
+        wide, ok = (json.loads(line) for line in out.splitlines())
+        assert wide["error"] == "ParseError"
+        assert "column 1: strand count must be from 2 to 1000001" in wide["message"]
+        assert ok["floor"] == 0
 
     def test_all_unknown_exits_two(self, tmp_path, capsys):
         p = tmp_path / "corpus.tsv"

@@ -188,7 +188,7 @@ class TestAgainstKernels:
     @settings(max_examples=300, deadline=None)
     def test_matches_reference_kernel(self, mw):
         m, word = mw
-        trivial = _reduction_py.sign_of(word, m, BUDGET) == 0
+        trivial = _reduction_py.sign_of(word, BUDGET) == 0
         assert dynnikov.is_trivial(word) == trivial
         assert BraidWord(m, word).is_trivial() == trivial
 
@@ -196,7 +196,7 @@ class TestAgainstKernels:
     @settings(max_examples=300, deadline=None)
     def test_matches_compiled_kernel(self, c_kernel, mw):
         m, word = mw
-        trivial = c_kernel.sign_of(word, m, BUDGET) == 0
+        trivial = c_kernel.sign_of(word, BUDGET) == 0
         assert dynnikov.is_trivial(word) == trivial
         assert BraidWord(m, word).is_trivial() == trivial
 
@@ -205,14 +205,14 @@ class TestSign:
     @given(sign_inputs)
     @settings(max_examples=400, deadline=None)
     def test_matches_reference_kernel(self, mw):
-        m, word = mw
-        assert dynnikov.sign(word) == _reduction_py.sign_of(word, m, BUDGET)
+        _, word = mw
+        assert dynnikov.sign(word) == _reduction_py.sign_of(word, BUDGET)
 
     @given(sign_inputs)
     @settings(max_examples=400, deadline=None)
     def test_matches_compiled_kernel(self, c_kernel, mw):
-        m, word = mw
-        assert dynnikov.sign(word) == c_kernel.sign_of(word, m, BUDGET)
+        _, word = mw
+        assert dynnikov.sign(word) == c_kernel.sign_of(word, BUDGET)
 
     @given(sign_inputs)
     @settings(max_examples=300, deadline=None)
@@ -241,7 +241,7 @@ class TestSign:
         with recorded_walks() as walks:
             assert dynnikov.sign(word) == expected
         assert walks == [tuple(dynnikov.free_reduce(word))]
-        assert _reduction_py.sign_of(word, m, BUDGET) == expected
+        assert _reduction_py.sign_of(word, BUDGET) == expected
 
 
 def test_tables_follow_the_word_not_strands():
@@ -255,5 +255,5 @@ def test_tables_follow_the_word_not_strands():
         BraidWord(10**5, commutator).is_trivial(),
         dynnikov.is_trivial(commutator + inverse(commutator)),
         BraidWord(3000, (1, -2, -1, 2)).is_trivial()))
-    assert answers == (-1, _reduction_py.sign_of(commutator, 3, BUDGET), False, True, False)
+    assert answers == (-1, _reduction_py.sign_of(commutator, BUDGET), False, True, False)
     assert peak < 100_000

@@ -14,22 +14,19 @@ import subprocess
 import sys
 
 import pytest
-from conftest import _letters, _reduction_c, letter_lists, probe_words, traced_peak
+from conftest import _letters, letter_lists, probe_words, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidcert import _reduction_py
+from braidcert import BraidWord, OrderSign, _kernel, _reduction_py, reduced_word, sigma_sign
 from braidcert.errors import BadParameters, ReductionBudgetExceeded
-
-needs_c = pytest.mark.skipif(_reduction_c is None,
-                             reason="compiled kernel not built")
 
 BUDGET = 10**6
 
 
-def _budget_message(fn, letters, strands, max_len):
+def _budget_message(fn, letters, max_len):
     with pytest.raises(ReductionBudgetExceeded) as exc:
-        fn(letters, strands, max_len)
+        fn(letters, max_len)
     return str(exc.value)
 
 
@@ -73,10 +70,10 @@ def _free_length(letters):
     return len(_reduction_py._free_reduce(letters))
 
 
-def _outcome(fn, letters, strands, max_len):
+def _outcome(fn, letters, max_len):
     """The kernel's result, or the message of its budget error."""
     try:
-        return fn(letters, strands, max_len)
+        return fn(letters, max_len)
     except ReductionBudgetExceeded as exc:
         return str(exc)
 
@@ -122,28 +119,44 @@ def _lowest_generator_signs(letters):
     return {x > 0 for x in letters if abs(x) == low}
 
 
+def _tables_follow_the_word(monkeypatch, kernel):
+    """Sign and reduction queries on 10^5 strands, through the ordering
+    layer with the given kernel.  BraidWord checks the letters against
+    the strand count, and the kernel sees the letters alone: tables
+    sized by the strand count would take megabytes here."""
+    monkeypatch.setattr(_kernel, "_impl", kernel)
+    m = 10**5
+    answers, peak = traced_peak(lambda: (
+        reduced_word(BraidWord(m, (1, 2, -1))),
+        sigma_sign(BraidWord(m, (1, -2, -1))),
+        sigma_sign(BraidWord(m, (-2, 3, 2)))))
+    assert answers == (BraidWord(m, (-2, 1, 2)), OrderSign.NEGATIVE,
+                       OrderSign.POSITIVE)
+    assert peak < 100_000
+
+
 class TestReferenceKernel:
     @given(words_with_strands())
     @settings(max_examples=300)
     def test_reduced_word_is_sigma_definite(self, mw):
-        m, w = mw
-        reduced = tuple(_reduction_py.reduce_word(w, m, BUDGET))
+        _, w = mw
+        reduced = tuple(_reduction_py.reduce_word(w, BUDGET))
         signs = _lowest_generator_signs(reduced)
         assert signs is None or len(signs) == 1
 
     @given(words_with_strands())
     @settings(max_examples=200)
     def test_reduction_is_idempotent(self, mw):
-        m, w = mw
-        once = tuple(_reduction_py.reduce_word(w, m, BUDGET))
-        twice = tuple(_reduction_py.reduce_word(once, m, BUDGET))
+        _, w = mw
+        once = tuple(_reduction_py.reduce_word(w, BUDGET))
+        twice = tuple(_reduction_py.reduce_word(once, BUDGET))
         assert once == twice
 
     @given(words_with_strands())
     @settings(max_examples=200)
     def test_reduction_preserves_braid_invariants(self, mw):
         m, w = mw
-        reduced = tuple(_reduction_py.reduce_word(w, m, BUDGET))
+        reduced = tuple(_reduction_py.reduce_word(w, BUDGET))
         assert _permutation(reduced, m) == _permutation(w, m)
         assert sum(1 if x > 0 else -1 for x in reduced) == sum(
             1 if x > 0 else -1 for x in w
@@ -153,9 +166,9 @@ class TestReferenceKernel:
     @given(words_with_strands())
     @settings(max_examples=200)
     def test_sign_matches_reduced_word(self, mw):
-        m, w = mw
-        reduced = tuple(_reduction_py.reduce_word(w, m, BUDGET))
-        sign = _reduction_py.sign_of(w, m, BUDGET)
+        _, w = mw
+        reduced = tuple(_reduction_py.reduce_word(w, BUDGET))
+        sign = _reduction_py.sign_of(w, BUDGET)
         if not reduced:
             assert sign == 0
         else:
@@ -165,29 +178,29 @@ class TestReferenceKernel:
     @given(words_with_strands(max_len=30))
     @settings(max_examples=150)
     def test_word_times_inverse_is_trivial(self, mw):
-        m, w = mw
+        _, w = mw
         doubled = w + tuple(-x for x in reversed(w))
-        assert _reduction_py.sign_of(doubled, m, BUDGET) == 0
+        assert _reduction_py.sign_of(doubled, BUDGET) == 0
 
     def test_nontrivial_burau_implies_nonzero_sign(self):
         # one-sided soundness spot check on specific words
         for m, w in [(3, (1, 2, -1)), (4, (1, 3, 2, 2)), (3, (1, 1, -2))]:
             if _burau_minus1(w, m) != _burau_minus1((), m):
-                assert _reduction_py.sign_of(w, m, BUDGET) != 0
+                assert _reduction_py.sign_of(w, BUDGET) != 0
 
     def test_known_handle_rewrites(self):
         # sigma_1 sigma_2 sigma_1^-1 = sigma_2^-1 sigma_1 sigma_2
-        assert _reduction_py.reduce_word((1, 2, -1), 3, BUDGET) == [-2, 1, 2]
+        assert _reduction_py.reduce_word((1, 2, -1), BUDGET) == [-2, 1, 2]
         # sigma_1 sigma_2^-1 sigma_1^-1 = sigma_2^-1 sigma_1^-1 sigma_2
-        assert _reduction_py.reduce_word((1, -2, -1), 3, BUDGET) == [-2, -1, 2]
+        assert _reduction_py.reduce_word((1, -2, -1), BUDGET) == [-2, -1, 2]
         # already sigma-definite words come back freely reduced only
-        assert _reduction_py.reduce_word((1, 2, -2, 1), 3, BUDGET) == [1, 1]
+        assert _reduction_py.reduce_word((1, 2, -2, 1), BUDGET) == [1, 1]
 
     @given(gapped_words())
     @settings(max_examples=150, deadline=None)
     def test_gapped_prefix_reductions(self, mw):
         m, w = mw
-        reduced = tuple(_reduction_py.reduce_word(w, m, BUDGET))
+        reduced = tuple(_reduction_py.reduce_word(w, BUDGET))
         signs = _lowest_generator_signs(reduced)
         assert signs is None or len(signs) == 1
         assert _permutation(reduced, m) == _permutation(w, m)
@@ -196,43 +209,32 @@ class TestReferenceKernel:
     def test_budget_exceeded(self):
         w = (1, 2, -1, -2) * 40
         with pytest.raises(ReductionBudgetExceeded):
-            _reduction_py.reduce_word(w, 3, 10)
+            _reduction_py.reduce_word(w, 10)
 
-    def test_tables_follow_the_word_not_strands(self):
-        # Tables sized by strands would take megabytes here.
-        answers, peak = traced_peak(lambda: (
-            _reduction_py.reduce_word((1, 2, -1), 10**5, BUDGET),
-            _reduction_py.sign_of((-2, 3, 2), 10**5, BUDGET),
-            _reduction_py.sign_of((1, -2, -1), 10**5, BUDGET),
-            _reduction_py.sign_of((1,), 10**5, BUDGET)))
-        assert answers == ([-2, 1, 2], 1, -1, 1)
-        assert peak < 100_000
+    def test_tables_follow_the_word_not_strands(self, monkeypatch):
+        _tables_follow_the_word(monkeypatch, _reduction_py)
 
 
 class TestKernelParity:
     @given(words_with_strands(max_len=80))
     @settings(max_examples=400)
     def test_reduce_word_identical(self, c_kernel, mw):
-        m, w = mw
-        assert c_kernel.reduce_word(w, m, BUDGET) == _reduction_py.reduce_word(
-            w, m, BUDGET
-        )
+        _, w = mw
+        assert c_kernel.reduce_word(w, BUDGET) == _reduction_py.reduce_word(w, BUDGET)
 
     @given(words_with_strands(max_len=80))
     @settings(max_examples=400)
     def test_sign_identical(self, c_kernel, mw):
-        m, w = mw
-        assert c_kernel.sign_of(w, m, BUDGET) == _reduction_py.sign_of(
-            w, m, BUDGET
-        )
+        _, w = mw
+        assert c_kernel.sign_of(w, BUDGET) == _reduction_py.sign_of(w, BUDGET)
 
     @given(st.one_of(gapped_words(), probe_words()))
     @settings(max_examples=300, deadline=None)
     def test_structured_words_identical(self, c_kernel, mw):
-        m, w = mw
+        _, w = mw
         for name in ("reduce_word", "sign_of"):
-            assert getattr(c_kernel, name)(w, m, BUDGET) == getattr(
-                _reduction_py, name)(w, m, BUDGET)
+            assert getattr(c_kernel, name)(w, BUDGET) == getattr(
+                _reduction_py, name)(w, BUDGET)
 
     @given(st.one_of(growing_words(), gapped_words(), probe_words()),
            st.integers(0, 3))
@@ -240,26 +242,36 @@ class TestKernelParity:
     def test_budget_trips_identical(self, c_kernel, mw, slack):
         # a budget just above the free-reduced length trips in the
         # middle of the reduction whenever a rewrite grows the word
-        m, w = mw
+        _, w = mw
         max_len = _free_length(w) + slack
         for name in ("reduce_word", "sign_of"):
-            assert _outcome(getattr(c_kernel, name), w, m, max_len) == _outcome(
-                getattr(_reduction_py, name), w, m, max_len)
+            assert _outcome(getattr(c_kernel, name), w, max_len) == _outcome(
+                getattr(_reduction_py, name), w, max_len)
+
+    def test_high_generators_identical(self, c_kernel):
+        # neither kernel reads a strand count: generators far above any
+        # small braid group are reduced alike, with tables sized by them
+        g = 10**4
+        for w in [(g, g + 1, -g), (g + 1, -g, -g - 1, g), (-g, 1, g + 2, g)]:
+            for name in ("reduce_word", "sign_of"):
+                assert getattr(c_kernel, name)(w, BUDGET) == getattr(
+                    _reduction_py, name)(w, BUDGET)
+        assert _reduction_py.reduce_word((g, g + 1, -g), BUDGET) == [-g - 1, g, g + 1]
 
     def test_budget_exceeded_matches(self, c_kernel):
         # The budget-floor and budget-fdtc goldens print these messages.
         cases = [
-            ((1, 2, -1, -2) * 40, 3, 10, "word of length 160 exceeds budget 10"),
+            ((1, 2, -1, -2) * 40, 10, "word of length 160 exceeds budget 10"),
             # 5 letters fit; the first handle rewrite makes 7.
-            ((1, 2, 3, 2, -1), 4, 5,
+            ((1, 2, 3, 2, -1), 5,
              "word grew past budget 5 during handle reduction"),
         ]
-        for letters, strands, max_len, message in cases:
+        for letters, max_len, message in cases:
             for name in ("reduce_word", "sign_of"):
                 assert _budget_message(getattr(_reduction_py, name),
-                                       letters, strands, max_len) == message
+                                       letters, max_len) == message
                 assert _budget_message(getattr(c_kernel, name),
-                                       letters, strands, max_len) == message
+                                       letters, max_len) == message
 
     def test_budget_trips_after_a_gapped_prefix(self, c_kernel):
         # The prefix omits sigma_3..sigma_5; its handle is rewritten
@@ -267,70 +279,64 @@ class TestKernelParity:
         w = (1, 2, -1, 2, 1, 2, 3, 4, 5, 4, -3)
         message = "word grew past budget 11 during handle reduction"
         for kernel in (_reduction_py, c_kernel):
-            assert _budget_message(kernel.reduce_word, w, 6, 11) == message
-            assert kernel.reduce_word(w, 6, 13) == [
+            assert _budget_message(kernel.reduce_word, w, 11) == message
+            assert kernel.reduce_word(w, 13) == [
                 -2, 1, 2, 2, 1, 2, -4, 3, -5, 4, 5, 3, 4]
 
 
 class TestCompiledBoundary:
-    """The compiled kernel rejects malformed input before it indexes
-    anything; the pure kernel trusts its callers."""
+    """The compiled kernel rejects malformed letters before it indexes
+    anything; the pure kernel trusts its callers.  Neither checks a
+    letter against a strand count: BraidWord does."""
 
-    @pytest.mark.parametrize("letters,strands", [
-        ((0,), 3), ((1, 0), 3),           # letter 0
-        ((3,), 3), ((1, -3), 3),          # |letter| == strands
-        ((5,), 3), ((-2**31 - 1,), 3),    # past strands, past a C int
-        ((1,), 1), ((), 0), ((1,), -4),   # strands < 2
+    # A budget of 3 holds every word here, so each error is the letter's.
+    @pytest.mark.parametrize("letters,max_len", [
+        ((0,), 3), ((1, 0), 3),               # letter 0
+        ((2**31 - 1,), 3), ((-2**31 - 1,), 3),  # gen(x) + 1 past a C int
     ])
-    def test_value_errors(self, c_kernel, letters, strands):
+    def test_value_errors(self, c_kernel, letters, max_len):
         for fn in (c_kernel.reduce_word, c_kernel.sign_of):
             with pytest.raises(ValueError):
-                fn(letters, strands, BUDGET)
+                fn(letters, max_len)
 
-    @pytest.mark.parametrize("letters,strands,error", [
+    @pytest.mark.parametrize("letters,max_len,error", [
         ((1.0,), 3, TypeError),
         (("1",), 3, TypeError),
         ((None,), 3, TypeError),
         (7, 3, TypeError),
         ((2**64,), 3, OverflowError),
         ((-2**64,), 3, OverflowError),
-        ((1,), 2**40, OverflowError),
+        ((1,), 2**64, OverflowError),   # past a Py_ssize_t budget
         ((1,), 3.0, TypeError),
     ])
-    def test_type_and_overflow_errors(self, c_kernel, letters, strands, error):
+    def test_type_and_overflow_errors(self, c_kernel, letters, max_len, error):
         for fn in (c_kernel.reduce_word, c_kernel.sign_of):
             with pytest.raises(error):
-                fn(letters, strands, BUDGET)
+                fn(letters, max_len)
 
-    def test_tables_follow_the_word_not_strands(self, c_kernel):
-        # Tables sized by strands would take megabytes here.
-        answers, peak = traced_peak(lambda: (
-            c_kernel.reduce_word((1, 2, -1), 10**6, BUDGET),
-            c_kernel.sign_of((-2, 3, 2), 10**6, BUDGET)))
-        assert answers == ([-2, 1, 2], 1)
-        assert peak < 100_000
+    def test_tables_follow_the_word_not_strands(self, c_kernel, monkeypatch):
+        _tables_follow_the_word(monkeypatch, c_kernel)
 
 
 class TestKernelSelection:
-    def _kernel_in_subprocess(self, env_value):
-        import os
-
-        code = "import braidcert; print(braidcert.kernel_name())"
-        env = dict(os.environ, BRAIDCERT_KERNEL=env_value)
-        return subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
-        )
+    def _kernel_in_subprocess(self, env_value, code="print(braidcert.kernel_name())",
+                              **env):
+        env = dict(os.environ, BRAIDCERT_KERNEL=env_value, **env)
+        return subprocess.run([sys.executable, "-c", "import braidcert; " + code],
+                              capture_output=True, text=True, env=env)
 
     def test_force_python(self):
         result = self._kernel_in_subprocess("python")
         assert result.returncode == 0
         assert result.stdout.strip() == "python"
 
-    @needs_c
-    def test_force_c(self):
-        result = self._kernel_in_subprocess("c")
-        assert result.returncode == 0
-        assert result.stdout.strip() == "c"
+    def test_force_c(self, c_package):
+        # selected at import, and called through the ordering layer
+        code = ("print(braidcert.kernel_name(), braidcert.sigma_sign("
+                "braidcert.BraidWord(3, (1, -2, -1))).value)")
+        result = self._kernel_in_subprocess("c", code, PYTHONPATH=str(c_package))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["c", "-1"]
 
     def test_bad_kernel_name_rejected(self):
         result = self._kernel_in_subprocess("fortran")

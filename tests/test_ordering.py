@@ -22,6 +22,7 @@ from braidcert import (
     FdtcValue,
     OrderSign,
     PeriodicForm,
+    Permutation,
     ReducibleForm,
     ReductionBudgetExceeded,
     StrandMismatch,
@@ -209,7 +210,7 @@ def pa_word(d: int, a: list[int]) -> BraidWord:
 def permutation_order(b: BraidWord) -> int:
     perm = power = b.permutation()
     order = 1
-    while not power.is_identity:
+    while power != Permutation.identity(b.strands):
         power, order = power * perm, order + 1
     return order
 
@@ -307,7 +308,7 @@ class TestPowerFloor:
     def test_ladder_keeps_the_power_letter_cap(self, monkeypatch):
         # b^n is never built, but a probe on it is refused where b**n is
         b = pa_word(0, [1])
-        monkeypatch.setattr(ordering, "MAX_WORD_LETTERS", 20)
+        monkeypatch.setattr(braid, "MAX_WORD_LETTERS", 20)
         assert power_floor(b, 8) == dehornoy_floor(b**8)
         with pytest.raises(WordLengthExceeded):
             power_floor(b, 24)
@@ -397,10 +398,10 @@ class TestPowerFloor:
         b = BraidWord(4, (1, 2, 3)).conjugated_by(BraidWord(4, (2,)))
         rootless = BraidWord(4, (1, 1, 1)).conjugated_by(BraidWord(4, (2,)))
         assert len(b) == len(rootless) == 5
-        monkeypatch.setattr(ordering, "MAX_WORD_LETTERS", 20)
+        monkeypatch.setattr(braid, "MAX_WORD_LETTERS", 20)
         assert central_root(b, 4) == (4, 1)
         assert central_root(rootless, 4) is None
-        monkeypatch.setattr(ordering, "MAX_WORD_LETTERS", 19)
+        monkeypatch.setattr(braid, "MAX_WORD_LETTERS", 19)
         for braid_ in (b, rootless):
             with pytest.raises(WordLengthExceeded):
                 central_root(braid_, 4)
@@ -478,12 +479,11 @@ class TestLadderEngine:
             monkeypatch.setattr(_kernel, "_impl", kernel)
             for letters in (probe, padded):
                 with pytest.raises(ReductionBudgetExceeded) as refused:
-                    _kernel.probe_sign(letters, b.strands)
+                    _kernel.probe_sign(letters)
                 assert str(refused.value) == message
         # the budget caps the freely reduced probe, not its letters
         monkeypatch.setenv("BRAIDCERT_REDUCTION_BUDGET", str(length))
-        assert _kernel.probe_sign(padded, b.strands) == _reduction_py.sign_of(
-            probe, b.strands, 10**6)
+        assert _kernel.probe_sign(padded) == _reduction_py.sign_of(probe, 10**6)
 
 
 def block_probe(b: BraidWord, n: int, j: int) -> BraidWord:
@@ -502,7 +502,7 @@ def assert_spread_is_block(b: BraidWord, n: int, j: int) -> None:
     block = block_probe(b, n, j)
     twist_letters = 2 * j * len(delta(b.strands))
     assert len(spread) == 2 * len(w) + n * len(x) + twist_letters
-    assert _kernel.sign_of(spread + block.inverse().letters, b.strands) == 0
+    assert _kernel.sign_of(spread + block.inverse().letters) == 0
     assert sigma_sign(BraidWord(b.strands, spread)) is sigma_sign(block)
 
 
@@ -665,7 +665,7 @@ class TestCrossingScreen:
         trivial = [
             (q, p) for q in (m, m - 1)
             for p in (q * b.exponent_sum // (m * (m - 1)) + shift for shift in (-1, 0, 1))
-            if _reduction_py.sign_of(core_power(b, q) + _delta_power(m, -2 * p), m, 10**6) == 0
+            if _reduction_py.sign_of(core_power(b, q) + _delta_power(m, -2 * p), 10**6) == 0
         ]
         assert central_root(b, m) == (trivial[0] if trivial else None)
 

@@ -93,10 +93,10 @@ def test_no_module_uses_another_modules_private_names():
 def test_private_use_check_sees_both_forms():
     modules = {"dynnikov", "_kernel"}
     assert _private_uses("from braidcert import _kernel, dynnikov\n"
-                         "_kernel.sign_of(w, 3)\n", modules) == []
+                         "_kernel.sign_of(w)\n", modules) == []
     assert _private_uses("from braidcert.dynnikov import _screen\n"
                          "from braidcert import dynnikov\n"
-                         "dynnikov._screen(w, 3)\n", modules) == [
+                         "dynnikov._screen(w)\n", modules) == [
         "line 1: from braidcert.dynnikov import _screen",
         "line 3: dynnikov._screen",
     ]
@@ -166,8 +166,8 @@ def test_attribute_check_sees_nested_and_module_level_uses():
               "ENGINE = _kernel.sign_of\n"
               "def floor(u):\n"
               "    def holds(k):\n"
-              "        return _kernel.sign_of(k, 3)\n"
-              "    return _kernel.probe_sign(u, 3) + kernel.sign_of(u, 3)\n")
+              "        return _kernel.sign_of(k)\n"
+              "    return _kernel.probe_sign(u) + kernel.sign_of(u)\n")
     assert _attribute_uses(source, "_kernel") == {
         "sign_of": {"<module>", "floor"},
         "probe_sign": {"floor"},
@@ -200,15 +200,11 @@ def _unread_parameters(source: str) -> list[str]:
 
 
 def test_every_public_parameter_is_read():
-    # no parameter is accepted and then ignored; the pure-Python
-    # kernel's entry points take the strand count only to keep the
-    # compiled kernel's signature
+    # no parameter is accepted and then ignored
     package = Path(braidcert.__file__).parent
     offenders = {path.name: unread for path in sorted(package.glob("*.py"))
                  if (unread := _unread_parameters(path.read_text()))}
-    assert offenders == {
-        "_reduction_py.py": ["reduce_word(strands)", "sign_of(strands)"],
-    }
+    assert offenders == {}
 
 
 def test_unread_check_sees_functions_and_methods():

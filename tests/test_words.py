@@ -23,7 +23,9 @@ from braidcert import (
     identity,
     is_trivial,
     parse_braid,
+    power_floor,
 )
+from braidcert import braid
 
 
 class TestConstruction:
@@ -32,6 +34,11 @@ class TestConstruction:
             BraidWord(1, ())
         with pytest.raises(BadStrands):
             BraidWord(0, ())
+        # no generator index passes the letter cap
+        with pytest.raises(BadStrands):
+            BraidWord(MAX_WORD_LETTERS + 2, ())
+        top = MAX_WORD_LETTERS + 1
+        assert BraidWord(top, (top - 1,)).letters == (top - 1,)
 
     def test_letter_range(self):
         with pytest.raises(GeneratorOutOfRange):
@@ -58,6 +65,16 @@ class TestConstruction:
         b = BraidWord(3, (1, 2))
         with pytest.raises(WordLengthExceeded):
             b ** (MAX_WORD_LETTERS // 2 + 1)
+
+    def test_power_refusals_share_one_check(self, monkeypatch):
+        # b**k, b**-k and a ladder probe on b^k, which is never built,
+        # are refused by one check, with one message
+        b = BraidWord(3, (1, -2))
+        monkeypatch.setattr(braid, "MAX_WORD_LETTERS", 20)
+        for refused in (lambda: b**11, lambda: b**-11, lambda: power_floor(b, 11)):
+            with pytest.raises(WordLengthExceeded) as info:
+                refused()
+            assert str(info.value) == "power would have 22 letters, cap is 20"
 
     def test_identity(self):
         e = identity(4)
@@ -127,7 +144,7 @@ class TestGarsideElements:
         for m in (2, 3, 4, 5):
             p = delta(m).permutation()
             assert p.images == tuple(range(m, 0, -1))
-            assert full_twist(m).permutation().is_identity
+            assert full_twist(m).permutation() == Permutation.identity(m)
 
     def test_over_long_half_twist_is_refused_before_it_is_built(self):
         # delta(3000) would have 4,498,500 letters: past the cap, and
@@ -198,6 +215,7 @@ class TestParsing:
         "text, column",
         [
             ("x: 1 2", 1),     # strand count not an integer
+            ("1000002: 1", 1),  # strand count past MAX_WORD_LETTERS + 1
             ("3 1 2", 6),      # missing colon: reported past the end
             ("3: 1 y", 6),     # bad letter token
             ("", 1),           # empty input
