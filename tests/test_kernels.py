@@ -291,8 +291,9 @@ class TestCompiledBoundary:
 
     # A budget of 3 holds every word here, so each error is the letter's.
     @pytest.mark.parametrize("letters,max_len", [
-        ((0,), 3), ((1, 0), 3),               # letter 0
-        ((2**31 - 1,), 3), ((-2**31 - 1,), 3),  # gen(x) + 1 past a C int
+        ((0,), 3), ((1, 0), 3),                     # letter 0
+        ((2**31 - 1,), 3), ((-(2**31 - 1),), 3),    # gen(x) + 1 past a C int
+        ((1, 2**31), 3), ((-2**31 - 1,), 3),        # x itself past a C int
     ])
     def test_value_errors(self, c_kernel, letters, max_len):
         for fn in (c_kernel.reduce_word, c_kernel.sign_of):
