@@ -8,9 +8,11 @@ Every entry point takes letters alone: the callers pass the letters of
 a BraidWord, which has already checked them against its strand count
 (:mod:`braidcert.braid`), and no engine needs more.
 
-This module also picks the one engine for every floor probe
-(:func:`probe_sign`): handle reduction under the compiled kernel,
-Dynnikov coordinates under the pure-Python one.
+This module also holds the one engine for every floor probe
+(:class:`FloorProbe`): under the compiled kernel, handle reduction of
+each probe's word; under the pure-Python one, a Dynnikov-coordinate walk
+that continues from the last probe's point, so that a floor search
+walks each letter once.
 
 This module is the one place that resolves the reduction budget: every
 kernel call reads BRAIDCERT_REDUCTION_BUDGET afresh, so a program can
@@ -20,9 +22,10 @@ change it between calls.
 from __future__ import annotations
 
 import os
+from functools import cache
 
 from braidcert import _reduction_py, dynnikov
-from braidcert.braid import BLANKS, parse_decimal
+from braidcert.braid import BLANKS, delta, parse_decimal
 from braidcert.errors import BadParameters, ReductionBudgetExceeded
 
 try:
@@ -72,29 +75,100 @@ def sign_of(letters) -> int:
     return _impl.sign_of(letters, default_budget())
 
 
-def probe_sign(letters) -> int:
-    """Dehornoy sign of a floor search's or ladder's probe, under the
-    process budget.
+@cache
+def _full_twists(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Letters of delta^2 and of delta^-2 on m strands."""
+    full = delta(m).letters * 2
+    return full, tuple(-x for x in reversed(full))
 
-    The compiled kernel decides it by handle reduction, through
-    :func:`sign_of`.  The pure-Python build walks Dynnikov coordinates
-    instead (:func:`braidcert.dynnikov.sign`): on the probes, a power
-    or a braid and its full twists, the walk is about twice as fast as
-    pure-Python handle reduction, but slower than compiled handle
-    reduction.  A probe whose freely reduced word
-    is longer than the budget is refused with the kernels' own message,
-    so either engine fails on the same probes in the same words.
+
+def spread_probe(w: tuple[int, ...], x: tuple[int, ...], m: int, n: int,
+                 j: int, positive: bool) -> tuple[int, ...]:
+    """Letters of c^n delta^(2j) for a braid b = w X w^-1 on m strands,
+    with c = b^-1 for a positive b and c = b for a negative one, and the
+    j full twists spread through the |n| copies of c's core.
+
+    For n >= 1 and j >= 0 it is the probe of a floor search or ladder on
+    b^n: w (X^-1 delta^(2a_1)) ... (X^-1 delta^(2a_n)) w^-1 for positive
+    b, which is b^-n delta^(2j), and w (delta^(2a_1) X) ...
+    (delta^(2a_n) X) w^-1 for negative b, which is delta^(2j) b^n.  The
+    exponents a_i = floor(j i / n) - floor(j (i - 1) / n) split j
+    evenly.  A negative n takes the inverse core, as
+    c^n = w X^(+-|n|) w^-1, and for a negative j every a_i is <= 0; n = 0
+    gives delta^(2j) alone.
     """
-    if _impl is not _reduction_py:
-        return sign_of(letters)
-    budget = default_budget()
-    if len(letters) > budget:  # free reduction only shortens a word
-        length = len(dynnikov.free_reduce(letters))
-        if length > budget:
-            raise ReductionBudgetExceeded(
-                f"word of length {length} exceeds budget {budget}"
-            )
-    return dynnikov.sign(letters)
+    full, inverse = _full_twists(m)
+    if n == 0:
+        return full * j if j >= 0 else inverse * -j
+    core = tuple(-y for y in reversed(x)) if positive == (n > 0) else x
+    copies = abs(n)
+    letters = list(w)
+    cut = 0
+    for i in range(1, copies + 1):
+        a = j * i // copies - cut
+        cut += a
+        twist = full * a if a >= 0 else inverse * -a
+        letters += core + twist if positive else twist + core
+    letters += (-y for y in reversed(w))
+    return tuple(letters)
+
+
+class FloorProbe:
+    """The probes of one floor search on a nontrivial braid
+    b = w X w^-1 on m strands: whether c^n delta^(2j) is positive, with
+    c = b^-1 for a positive b and c = b for a negative one, that is
+    whether b^n lies strictly inside delta^(2j) in the direction of its
+    sign.
+
+    Under the compiled kernel, :func:`sign_of` decides each probe by
+    handle reduction of its word :func:`spread_probe`.  The pure-Python
+    build walks Dynnikov coordinates instead, and walks each letter once.
+    It keeps the image of the start point under the last probe
+    c^n0 delta^(2j0).  The walk is a right action of the braid group and
+    delta^2 is central, so
+
+        c^n delta^(2j) = (c^n0 delta^(2j0)) (c^(n - n0) delta^(2(j - j0))),
+
+    and the next probe walks only the freely reduced difference,
+    ``spread_probe(w, X, m, n - n0, j - j0, positive)``, from that image.
+    The image is exact, so the sign is the one a walk of the whole probe
+    gives (:func:`braidcert.dynnikov.point_sign`).
+
+    Either engine refuses a probe whose whole word, freely reduced, is
+    longer than the budget, with the kernels' own message, so both
+    builds fail on the same probes.  The pure-Python build builds that
+    word only when its 2|w| + n|X| + j m (m - 1) letters exceed the
+    budget, as free reduction only shortens a word.
+    """
+
+    def __init__(self, w: tuple[int, ...], x: tuple[int, ...], m: int,
+                 positive: bool):
+        self.w, self.x, self.m, self.positive = w, x, m, positive
+        self._n = self._j = 0
+        self._point = [0, 1] * m
+
+    def rewrite(self, w: tuple[int, ...], x: tuple[int, ...]) -> None:
+        """Build later probes on w X w^-1, a word of the same braid b:
+        the point walked so far stays the image under the last probe."""
+        self.w, self.x = w, x
+
+    def inside(self, n: int, j: int) -> bool:
+        """Whether b^n lies strictly inside delta^(2j) in the direction
+        of b's sign, for n >= 1 and j >= 0."""
+        w, x, m, positive = self.w, self.x, self.m, self.positive
+        if _impl is not _reduction_py:
+            return sign_of(spread_probe(w, x, m, n, j, positive)) > 0
+        budget = default_budget()
+        if 2 * len(w) + n * len(x) + j * m * (m - 1) > budget:
+            length = len(dynnikov.free_reduce(spread_probe(w, x, m, n, j, positive)))
+            if length > budget:
+                raise ReductionBudgetExceeded(
+                    f"word of length {length} exceeds budget {budget}"
+                )
+        step = spread_probe(w, x, m, n - self._n, j - self._j, positive)
+        self._point = dynnikov.act(self._point, dynnikov.free_reduce(step))
+        self._n, self._j = n, j
+        return dynnikov.point_sign(self._point) > 0
 
 
 def reduce_word(letters) -> list[int]:

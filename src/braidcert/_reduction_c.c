@@ -75,11 +75,12 @@ push_counted(int *buf, Py_ssize_t *n, Py_ssize_t *cnt, int z)
     }
 }
 
-/* Sign decided by the lowest generator present; MIXED if undecided. */
+/* Sign decided by the lowest generator present; MIXED if undecided.
+   No generator below low occurs. */
 static int
-definite_sign(const Py_ssize_t *cnt, int top)
+definite_sign(const Py_ssize_t *cnt, int low, int top)
 {
-    for (int j = 1; j < top; j++) {
+    for (int j = low; j < top; j++) {
         if (cnt[j] || cnt[-j])
             return cnt[-j] == 0 ? 1 : cnt[j] == 0 ? -1 : MIXED;
     }
@@ -94,7 +95,7 @@ reduce_core(PyObject *args, PyObject *kwds, int full, int **wp, Py_ssize_t *np)
 {
     static char *kwlist[] = {"letters", "max_len", NULL};
     PyObject *letters, *seq;
-    int top = 1, sign = FAILED;
+    int top = 1, low, sign = FAILED;
     Py_ssize_t max_len, n0, n = 0, cap, seg_cap = 64, seg_n, i, s, q;
     int *w = NULL, *seg = NULL;
     Py_ssize_t *tables = NULL, *cnt, *last, *prev = NULL;
@@ -152,9 +153,15 @@ reduce_core(PyObject *args, PyObject *kwds, int full, int **wp, Py_ssize_t *np)
     last = tables + 2 * top;
     for (int j = 0; j < top; j++)
         last[j] = -1;
-    for (i = 0; i < n; i++)
+    /* No rewrite brings in a generator below the lowest one, so the
+       sign scans start there. */
+    low = top;
+    for (i = 0; i < n; i++) {
         cnt[w[i]]++;
-    if (!full && (sign = definite_sign(cnt, top)) != MIXED)
+        if (gen(w[i]) < low)
+            low = gen(w[i]);
+    }
+    if (!full && (sign = definite_sign(cnt, low, top)) != MIXED)
         goto done;
 
     i = 0;
@@ -210,7 +217,7 @@ reduce_core(PyObject *args, PyObject *kwds, int full, int **wp, Py_ssize_t *np)
                          max_len);
             goto fail;
         }
-        if (!full && (sign = definite_sign(cnt, top)) != MIXED)
+        if (!full && (sign = definite_sign(cnt, low, top)) != MIXED)
             goto done;
 
         /* Resume at s.  No generator below g occurs in w[s..i], so only
@@ -221,7 +228,7 @@ reduce_core(PyObject *args, PyObject *kwds, int full, int **wp, Py_ssize_t *np)
         }
         i = s;
     }
-    sign = definite_sign(cnt, top);
+    sign = definite_sign(cnt, low, top);
     goto done;
 
 fail:

@@ -49,9 +49,10 @@ def _free_reduce(letters):
     return out
 
 
-def _definite_sign(cnt, top):
+def _definite_sign(cnt, low, top):
     # Sign decided by the lowest generator present; _MIXED if undecided.
-    for j in range(1, top + 1):
+    # No generator below low occurs.
+    for j in range(low, top + 1):
         p = cnt[j]
         n = cnt[-j]
         if p or n:
@@ -72,13 +73,16 @@ def _reduce_core(letters, max_len, full):
 
     # Tables are sized by the word's highest generator, as a rewrite
     # brings in no other; cnt[x] counts the letter x, x < 0 from the end.
+    # Nor does a rewrite bring in a generator below the lowest, so the
+    # sign scans start there.
     top = max(map(abs, w), default=0)
+    low = min(map(abs, w), default=1)
     cnt = [0] * (2 * top + 2)
     for x in w:
         cnt[x] += 1
 
     if not full:
-        s = _definite_sign(cnt, top)
+        s = _definite_sign(cnt, low, top)
         if s != _MIXED:
             return s, w
 
@@ -134,10 +138,10 @@ def _reduce_core(letters, max_len, full):
                 f"word grew past budget {max_len} during handle reduction"
             )
 
-        # While sigma_1 occurs with both signs the word is mixed, so
-        # the scan of cnt can wait.
-        if not full and not (cnt[1] and cnt[-1]):
-            sd = _definite_sign(cnt, top)
+        # While the lowest generator occurs with both signs the word is
+        # mixed, so the scan of cnt can wait.
+        if not full and not (cnt[low] and cnt[-low]):
+            sd = _definite_sign(cnt, low, top)
             if sd != _MIXED:
                 return sd, w
 
@@ -151,7 +155,7 @@ def _reduce_core(letters, max_len, full):
         del prev[s:]
         i = s
 
-    return _definite_sign(cnt, top), w
+    return _definite_sign(cnt, low, top), w
 
 
 def reduce_word(letters, max_len):

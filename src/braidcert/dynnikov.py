@@ -127,8 +127,16 @@ def sign(letters: Iterable[int]) -> int:
     letters.
     """
     word = free_reduce(letters)
-    start = _start(word)
-    for x, y in zip(act(start, word), start):
+    return point_sign(act(_start(word), word))
+
+
+def point_sign(point: Sequence[int]) -> int:
+    """Dehornoy sign of a braid, -1, 0 or +1, from the image of the
+    start point (0, 1, ..., 0, 1) under it: the sign of the first entry
+    where the image differs from the start (see :func:`sign`).  Any
+    number of pairs from the word's reach up gives the same answer."""
+    for i, x in enumerate(point):
+        y = i & 1
         if x != y:
             return 1 if x > y else -1
     return 0

@@ -11,8 +11,13 @@ handle-reduce the word; the empty word is the identity, otherwise the
 lowest generator of the reduced word occurs with one sign only and that
 sign is the answer.  Whether a word is trivial, a question that needs no
 sign, is decided apart from the kernel, by Dynnikov coordinates
-(:mod:`braidcert.dynnikov`), and so, in the pure-Python build, is every
-probe of a floor search or ladder (:func:`_inside`).
+(:mod:`braidcert.dynnikov`).  Every probe of a floor search or ladder
+goes to one probe object per search (:class:`braidcert._kernel.FloorProbe`),
+which the compiled kernel answers by handle reduction and the
+pure-Python build by a coordinate walk that continues from the last
+probe's point.  A root test compares the walked image of a power with
+the image of a whole number of full twists, cached per strand count and
+power (:func:`twist_point`).
 
 The *floor* of a braid ``b`` counts full twists, using the Garside half
 twist ``delta``:
@@ -31,7 +36,7 @@ above are stated for, and the two differ on braids between powers of
 from __future__ import annotations
 
 from enum import Enum
-from functools import cache
+from functools import lru_cache
 
 from braidcert import _kernel, dynnikov
 from braidcert.braid import BraidWord, check_power, delta
@@ -82,18 +87,18 @@ def reduced_word(u: BraidWord) -> BraidWord:
     return BraidWord(u.strands, tuple(_kernel.reduce_word(u.letters)))
 
 
-def _search_floor(u: BraidWord, positive: bool) -> int:
-    """The floor of a nontrivial u of the given sign: gallop from a
-    seed to a bracket, then bisect.  holds(k) says whether u lies
-    strictly inside delta^(2k+2) in the direction of its sign:
-    u < delta^(2k+2) for positive u, delta^(-2k-2) < u for negative u.
-    That is one probe, the ladder's on one copy of u (:func:`_inside`).
-    The other inequality holds for every k >= 0, because a positive u
-    is above every negative power of delta, and symmetrically."""
+def _search_floor(u: BraidWord, probe: _kernel.FloorProbe) -> int:
+    """The floor of a nontrivial u: gallop from a seed to a bracket,
+    then bisect.  holds(k) says whether u lies strictly inside
+    delta^(2k+2) in the direction of its sign: u < delta^(2k+2) for
+    positive u, delta^(-2k-2) < u for negative u.  That is one probe on
+    one copy of u, asked of u's probe object.  The other inequality
+    holds for every k >= 0, because a positive u is above every negative
+    power of delta, and symmetrically."""
     m = u.strands
 
     def holds(k: int) -> bool:
-        return _inside((), u.letters, m, 1, k + 1, positive)
+        return probe.inside(1, k + 1)
 
     seed = abs(u.exponent_sum) // (m * (m - 1))
     if holds(seed):
@@ -133,25 +138,26 @@ def dehornoy_floor(u: BraidWord) -> int:
     because a positive braid is automatically above every negative power
     of delta, and symmetrically.  Every probe is decided exactly, so the
     result does not depend on the start, only the number of probes
-    does.
+    does.  The probes go to one :class:`braidcert._kernel.FloorProbe`;
+    in the pure-Python build, each one after the first walks only the
+    full twists by which it differs from the last.
     """
     sign = sigma_sign(u)
     if sign is OrderSign.TRIVIAL:
         return 0
-    return _search_floor(u, sign is OrderSign.POSITIVE)
+    positive = sign is OrderSign.POSITIVE
+    return _search_floor(u, _kernel.FloorProbe((), u.letters, u.strands, positive))
 
 
-@cache
-def _half_twists(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Letters of delta and of delta^-1 on m strands."""
+@lru_cache(maxsize=1024)
+def twist_point(m: int, p: int) -> tuple[int, ...]:
+    """The image of the start point (0, 1, ..., 0, 1), with m pairs,
+    under delta^(2p) on m strands: one walk of those letters the first
+    time, kept as an immutable tuple for later calls."""
     half = delta(m).letters
-    return half, tuple(-x for x in reversed(half))
-
-
-def _delta_power(m: int, n: int) -> tuple[int, ...]:
-    """Letters of delta^n on m strands, for any integer n."""
-    half, inverse = _half_twists(m)
-    return half * n if n >= 0 else inverse * -n
+    if p < 0:
+        half = tuple(-x for x in reversed(half))
+    return tuple(dynnikov.act((0, 1) * m, half * (2 * abs(p))))
 
 
 def central_root(b: BraidWord, max_power: int) -> tuple[int, int] | None:
@@ -167,10 +173,14 @@ def central_root(b: BraidWord, max_power: int) -> tuple[int, int] | None:
 
     The query is on the cyclic core.  Write b = w X w^-1 with X
     cyclically reduced; then b^q = w X^q w^-1, and as delta^2 is
-    central, b^q = delta^(2p) exactly when X^q delta^(-2p) is trivial,
-    a word without the conjugator's 2 |w| letters.  Dynnikov
-    coordinates decide it (:func:`braidcert.dynnikov.is_trivial`), so no
-    root query reaches the handle-reduction kernel or its budget.
+    central, b^q = delta^(2p) exactly when X^q = delta^(2p), a question
+    without the conjugator's 2 |w| letters.  Dynnikov coordinates decide
+    it: the action is faithful and each word acts by a bijection, so
+    X^q = delta^(2p) exactly when both move the start point s to the
+    same image, and the test compares the walk of X^q from s with
+    :func:`twist_point`, the image under delta^(2p), which is walked
+    once per (m, p).  No root query reaches the handle-reduction kernel
+    or its budget.
 
     Raises WordLengthExceeded where b**q would, when |b| q passes
     MAX_WORD_LETTERS.
@@ -182,7 +192,7 @@ def central_root(b: BraidWord, max_power: int) -> tuple[int, int] | None:
         if q > max_power or rest:
             continue
         check_power(b, q)
-        if dynnikov.is_trivial((core**q).letters + _delta_power(m, -2 * p)):
+        if tuple(dynnikov.act((0, 1) * m, (core**q).letters)) == twist_point(m, p):
             return q, p
     return None
 
@@ -195,33 +205,6 @@ def _cyclic_core(b: BraidWord) -> tuple[tuple[int, ...], tuple[int, ...]]:
     while j - i > 1 and letters[i] == -letters[j - 1]:
         i, j = i + 1, j - 1
     return letters[:i], letters[i:j]
-
-
-def _spread_probe(w: tuple[int, ...], x: tuple[int, ...], m: int, n: int,
-                  j: int, positive: bool) -> tuple[int, ...]:
-    """The ladder's probe on b^n, b = w X w^-1, for the twist delta^(2j):
-    w (X^-1 delta^(2a_1)) ... (X^-1 delta^(2a_n)) w^-1 for positive b,
-    which is b^-n delta^(2j), and w (delta^(2a_1) X) ... (delta^(2a_n) X)
-    w^-1 for negative b, which is delta^(2j) b^n.  The exponents
-    a_i = floor(j i / n) - floor(j (i - 1) / n) split j evenly."""
-    full = _delta_power(m, 2)
-    core = tuple(-y for y in reversed(x)) if positive else x
-    letters = list(w)
-    cut = 0
-    for i in range(1, n + 1):
-        twist = full * (j * i // n - cut)
-        cut = j * i // n
-        letters += core + twist if positive else twist + core
-    letters += (-y for y in reversed(w))
-    return tuple(letters)
-
-
-def _inside(w: tuple[int, ...], x: tuple[int, ...], m: int, n: int,
-            j: int, positive: bool) -> bool:
-    """Whether b^n, b = w X w^-1, lies strictly inside delta^(2j) in the
-    direction of its sign: whether the spread probe is positive, which
-    every floor probe asks of :func:`braidcert._kernel.probe_sign`."""
-    return _kernel.probe_sign(_spread_probe(w, x, m, n, j, positive)) > 0
 
 
 def power_floor(b: BraidWord, k: int) -> int:
@@ -277,12 +260,20 @@ def power_floor(b: BraidWord, k: int) -> int:
     same sign; but handle reduction meets positive letters next to each
     X^-1 instead of carrying every negative letter across the whole power
     to one block at the end.  For b < 1 the probe delta^(2J) b^n is
-    spread the same way, as w (delta^(2a_1) X) ... (delta^(2a_n) X) w^-1.
-    :func:`_inside` decides each probe, as it does the search's
-    (:func:`_search_floor`), through the one probe engine
-    :func:`braidcert._kernel.probe_sign`: handle reduction when the
-    compiled kernel is built, Dynnikov coordinates in the pure-Python
-    build, where the walk is the faster engine.
+    spread the same way, as w (delta^(2a_1) X) ... (delta^(2a_n) X) w^-1
+    (:func:`braidcert._kernel.spread_probe`).
+
+    One probe object (:class:`braidcert._kernel.FloorProbe`) answers the
+    search for the floor of b and then every ladder step.  The compiled
+    kernel handle-reduces each probe's word.  The pure-Python build walks
+    Dynnikov coordinates and continues each probe from the last one's
+    point: the probe b^-n delta^(2J) is the last one, b^-n0 delta^(2J0),
+    times b^-(n - n0) delta^(2(J - J0)), so only n - n0 more spread
+    copies and J - J0 full twists are walked, and the first step
+    continues from the search's last probe.  With the cached twist image
+    of :func:`central_root`, the 1,960 twist intervals of perfbench's
+    ``twist-floor`` workload at seed 1 walk 649,828 letters, where
+    walking every probe and root test whole took 1,225,194.
 
     The ladder reads the bits of k after the leading one: each bit
     doubles n -> 2n, and a set bit then steps n -> n + 1.  So k costs
@@ -302,15 +293,15 @@ def power_floor(b: BraidWord, k: int) -> int:
     sign = sigma_sign(b)
     if sign is OrderSign.TRIVIAL:
         return 0
-    positive = sign is OrderSign.POSITIVE
-    w, x = _cyclic_core(b)
+    probe = _kernel.FloorProbe((), b.letters, m, sign is OrderSign.POSITIVE)
+    n, f = 1, _search_floor(b, probe)
+    probe.rewrite(*_cyclic_core(b))
 
     def floor_of_power(n: int, s: int) -> int:
         # floor(b^n) is s or s + 1 by the lemma; one probe decides
         check_power(b, n)
-        return s if _inside(w, x, m, n, s + 1, positive) else s + 1
+        return s if probe.inside(n, s + 1) else s + 1
 
-    n, f = 1, _search_floor(b, positive)
     f1 = f
     for bit in bin(k)[3:]:
         n, f = 2 * n, floor_of_power(2 * n, 2 * f)

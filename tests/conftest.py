@@ -165,9 +165,33 @@ def recorded_queries(module=_kernel, name="sign_of", at=0):
 
 def recorded_walks():
     """Every Dynnikov-coordinate walk made inside the block, as the
-    letters walked: one for each triviality test, and one for each sign,
-    on its freely reduced word."""
+    letters walked: one for each triviality test; one for each sign, on
+    its freely reduced word; one for each root test, on the power of the
+    cyclic core, and one more, on the full twists, where
+    ``ordering.twist_point`` has not yet cached their image; and, in the
+    pure-Python build, one for each floor probe, on the freely reduced
+    difference from the last probe of its search."""
     return recorded_queries(dynnikov, "act", at=1)
+
+
+@contextmanager
+def recorded_probes():
+    """Every floor probe asked inside the block, as the letters of its
+    whole word ``_kernel.spread_probe(w, x, m, n, j, positive)``: the
+    word the compiled kernel handle-reduces, and the braid whose image
+    the pure-Python build has walked once the probe is answered."""
+    probes: list[tuple[int, ...]] = []
+    original = _kernel.FloorProbe.inside
+
+    def recording(self, n, j):
+        probes.append(_kernel.spread_probe(self.w, self.x, self.m, n, j, self.positive))
+        return original(self, n, j)
+
+    _kernel.FloorProbe.inside = recording
+    try:
+        yield probes
+    finally:
+        _kernel.FloorProbe.inside = original
 
 
 def traced_peak(call):

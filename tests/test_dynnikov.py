@@ -8,8 +8,8 @@ from conftest import braid_words, probe_words, recorded_walks, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidcert import BraidWord, _reduction_py, delta, dynnikov
-from braidcert.ordering import _cyclic_core, _spread_probe
+from braidcert import BraidWord, _kernel, _reduction_py, delta, dynnikov
+from braidcert.ordering import _cyclic_core
 
 BUDGET = 10**6
 
@@ -75,7 +75,7 @@ def ladder_probes(draw):
     b = draw(braid_words(min_strands=3, max_strands=6, max_len=8))
     n, j = draw(st.integers(1, 8)), draw(st.integers(0, 4))
     w, x = _cyclic_core(b)
-    return b.strands, _spread_probe(w, x, b.strands, n, j, draw(st.booleans()))
+    return b.strands, _kernel.spread_probe(w, x, b.strands, n, j, draw(st.booleans()))
 
 
 def power(letters, r):

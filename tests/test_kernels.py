@@ -252,11 +252,16 @@ class TestKernelParity:
         # neither kernel reads a strand count: generators far above any
         # small braid group are reduced alike, with tables sized by them
         g = 10**4
-        for w in [(g, g + 1, -g), (g + 1, -g, -g - 1, g), (-g, 1, g + 2, g)]:
+        # the last word's lowest generator g leaves with its handle, so
+        # the sign is read above it, at g + 2
+        for w in [(g, g + 1, -g), (g + 1, -g, -g - 1, g), (-g, 1, g + 2, g),
+                  (g, g + 2, -g, -g - 3)]:
             for name in ("reduce_word", "sign_of"):
                 assert getattr(c_kernel, name)(w, BUDGET) == getattr(
                     _reduction_py, name)(w, BUDGET)
         assert _reduction_py.reduce_word((g, g + 1, -g), BUDGET) == [-g - 1, g, g + 1]
+        assert _reduction_py.reduce_word((g, g + 2, -g, -g - 3), BUDGET) == [g + 2, -g - 3]
+        assert _reduction_py.sign_of((g, g + 2, -g, -g - 3), BUDGET) == 1
 
     def test_budget_exceeded_matches(self, c_kernel):
         # The budget-floor and budget-fdtc goldens print these messages.

@@ -8,6 +8,7 @@ import pytest
 from conftest import (
     braid_words,
     letter_lists,
+    recorded_probes,
     recorded_queries,
     recorded_walks,
     three_braids,
@@ -42,12 +43,28 @@ from braidcert import (
     sigma_sign,
 )
 from braidcert import _kernel, _reduction_py, braid, dynnikov, ordering
-from braidcert.ordering import _cyclic_core, _delta_power, _spread_probe, central_root
+from braidcert.ordering import _cyclic_core, central_root, twist_point
 
 
-def recorded_tests():
-    """Every Dynnikov-coordinate triviality test made inside the block."""
-    return recorded_queries(dynnikov, "is_trivial")
+def delta_power(m: int, n: int) -> tuple[int, ...]:
+    """Letters of delta^n on m strands."""
+    return (delta(m) ** n).letters
+
+
+def inverse(letters: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(-x for x in reversed(letters))
+
+
+def assert_walks_continue(walked: list, probes: list) -> None:
+    """The pure-Python build's walks for a run of floor probes: one walk
+    per probe, and the walks up to each probe spell, as a braid, that
+    probe's whole word, so each walk continues from the last probe's
+    image."""
+    assert len(walked) == len(probes)
+    done: tuple[int, ...] = ()
+    for walk, probe in zip(walked, probes):
+        done += walk
+        assert dynnikov.is_trivial(done + inverse(probe))
 
 
 def floor_by_definition(b: BraidWord) -> int:
@@ -270,10 +287,9 @@ class TestPowerFloor:
             assume(central_root(b, k) is None)
         # the central-root test decides triviality off the kernel
         assert root == []
-        with recorded_queries(_kernel, "probe_sign") as base:
+        with recorded_probes() as base:
             dehornoy_floor(b)
-        with (recorded_queries() as queries,
-              recorded_queries(_kernel, "probe_sign") as probes):
+        with recorded_queries() as queries, recorded_probes() as probes:
             power_floor(b, k)
         # the floor of b costs what dehornoy_floor(b) costs, and each
         # ladder step one probe; the one sign query is of b, and the
@@ -303,7 +319,7 @@ class TestPowerFloor:
         for n, probe in zip(powers, probes):
             j, rest = divmod(len(probe) - 2 * len(w) - n * len(x), m * (m - 1))
             assert rest == 0 and j >= 1
-            assert probe == _spread_probe(w, x, m, n, j, positive)
+            assert probe == _kernel.spread_probe(w, x, m, n, j, positive)
 
     def test_ladder_keeps_the_power_letter_cap(self, monkeypatch):
         # b^n is never built, but a probe on it is refused where b**n is
@@ -385,12 +401,12 @@ class TestPowerFloor:
         root = central_root(b, k)
         assume(root is not None)
         q, p = root
-        with recorded_queries() as near, recorded_tests() as near_tests:
+        with recorded_queries() as near, recorded_walks() as near_walks:
             floor = power_floor(b, k)
-        with recorded_queries() as far, recorded_tests() as far_tests:
+        with recorded_queries() as far, recorded_walks() as far_walks:
             assert power_floor(b, k + 10 * q) == floor + 10 * abs(p)
         assert far == near
-        assert far_tests == near_tests
+        assert far_walks == near_walks
 
     def test_root_keeps_the_power_letter_cap(self, monkeypatch):
         # the root query holds only the core's q copies, but it is
@@ -424,66 +440,136 @@ _LADDER_BRAIDS = [
 
 
 class TestLadderEngine:
-    """_kernel.probe_sign decides every floor probe, the search's and the
-    ladder's, by handle reduction under the compiled kernel and by
-    Dynnikov coordinates under the pure-Python one."""
+    """One probe object decides every floor probe of a search and of the
+    ladder that follows it: by handle reduction of each probe's word
+    under the compiled kernel, and under the pure-Python one by Dynnikov
+    coordinates, walking from the last probe's image only what the next
+    probe adds."""
 
     @pytest.mark.parametrize("b", _LADDER_BRAIDS)
     def test_engines_follow_the_kernel(self, c_kernel, monkeypatch, b):
         assert central_root(b, 24) is None
+        with recorded_walks() as root_walks:
+            central_root(b, 24)
         floors = {}
         for kernel in (c_kernel, _reduction_py):
             monkeypatch.setattr(_kernel, "_impl", kernel)
-            with recorded_queries(_kernel, "probe_sign") as searched:
+            with recorded_probes() as searched:
                 dehornoy_floor(b)
-            with (recorded_queries(_kernel, "probe_sign") as probes,
-                  recorded_queries(dynnikov, "sign") as walked):
+            with recorded_probes() as probes, recorded_walks() as walked:
                 floors[kernel] = power_floor(b, 24)
             # the search's probes, then one per ladder step
             assert probes[:len(searched)] == searched
             assert len(probes) == len(searched) + 5
-            # the compiled kernel sends no walk; the pure-Python build
-            # walks every probe and nothing else
-            assert walked == ([] if kernel is c_kernel else probes)
+            # after the root test's walks, the compiled kernel sends no
+            # walk; the pure-Python build walks each probe on from the
+            # last, the first step from the search's last probe, and so
+            # walks fewer letters than the probes hold
+            assert walked[:len(root_walks)] == root_walks
+            walked = walked[len(root_walks):]
+            if kernel is c_kernel:
+                assert walked == []
+            else:
+                assert_walks_continue(walked, probes)
+                assert sum(map(len, walked)) < sum(
+                    len(dynnikov.free_reduce(probe)) for probe in probes)
         assert set(floors.values()) == {dehornoy_floor(b**24)}
 
     @pytest.mark.parametrize("b", _LADDER_BRAIDS)
     def test_search_asks_one_sign_and_probes_the_rest(self, c_kernel, monkeypatch, b):
+        m = b.strands
         for kernel in (c_kernel, _reduction_py):
             monkeypatch.setattr(_kernel, "_impl", kernel)
             with (recorded_queries() as signs,
-                  recorded_queries(_kernel, "probe_sign") as probes,
-                  recorded_queries(dynnikov, "sign") as walked):
+                  recorded_probes() as probes,
+                  recorded_walks() as walked):
                 dehornoy_floor(b)
             assert probes
             # sign_of is asked for the sign of b; the compiled kernel
             # decides the probes through it, the pure-Python build walks
-            # every probe
+            # the first probe whole and then only full twists
             if kernel is c_kernel:
                 assert signs == [b.letters] + probes
                 assert walked == []
             else:
                 assert signs == [b.letters]
-                assert walked == probes
+                assert_walks_continue(walked, probes)
+                for walk in walked[1:]:
+                    twists, rest = divmod(len(walk), m * (m - 1))
+                    assert rest == 0 and twists
+                    assert walk in (delta_power(m, 2 * twists), delta_power(m, -2 * twists))
 
     @pytest.mark.parametrize("b", _LADDER_BRAIDS)
     def test_over_long_probe_is_refused_alike(self, c_kernel, monkeypatch, b):
         w, x = _cyclic_core(b)
-        positive = sigma_sign(b) is OrderSign.POSITIVE
-        probe = _spread_probe(w, x, b.strands, 6, 3, positive)
-        length = len(BraidWord(b.strands, probe))
-        padded = probe[:1] + (1, -1) * 4 + probe[1:]
-        monkeypatch.setenv("BRAIDCERT_REDUCTION_BUDGET", str(length - 1))
+        m, positive = b.strands, sigma_sign(b) is OrderSign.POSITIVE
+        probe = _kernel.spread_probe(w, x, m, 6, 3, positive)
+        length = len(BraidWord(m, probe))
+        assert len(probe) > length
         message = f"word of length {length} exceeds budget {length - 1}"
         for kernel in (c_kernel, _reduction_py):
             monkeypatch.setattr(_kernel, "_impl", kernel)
-            for letters in (probe, padded):
-                with pytest.raises(ReductionBudgetExceeded) as refused:
-                    _kernel.probe_sign(letters)
-                assert str(refused.value) == message
-        # the budget caps the freely reduced probe, not its letters
+            floor_probe = _kernel.FloorProbe(w, x, m, positive)
+            assert floor_probe.inside(2, 1) == (
+                _reduction_py.sign_of(_kernel.spread_probe(w, x, m, 2, 1, positive),
+                                      10**6) > 0)
+            monkeypatch.setenv("BRAIDCERT_REDUCTION_BUDGET", str(length - 1))
+            with pytest.raises(ReductionBudgetExceeded) as refused:
+                floor_probe.inside(6, 3)
+            assert str(refused.value) == message
+            monkeypatch.delenv("BRAIDCERT_REDUCTION_BUDGET")
+        # the walk's budget caps the freely reduced probe, not its
+        # letters, and a refused probe leaves the walked image as it was
         monkeypatch.setenv("BRAIDCERT_REDUCTION_BUDGET", str(length))
-        assert _kernel.probe_sign(padded) == _reduction_py.sign_of(probe, 10**6)
+        assert floor_probe.inside(6, 3) == (_reduction_py.sign_of(probe, 10**6) > 0)
+
+
+#: Steps (n, j) of a probe object: n >= 1 copies of the braid, j >= 0 full
+#: twists, in any order, so that both grow and shrink between probes.
+probe_steps = st.lists(st.tuples(st.integers(1, 8), st.integers(0, 6)),
+                       min_size=1, max_size=6)
+
+
+class TestFloorProbe:
+    @given(st.integers(2, 6).flatmap(lambda m: st.tuples(
+               st.just(m), letter_lists(m, 5), letter_lists(m, 8))),
+           st.booleans(), probe_steps, st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_continued_probe_matches_whole_walk_and_kernel(self, mwx, positive,
+                                                           steps, rewrite):
+        # for any words w and X, each probe continued from the last has
+        # the sign of its whole word, by a fresh walk and by handle
+        # reduction; with rewrite, the first probe is asked on the word
+        # w X w^-1 and the rest on (w, X), as power_floor does
+        m, w, x = mwx
+        w, x = tuple(w), tuple(x)
+        whole = w + x + inverse(w)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_kernel, "_impl", _reduction_py)
+            probe = _kernel.FloorProbe((), whole, m, positive) if rewrite else \
+                _kernel.FloorProbe(w, x, m, positive)
+            for i, (n, j) in enumerate(steps):
+                if rewrite and i == 1:
+                    probe.rewrite(w, x)
+                word = _kernel.spread_probe(probe.w, probe.x, m, n, j, positive)
+                sign = dynnikov.sign(word)
+                assert sign == _reduction_py.sign_of(word, 10**6)
+                assert probe.inside(n, j) == (sign > 0)
+
+    @given(st.integers(2, 6).flatmap(lambda m: st.tuples(
+               st.just(m), letter_lists(m, 5), letter_lists(m, 8))),
+           st.booleans(), st.integers(-6, 6), st.integers(-6, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_spread_word_of_any_signs(self, mwx, positive, n, j):
+        # spread_probe(w, X, m, n, j) is c^n delta^(2j) for every sign of
+        # n and j, with c = b^-1 for positive b and c = b otherwise: the
+        # differences that the pure-Python build walks
+        m, w, x = mwx
+        b = tuple(w) + tuple(x) + inverse(tuple(w))
+        c = inverse(b) if positive else b
+        power = c * n if n >= 0 else inverse(c) * -n
+        word = _kernel.spread_probe(tuple(w), tuple(x), m, n, j, positive)
+        assert dynnikov.is_trivial(word + inverse(power + delta_power(m, 2 * j)))
 
 
 def block_probe(b: BraidWord, n: int, j: int) -> BraidWord:
@@ -498,7 +584,7 @@ def block_probe(b: BraidWord, n: int, j: int) -> BraidWord:
 def assert_spread_is_block(b: BraidWord, n: int, j: int) -> None:
     w, x = _cyclic_core(b)
     positive = sigma_sign(b) is OrderSign.POSITIVE
-    spread = _spread_probe(w, x, b.strands, n, j, positive)
+    spread = _kernel.spread_probe(w, x, b.strands, n, j, positive)
     block = block_probe(b, n, j)
     twist_letters = 2 * j * len(delta(b.strands))
     assert len(spread) == 2 * len(w) + n * len(x) + twist_letters
@@ -536,9 +622,9 @@ class TestSpreadProbe:
         # j = 2 over n = 3 copies: a = (0, 1, 1), after the copies' X^-1
         # for positive b and before their X for negative b
         full = delta(3).letters * 2
-        assert _spread_probe((), (1, -2), 3, 3, 2, True) == (
+        assert _kernel.spread_probe((), (1, -2), 3, 3, 2, True) == (
             (2, -1) + (2, -1) + full + (2, -1) + full)
-        assert _spread_probe((2,), (-1,), 3, 3, 2, False) == (
+        assert _kernel.spread_probe((2,), (-1,), 3, 3, 2, False) == (
             (2,) + (-1,) + full + (-1,) + full + (-1,) + (-2,))
 
     @given(braid_words(min_strands=3, max_strands=5, max_len=10),
@@ -593,6 +679,17 @@ class TestCentralRoot:
         if root is not None:
             assert Fraction(root[1], root[0]) == fdtc_exact_b3(b)
 
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_twist_point_is_a_fresh_walk(self, m):
+        # a miss walks delta^(2p), a hit returns the same immutable image
+        twist_point.cache_clear()
+        for p in range(-6, 7):
+            fresh = dynnikov.act([0, 1] * m, (full_twist(m) ** p).letters)
+            for _ in range(2):
+                image = twist_point(m, p)
+                assert isinstance(image, tuple)
+                assert list(image) == fresh
+
     def test_skips_roots_above_the_power(self):
         # delta_1^j on 5 strands has its root at q = 5 only
         b = BraidWord(5, (1, 2, 3, 4))
@@ -627,9 +724,17 @@ screen_inputs = st.one_of(
 )
 
 
+def warm_twist_points(b: BraidWord) -> None:
+    """Cache twist_point for every candidate root of b, so that a root
+    test then walks the core's power alone."""
+    for _, p in candidate_roots(b):
+        twist_point(b.strands, p)
+
+
 class TestCrossingScreen:
     """central_root's screen: exponent sums pick the candidate roots
-    (q, p), and one coordinate walk decides each candidate."""
+    (q, p), and one coordinate walk of the core's power X^q decides each
+    candidate, against the cached image of delta^(2p)."""
 
     @given(twisted_families(max_strands=7), st.booleans())
     @settings(max_examples=80, deadline=None)
@@ -646,13 +751,19 @@ class TestCrossingScreen:
         roots = [(q, int(c * q)) for q in (m, m - 1) if (c * q).denominator == 1]
         assert roots
         for q, p in roots:
-            twist = _delta_power(m, -2 * p)
+            twist = delta_power(m, -2 * p)
             assert dynnikov.is_trivial(core_power(b, q) + twist)
             assert dynnikov.is_trivial((b**q).letters + twist)
+        # the first test of a (m, p) also walks delta^(2p); later ones
+        # take its image from the cache
+        q, p = roots[0]
+        twist_point.cache_clear()
         with recorded_walks() as walks:
             assert central_root(b, m) == roots[0]
-        q, p = roots[0]
-        assert walks == [core_power(b, q) + _delta_power(m, -2 * p)]
+        assert walks == [core_power(b, q), delta_power(m, 2 * p)]
+        with recorded_walks() as walks:
+            assert central_root(b, m) == roots[0]
+        assert walks == [core_power(b, q)]
 
     @given(screen_inputs)
     @settings(max_examples=80, deadline=None)
@@ -665,25 +776,22 @@ class TestCrossingScreen:
         trivial = [
             (q, p) for q in (m, m - 1)
             for p in (q * b.exponent_sum // (m * (m - 1)) + shift for shift in (-1, 0, 1))
-            if _reduction_py.sign_of(core_power(b, q) + _delta_power(m, -2 * p), 10**6) == 0
+            if _reduction_py.sign_of(core_power(b, q) + delta_power(m, -2 * p), 10**6) == 0
         ]
         assert central_root(b, m) == (trivial[0] if trivial else None)
 
     @given(screen_inputs)
     @settings(max_examples=80, deadline=None)
     def test_screened_out_q_sends_no_query(self, b):
-        # the only coordinate tests are of X^q delta^(-2p) on the core,
-        # one for each candidate up to the first root, and each is
-        # walked; the kernel is never asked
-        m = b.strands
+        # the only walks are of X^q on the core, one for each candidate
+        # up to the first root; the kernel is never asked
         candidates = candidate_roots(b)
-        asked = [core_power(b, q) + _delta_power(m, -2 * p) for q, p in candidates]
-        with recorded_queries() as kernel_queries, recorded_tests() as queries, \
-                recorded_walks() as walks:
-            root = central_root(b, m)
+        asked = [core_power(b, q) for q, _ in candidates]
+        warm_twist_points(b)
+        with recorded_queries() as kernel_queries, recorded_walks() as walks:
+            root = central_root(b, b.strands)
         assert kernel_queries == []
-        assert queries == asked[:candidates.index(root) + 1 if root else None]
-        assert walks == queries
+        assert walks == asked[:candidates.index(root) + 1 if root else None]
 
     def test_screen_refuses_without_a_query(self):
         # sigma_1^3 on 4 strands passes the exponent-sum test at q = 4,
@@ -691,22 +799,23 @@ class TestCrossingScreen:
         # one walk on the core refuses it, and the kernel is never asked
         b = BraidWord(4, (1, 1, 1)).conjugated_by(BraidWord(4, (3, 2)))
         assert candidate_roots(b) == [(4, 1)]
+        warm_twist_points(b)
         with recorded_queries() as kernel_queries, recorded_walks() as walks:
             assert central_root(b, 4) is None
         assert kernel_queries == []
-        assert walks == [core_power(b, 4) + _delta_power(4, -2)]
+        assert walks == [core_power(b, 4)]
 
     def test_query_holds_no_conjugator_letters(self):
         w = BraidWord(5, (2, -3, 4, 1))
         x = BraidWord(5, (1, 2, 3, 4)) ** 3
         b = x.conjugated_by(w)
         assert _cyclic_core(b) == (w.letters, x.letters)
-        with recorded_queries() as kernel_queries, recorded_tests() as queries:
+        warm_twist_points(b)
+        with recorded_queries() as kernel_queries, recorded_walks() as walks:
             assert central_root(b, 5) == (5, 3)
         assert kernel_queries == []
-        # X^5 delta^-6 in two blocks; b**5 would also hold w and w^-1,
-        # 8 more letters
-        assert queries == [(x**5).letters + _delta_power(5, -6)]
+        # X^5 alone; b**5 would also hold w and w^-1, 8 more letters
+        assert walks == [(x**5).letters]
 
 
 #: A 4-strand word of exponent sum zero, 60 letters after free
@@ -737,8 +846,8 @@ def test_budget_env_caps_every_entry_point(monkeypatch, call):
 
 
 #: The public entry points that only ask whether a word is trivial, with
-#: their answers.  Dynnikov coordinates decide that, so the kernel's
-#: budget never reaches them.  The words are long: delta^2 _LONG
+#: their answers.  Dynnikov walks decide that, so the kernel's budget
+#: never reaches them.  The words are long: delta^2 _LONG
 #: delta^-2 _LONG^-1 is trivial, and _LONG [sigma_1^2, sigma_2^2]
 #: _LONG^-1 is not.  (sigma_1 sigma_2 sigma_3)^12 = delta^6 passes the
 #: exponent-sum test of central_root at q = 4, where b^4 = delta^24.
@@ -756,7 +865,7 @@ _TRIVIALITY_ENTRY_POINTS = {
                          ids=_TRIVIALITY_ENTRY_POINTS.keys())
 def test_budget_env_spares_triviality_queries(monkeypatch, call, expected):
     monkeypatch.setenv("BRAIDCERT_REDUCTION_BUDGET", "5")
-    with recorded_queries() as queries, recorded_tests() as tests:
+    with recorded_queries() as queries, recorded_walks() as walks:
         assert call() == expected
     assert queries == []
-    assert tests
+    assert walks

@@ -150,15 +150,18 @@ def _attribute_uses(source: str, module: str) -> dict[str, set[str]]:
 
 
 def test_floor_probes_have_one_engine():
-    # every floor probe goes through the probe helper to
-    # _kernel.probe_sign; sign_of answers the other sign queries only
+    # every floor probe goes to a _kernel.FloorProbe, one per search;
+    # sign_of answers the other sign queries only, and the coordinate
+    # walks in ordering are the root test's and the cached twist image's
     source = Path(braidcert.__file__).with_name("ordering.py").read_text()
     assert _attribute_uses(source, "_kernel") == {
         "sign_of": {"sigma_sign", "compare"},
-        "probe_sign": {"_inside"},
+        "FloorProbe": {"_search_floor", "dehornoy_floor", "power_floor"},
         "reduce_word": {"reduced_word"},
     }
-    assert "sign" not in _attribute_uses(source, "dynnikov")
+    assert _attribute_uses(source, "dynnikov") == {
+        "act": {"twist_point", "central_root"},
+    }
 
 
 def test_attribute_check_sees_nested_and_module_level_uses():
@@ -167,10 +170,10 @@ def test_attribute_check_sees_nested_and_module_level_uses():
               "def floor(u):\n"
               "    def holds(k):\n"
               "        return _kernel.sign_of(k)\n"
-              "    return _kernel.probe_sign(u) + kernel.sign_of(u)\n")
+              "    return _kernel.FloorProbe(u) + kernel.sign_of(u)\n")
     assert _attribute_uses(source, "_kernel") == {
         "sign_of": {"<module>", "floor"},
-        "probe_sign": {"floor"},
+        "FloorProbe": {"floor"},
     }
 
 
