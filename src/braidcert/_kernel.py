@@ -8,11 +8,11 @@ Every entry point takes letters alone: the callers pass the letters of
 a BraidWord, which has already checked them against its strand count
 (:mod:`braidcert.braid`), and no engine needs more.
 
-This module also holds the one engine for every floor probe
-(:class:`FloorProbe`): under the compiled kernel, handle reduction of
-each probe's word; under the pure-Python one, a Dynnikov-coordinate walk
-that continues from the last probe's point, so that a floor search
-walks each letter once.
+This module also holds the one engine for every floor probe, one
+:class:`FloorProbe` per search: under the compiled kernel, handle
+reduction of each probe's word; under the pure-Python one, a
+Dynnikov-coordinate walk that continues from the last probe's point, so
+that a floor search walks each letter once.
 
 This module is the one place that resolves the reduction budget: every
 kernel call reads BRAIDCERT_REDUCTION_BUDGET afresh, so a program can
@@ -22,10 +22,9 @@ change it between calls.
 from __future__ import annotations
 
 import os
-from functools import cache
 
 from braidcert import _reduction_py, dynnikov
-from braidcert.braid import BLANKS, delta, parse_decimal
+from braidcert.braid import BLANKS, full_twist_letters, parse_decimal
 from braidcert.errors import BadParameters, ReductionBudgetExceeded
 
 try:
@@ -75,13 +74,6 @@ def sign_of(letters) -> int:
     return _impl.sign_of(letters, default_budget())
 
 
-@cache
-def _full_twists(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Letters of delta^2 and of delta^-2 on m strands."""
-    full = delta(m).letters * 2
-    return full, tuple(-x for x in reversed(full))
-
-
 def spread_probe(w: tuple[int, ...], x: tuple[int, ...], m: int, n: int,
                  j: int, positive: bool) -> tuple[int, ...]:
     """Letters of c^n delta^(2j) for a braid b = w X w^-1 on m strands,
@@ -97,9 +89,8 @@ def spread_probe(w: tuple[int, ...], x: tuple[int, ...], m: int, n: int,
     c^n = w X^(+-|n|) w^-1, and for a negative j every a_i is <= 0; n = 0
     gives delta^(2j) alone.
     """
-    full, inverse = _full_twists(m)
     if n == 0:
-        return full * j if j >= 0 else inverse * -j
+        return full_twist_letters(m, j)
     core = tuple(-y for y in reversed(x)) if positive == (n > 0) else x
     copies = abs(n)
     letters = list(w)
@@ -107,7 +98,7 @@ def spread_probe(w: tuple[int, ...], x: tuple[int, ...], m: int, n: int,
     for i in range(1, copies + 1):
         a = j * i // copies - cut
         cut += a
-        twist = full * a if a >= 0 else inverse * -a
+        twist = full_twist_letters(m, a)
         letters += core + twist if positive else twist + core
     letters += (-y for y in reversed(w))
     return tuple(letters)
@@ -115,10 +106,10 @@ def spread_probe(w: tuple[int, ...], x: tuple[int, ...], m: int, n: int,
 
 class FloorProbe:
     """The probes of one floor search on a nontrivial braid
-    b = w X w^-1 on m strands: whether c^n delta^(2j) is positive, with
-    c = b^-1 for a positive b and c = b for a negative one, that is
-    whether b^n lies strictly inside delta^(2j) in the direction of its
-    sign.
+    b = w X w^-1 on m strands, X the cyclic core: whether c^n delta^(2j)
+    is positive, with c = b^-1 for a positive b and c = b for a negative
+    one, that is whether b^n lies strictly inside delta^(2j) in the
+    direction of its sign.
 
     Under the compiled kernel, :func:`sign_of` decides each probe by
     handle reduction of its word :func:`spread_probe`.  The pure-Python
@@ -146,11 +137,6 @@ class FloorProbe:
         self.w, self.x, self.m, self.positive = w, x, m, positive
         self._n = self._j = 0
         self._point = [0, 1] * m
-
-    def rewrite(self, w: tuple[int, ...], x: tuple[int, ...]) -> None:
-        """Build later probes on w X w^-1, a word of the same braid b:
-        the point walked so far stays the image under the last probe."""
-        self.w, self.x = w, x
 
     def inside(self, n: int, j: int) -> bool:
         """Whether b^n lies strictly inside delta^(2j) in the direction

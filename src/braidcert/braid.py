@@ -17,6 +17,7 @@ which Dynnikov coordinates decide (:mod:`braidcert.dynnikov`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, TypeVar
 
 from braidcert import dynnikov
@@ -221,7 +222,24 @@ def delta(m: int) -> BraidWord:
 
 def full_twist(m: int) -> BraidWord:
     """The full twist delta^2, generator of the center for m >= 3."""
-    return delta(m) ** 2
+    return BraidWord(m, full_twist_letters(m, 1))
+
+
+def full_twist_letters(m: int, j: int) -> tuple[int, ...]:
+    """Letters of delta^(2j) on m strands, for any integer j: () for
+    j = 0, which builds no half twist, else refused where delta(m) is."""
+    if j == 0:
+        return ()
+    full, inverse = _full_twists(m)
+    return full * j if j > 0 else inverse * -j
+
+
+@lru_cache(maxsize=3)
+def _full_twists(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Letters of delta^2 and of delta^-2 on m strands, kept for the
+    last three strand counts asked: floor searches reach 3 to 5."""
+    full = delta(m).letters * 2
+    return full, tuple(-x for x in reversed(full))
 
 
 def format_braid(u: BraidWord) -> str:

@@ -13,11 +13,11 @@ sign is the answer.  Whether a word is trivial, a question that needs no
 sign, is decided apart from the kernel, by Dynnikov coordinates
 (:mod:`braidcert.dynnikov`).  Every probe of a floor search or ladder
 goes to one probe object per search (:class:`braidcert._kernel.FloorProbe`),
-which the compiled kernel answers by handle reduction and the
-pure-Python build by a coordinate walk that continues from the last
-probe's point.  A root test compares the walked image of a power with
-the image of a whole number of full twists, cached per strand count and
-power (:func:`twist_point`).
+built once on the braid's cyclic core, which the compiled kernel answers
+by handle reduction and the pure-Python build by a coordinate walk that
+continues from the last probe's point.  A root test compares the walked
+image of a power with the image of a whole number of full twists, cached
+per strand count and power (:func:`twist_point`).
 
 The *floor* of a braid ``b`` counts full twists, using the Garside half
 twist ``delta``:
@@ -39,7 +39,7 @@ from enum import Enum
 from functools import lru_cache
 
 from braidcert import _kernel, dynnikov
-from braidcert.braid import BraidWord, check_power, delta
+from braidcert.braid import BraidWord, check_power, full_twist_letters
 from braidcert.errors import BadParameters, StrandMismatch
 
 
@@ -138,15 +138,21 @@ def dehornoy_floor(u: BraidWord) -> int:
     because a positive braid is automatically above every negative power
     of delta, and symmetrically.  Every probe is decided exactly, so the
     result does not depend on the start, only the number of probes
-    does.  The probes go to one :class:`braidcert._kernel.FloorProbe`;
-    in the pure-Python build, each one after the first walks only the
-    full twists by which it differs from the last.
+    does.  The probes go to one :class:`braidcert._kernel.FloorProbe`
+    on u's cyclic core; in the pure-Python build, each one after the
+    first walks only the full twists by which it differs from the last.
     """
-    sign = sigma_sign(u)
+    probe = _floor_probe(u)
+    return 0 if probe is None else _search_floor(u, probe)
+
+
+def _floor_probe(b: BraidWord) -> _kernel.FloorProbe | None:
+    """The probe object of a floor search on b, built on b's cyclic core
+    with b's sign; None for the identity, whose floor is 0."""
+    sign = sigma_sign(b)
     if sign is OrderSign.TRIVIAL:
-        return 0
-    positive = sign is OrderSign.POSITIVE
-    return _search_floor(u, _kernel.FloorProbe((), u.letters, u.strands, positive))
+        return None
+    return _kernel.FloorProbe(*_cyclic_core(b), b.strands, sign is OrderSign.POSITIVE)
 
 
 @lru_cache(maxsize=1024)
@@ -154,10 +160,7 @@ def twist_point(m: int, p: int) -> tuple[int, ...]:
     """The image of the start point (0, 1, ..., 0, 1), with m pairs,
     under delta^(2p) on m strands: one walk of those letters the first
     time, kept as an immutable tuple for later calls."""
-    half = delta(m).letters
-    if p < 0:
-        half = tuple(-x for x in reversed(half))
-    return tuple(dynnikov.act((0, 1) * m, half * (2 * abs(p))))
+    return tuple(dynnikov.act((0, 1) * m, full_twist_letters(m, p)))
 
 
 def central_root(b: BraidWord, max_power: int) -> tuple[int, int] | None:
@@ -263,17 +266,14 @@ def power_floor(b: BraidWord, k: int) -> int:
     spread the same way, as w (delta^(2a_1) X) ... (delta^(2a_n) X) w^-1
     (:func:`braidcert._kernel.spread_probe`).
 
-    One probe object (:class:`braidcert._kernel.FloorProbe`) answers the
-    search for the floor of b and then every ladder step.  The compiled
-    kernel handle-reduces each probe's word.  The pure-Python build walks
-    Dynnikov coordinates and continues each probe from the last one's
-    point: the probe b^-n delta^(2J) is the last one, b^-n0 delta^(2J0),
-    times b^-(n - n0) delta^(2(J - J0)), so only n - n0 more spread
-    copies and J - J0 full twists are walked, and the first step
-    continues from the search's last probe.  With the cached twist image
-    of :func:`central_root`, the 1,960 twist intervals of perfbench's
-    ``twist-floor`` workload at seed 1 walk 649,828 letters, where
-    walking every probe and root test whole took 1,225,194.
+    One probe object (:class:`braidcert._kernel.FloorProbe`), built once
+    on (w, X), answers the search for the floor of b and then every
+    ladder step.  The compiled kernel handle-reduces each probe's word.
+    The pure-Python build walks Dynnikov coordinates and continues each
+    probe from the last one's point: the probe b^-n delta^(2J) is the
+    last one, b^-n0 delta^(2J0), times b^-(n - n0) delta^(2(J - J0)), so
+    only n - n0 more spread copies and J - J0 full twists are walked,
+    and the first step continues from the search's last probe.
 
     The ladder reads the bits of k after the leading one: each bit
     doubles n -> 2n, and a set bit then steps n -> n + 1.  So k costs
@@ -290,12 +290,10 @@ def power_floor(b: BraidWord, k: int) -> int:
         s, r = divmod(k, q)
         return abs(p) * s + dehornoy_floor(BraidWord(m, b.letters * r))
 
-    sign = sigma_sign(b)
-    if sign is OrderSign.TRIVIAL:
+    probe = _floor_probe(b)
+    if probe is None:
         return 0
-    probe = _kernel.FloorProbe((), b.letters, m, sign is OrderSign.POSITIVE)
     n, f = 1, _search_floor(b, probe)
-    probe.rewrite(*_cyclic_core(b))
 
     def floor_of_power(n: int, s: int) -> int:
         # floor(b^n) is s or s + 1 by the lemma; one probe decides

@@ -28,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from braidcert.braid import BraidWord, full_twist
+from braidcert.braid import BraidWord, full_twist_letters
 from braidcert.errors import NotThreeBraid
 
 _X = 0  # image of the half twist, order 2
@@ -204,13 +204,7 @@ def nt_type(nf: ThreeBraidNormalForm) -> NTType:
 
 def representative(nf: ThreeBraidNormalForm) -> BraidWord:
     """The normal form spelled out as a braid word C^d * family word."""
-    letters: list[int] = []
-    d = nf.central_power
-    twist = full_twist(3).letters
-    if d >= 0:
-        letters.extend(twist * d)
-    else:
-        letters.extend(tuple(-x for x in reversed(twist)) * (-d))
+    letters = list(full_twist_letters(3, nf.central_power))
     if isinstance(nf, PseudoAnosovForm):
         for a in nf.twist_exponents:
             letters.append(1)

@@ -20,7 +20,6 @@ from math import gcd
 
 import conftest
 
-from braidcert import _kernel, dynnikov
 from braidcert import (
     BraidWord,
     Certificate,
@@ -206,30 +205,24 @@ def test_criterion_3_fdtc_exactness():
     assert ok, detail
 
 
-def test_criterion_3_floor_cost(monkeypatch):
+def test_criterion_3_floor_cost():
     """The twist intervals of criterion 3 feed the sign engines fewer
     letters than restarting the floor search on b^24 does.  Both
-    engines count: the kernel's sign queries, and in the pure-Python
-    build the coordinate walks that decide every floor probe.
+    engines count: the kernel's sign queries, and the Dynnikov-coordinate
+    walks, which in the pure-Python build decide every floor probe.
     Both paths run here, on every fifth criterion-3 word to keep the
     slow restart path short; letters are counted, not timed."""
     words = [b for b, _ in _criterion_3_cases()[0][::5]]
-    fed = [0]
 
-    def counting(engine):
-        def sign(letters):
-            fed[0] += len(letters)
-            return engine(letters)
-        return sign
+    def fed(call) -> int:
+        with conftest.recorded_queries() as signs, conftest.recorded_walks() as walks:
+            for b in words:
+                call(b)
+        return sum(map(len, signs + walks))
 
-    monkeypatch.setattr(_kernel, "sign_of", counting(_kernel.sign_of))
-    monkeypatch.setattr(dynnikov, "sign", counting(dynnikov.sign))
-    for b in words:
-        fdtc_interval_by_floor(b, Fraction(1, 24))
-    refined, fed[0] = fed[0], 0
-    for b in words:
-        dehornoy_floor(b**24)
-    assert 0 < refined < fed[0], (refined, fed[0])
+    refined = fed(lambda b: fdtc_interval_by_floor(b, Fraction(1, 24)))
+    restart = fed(lambda b: dehornoy_floor(b**24))
+    assert 0 < refined < restart, (refined, restart)
 
 
 # ---------------------------------------------------------------------------

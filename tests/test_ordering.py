@@ -267,6 +267,16 @@ class TestPowerFloor:
         for b in (BraidWord(4, ()), BraidWord(5, (1, 3, -1, -3))):
             assert power_floor(b, k) == dehornoy_floor(b**k) == 0
 
+    def test_zero_twists_past_the_half_twist_cap(self):
+        # delta^2 on more than 1,414 strands passes the letter cap, but
+        # the identity's root and floor need no full twist
+        assert power_floor(BraidWord(2000, ()), 2000) == 0
+        assert central_root(BraidWord(2000, ()), 2000) == (2000, 0)
+        assert power_floor(BraidWord(1500, ()), 1499) == 0
+        # a probe that needs delta^2 there is still refused
+        with pytest.raises(WordLengthExceeded):
+            power_floor(BraidWord(2000, (1, 2, -1, -2)), 2000)
+
     @given(braid_words(min_strands=3, max_strands=5, max_len=8),
            st.integers(-2, 2), st.integers(1, 6), st.integers(1, 6))
     @settings(max_examples=40, deadline=None)
@@ -533,28 +543,33 @@ probe_steps = st.lists(st.tuples(st.integers(1, 8), st.integers(0, 6)),
 class TestFloorProbe:
     @given(st.integers(2, 6).flatmap(lambda m: st.tuples(
                st.just(m), letter_lists(m, 5), letter_lists(m, 8))),
-           st.booleans(), probe_steps, st.booleans())
+           st.booleans(), probe_steps)
     @settings(max_examples=150, deadline=None)
     def test_continued_probe_matches_whole_walk_and_kernel(self, mwx, positive,
-                                                           steps, rewrite):
+                                                           steps):
         # for any words w and X, each probe continued from the last has
         # the sign of its whole word, by a fresh walk and by handle
-        # reduction; with rewrite, the first probe is asked on the word
-        # w X w^-1 and the rest on (w, X), as power_floor does
+        # reduction
         m, w, x = mwx
         w, x = tuple(w), tuple(x)
-        whole = w + x + inverse(w)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(_kernel, "_impl", _reduction_py)
-            probe = _kernel.FloorProbe((), whole, m, positive) if rewrite else \
-                _kernel.FloorProbe(w, x, m, positive)
-            for i, (n, j) in enumerate(steps):
-                if rewrite and i == 1:
-                    probe.rewrite(w, x)
-                word = _kernel.spread_probe(probe.w, probe.x, m, n, j, positive)
+            probe = _kernel.FloorProbe(w, x, m, positive)
+            for n, j in steps:
+                word = _kernel.spread_probe(w, x, m, n, j, positive)
                 sign = dynnikov.sign(word)
                 assert sign == _reduction_py.sign_of(word, 10**6)
                 assert probe.inside(n, j) == (sign > 0)
+
+    @given(braid_words(max_len=20))
+    def test_search_builds_its_probe_on_the_cyclic_core(self, b):
+        probe = ordering._floor_probe(b)
+        sign = sigma_sign(b)
+        if sign is OrderSign.TRIVIAL:
+            assert probe is None
+        else:
+            assert (probe.w, probe.x) == _cyclic_core(b)
+            assert (probe.m, probe.positive) == (b.strands, sign is OrderSign.POSITIVE)
 
     @given(st.integers(2, 6).flatmap(lambda m: st.tuples(
                st.just(m), letter_lists(m, 5), letter_lists(m, 8))),

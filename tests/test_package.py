@@ -150,13 +150,15 @@ def _attribute_uses(source: str, module: str) -> dict[str, set[str]]:
 
 
 def test_floor_probes_have_one_engine():
-    # every floor probe goes to a _kernel.FloorProbe, one per search;
-    # sign_of answers the other sign queries only, and the coordinate
-    # walks in ordering are the root test's and the cached twist image's
+    # every floor probe goes to a _kernel.FloorProbe, one per search,
+    # built by _floor_probe alone (_search_floor names it in its
+    # signature); sign_of answers the other sign queries only, and the
+    # coordinate walks in ordering are the root test's and the cached
+    # twist image's
     source = Path(braidcert.__file__).with_name("ordering.py").read_text()
     assert _attribute_uses(source, "_kernel") == {
         "sign_of": {"sigma_sign", "compare"},
-        "FloorProbe": {"_search_floor", "dehornoy_floor", "power_floor"},
+        "FloorProbe": {"_search_floor", "_floor_probe"},
         "reduce_word": {"reduced_word"},
     }
     assert _attribute_uses(source, "dynnikov") == {
@@ -175,6 +177,65 @@ def test_attribute_check_sees_nested_and_module_level_uses():
         "sign_of": {"<module>", "floor"},
         "FloorProbe": {"floor"},
     }
+
+
+def _unbounded_caches_and_half_twists(source: str) -> list[tuple[int, str]]:
+    """(line, use) for each place a module's source uses an unbounded
+    cache, "cache" for functools.cache (imported or as an attribute) and
+    "lru_cache(None)" for lru_cache(maxsize=None), or calls delta(...),
+    "delta", by name or as an attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [(node.lineno, "cache") for alias in node.names
+                      if alias.name == "cache"]
+        elif (isinstance(node, ast.Attribute) and node.attr == "cache"
+              and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+            found.append((node.lineno, "cache"))
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+            if name == "lru_cache" and any(
+                    isinstance(size, ast.Constant) and size.value is None for size in sizes):
+                found.append((node.lineno, "lru_cache(None)"))
+            elif name == "delta":
+                found.append((node.lineno, "delta"))
+    return sorted(found)
+
+
+def test_caches_are_bounded_and_half_twists_are_built_in_braid():
+    # an unbounded cache holds every key a process ever asked for, and
+    # every half twist, with its refusal past the letter cap, is built
+    # in braid.py
+    package = Path(braidcert.__file__).parent
+    uses = {path.name: _unbounded_caches_and_half_twists(path.read_text())
+            for path in sorted(package.glob("*.py"))}
+    caches = {name: found for name, found in uses.items()
+              if any(use != "delta" for _, use in found)}
+    half_twists = {name for name, found in uses.items()
+                   if any(use == "delta" for _, use in found)}
+    assert caches == {}
+    assert half_twists == {"braid.py"}
+
+
+def test_cache_and_half_twist_check_sees_every_form():
+    source = ("import functools\n"
+              "from functools import cache, lru_cache\n"
+              "from braidcert import braid\n"
+              "@functools.cache\n"
+              "def a(m): return braid.delta(m)\n"
+              "@lru_cache(maxsize=None)\n"
+              "def b(m): return delta(m)\n"
+              "@functools.lru_cache(None)\n"
+              "def c(m): return m\n"
+              "@lru_cache(maxsize=3)\n"
+              "def d(m): return m\n"
+              "@lru_cache\n"
+              "def e(m): return functools.lru_cache(8)(d)\n")
+    assert _unbounded_caches_and_half_twists(source) == [
+        (2, "cache"), (4, "cache"), (5, "delta"), (6, "lru_cache(None)"),
+        (7, "delta"), (8, "lru_cache(None)"),
+    ]
 
 
 def _unread_parameters(source: str) -> list[str]:

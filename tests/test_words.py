@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from conftest import braid_words, traced_peak
 from hypothesis import given
@@ -25,7 +27,7 @@ from braidcert import (
     parse_braid,
     power_floor,
 )
-from braidcert import braid
+from braidcert import _kernel, braid
 
 
 class TestConstruction:
@@ -145,6 +147,37 @@ class TestGarsideElements:
             p = delta(m).permutation()
             assert p.images == tuple(range(m, 0, -1))
             assert full_twist(m).permutation() == Permutation.identity(m)
+
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_full_twist_letters_spell_delta_powers(self, m):
+        for j in range(-4, 5):
+            assert braid.full_twist_letters(m, j) == (delta(m) ** (2 * j)).letters
+
+    def test_zero_full_twists_build_no_half_twist(self):
+        # delta(2000) would pass the letter cap; delta^0 needs none of it
+        assert braid.full_twist_letters(2000, 0) == ()
+        with pytest.raises(WordLengthExceeded):
+            braid.full_twist_letters(2000, 1)
+
+    def test_twist_cache_is_bounded(self):
+        # spread probes on 20 strand counts from 300 to 680 leave the
+        # twists of the last three in the cache: tuples and the int
+        # objects they hold, under 64 MiB, where keeping all twenty held
+        # 228 MiB
+        def size(objects) -> int:
+            return sum(map(sys.getsizeof, objects))
+
+        braid._full_twists.cache_clear()
+        try:
+            for m in range(300, 700, 20):
+                _kernel.spread_probe((), (1,), m, 1, 1, True)
+            assert braid._full_twists.cache_info().currsize == 3
+            kept = [twist for m in (640, 660, 680) for twist in braid._full_twists(m)]
+            assert braid._full_twists.cache_info().misses == 20
+            ints = {id(x): x for twist in kept for x in twist if not -5 <= x <= 256}
+            assert size(kept) + size(ints.values()) < 64 * 2**20
+        finally:
+            braid._full_twists.cache_clear()
 
     def test_over_long_half_twist_is_refused_before_it_is_built(self):
         # delta(3000) would have 4,498,500 letters: past the cap, and
