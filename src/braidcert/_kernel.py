@@ -9,10 +9,11 @@ a BraidWord, which has already checked them against its strand count
 (:mod:`braidcert.braid`), and no engine needs more.
 
 This module also holds the one engine for every floor probe, one
-:class:`FloorProbe` per search: under the compiled kernel, handle
-reduction of each probe's word; under the pure-Python one, a
-Dynnikov-coordinate walk that continues from the last probe's point, so
-that a floor search walks each letter once.
+:class:`FloorProbe` per search, on a core with its whole full twists
+peeled off: under the compiled kernel, handle reduction of each probe's
+word; under the pure-Python one, a Dynnikov-coordinate walk that
+continues from the last probe's point, so that a floor search walks
+each letter once.
 
 This module is the one place that resolves the reduction budget: every
 kernel call reads BRAIDCERT_REDUCTION_BUDGET afresh, so a program can
@@ -80,14 +81,15 @@ def spread_probe(w: tuple[int, ...], x: tuple[int, ...], m: int, n: int,
     with c = b^-1 for a positive b and c = b for a negative one, and the
     j full twists spread through the |n| copies of c's core.
 
-    For n >= 1 and j >= 0 it is the probe of a floor search or ladder on
-    b^n: w (X^-1 delta^(2a_1)) ... (X^-1 delta^(2a_n)) w^-1 for positive
-    b, which is b^-n delta^(2j), and w (delta^(2a_1) X) ...
+    For n >= 1 it is the probe of a floor search or ladder on b^n:
+    w (X^-1 delta^(2a_1)) ... (X^-1 delta^(2a_n)) w^-1 for positive b,
+    which is b^-n delta^(2j), and w (delta^(2a_1) X) ...
     (delta^(2a_n) X) w^-1 for negative b, which is delta^(2j) b^n.  The
     exponents a_i = floor(j i / n) - floor(j (i - 1) / n) split j
-    evenly.  A negative n takes the inverse core, as
-    c^n = w X^(+-|n|) w^-1, and for a negative j every a_i is <= 0; n = 0
-    gives delta^(2j) alone.
+    evenly.  j may be negative there: X is a twist-free rotation of a
+    core whose full twists :class:`FloorProbe` takes off j.  A negative n
+    takes the inverse core, as c^n = w X^(+-|n|) w^-1, and for a
+    negative j every a_i is <= 0; n = 0 gives delta^(2j) alone.
     """
     if n == 0:
         return full_twist_letters(m, j)
@@ -106,54 +108,72 @@ def spread_probe(w: tuple[int, ...], x: tuple[int, ...], m: int, n: int,
 
 class FloorProbe:
     """The probes of one floor search on a nontrivial braid
-    b = w X w^-1 on m strands, X the cyclic core: whether c^n delta^(2j)
-    is positive, with c = b^-1 for a positive b and c = b for a negative
+    b = delta^(2e) w X w^-1 on m strands: whether c^n delta^(2j) is
+    positive, with c = b^-1 for a positive b and c = b for a negative
     one, that is whether b^n lies strictly inside delta^(2j) in the
-    direction of its sign.
+    direction of b's sign.
+
+    X is a twist-free rotation of b's cyclic core (see
+    ``ordering._peel_twists``), and the e full twists, central, leave
+    each probe as a shift of its twist count: c^n delta^(2j) is
+    c'^n delta^(2t) for the conjugate c' of X^-1 or of X, with
+    t = j - n e for a positive b and t = j + n e for a negative one.
+    t may be negative.  Its word is :meth:`word`.
 
     Under the compiled kernel, :func:`sign_of` decides each probe by
-    handle reduction of its word :func:`spread_probe`.  The pure-Python
-    build walks Dynnikov coordinates instead, and walks each letter once.
-    It keeps the image of the start point under the last probe
-    c^n0 delta^(2j0).  The walk is a right action of the braid group and
-    delta^2 is central, so
+    handle reduction of that word.  The pure-Python build walks Dynnikov
+    coordinates instead, and walks each letter once.  It keeps the image
+    of the start point under the last probe c'^n0 delta^(2t0).  The walk
+    is a right action of the braid group and delta^2 is central, so
 
-        c^n delta^(2j) = (c^n0 delta^(2j0)) (c^(n - n0) delta^(2(j - j0))),
+        c'^n delta^(2t) = (c'^n0 delta^(2t0)) (c'^(n - n0) delta^(2(t - t0))),
 
     and the next probe walks only the freely reduced difference,
-    ``spread_probe(w, X, m, n - n0, j - j0, positive)``, from that image.
+    ``spread_probe(w, X, m, n - n0, t - t0, positive)``, from that image.
     The image is exact, so the sign is the one a walk of the whole probe
     gives (:func:`braidcert.dynnikov.point_sign`).
 
     Either engine refuses a probe whose whole word, freely reduced, is
     longer than the budget, with the kernels' own message, so both
     builds fail on the same probes.  The pure-Python build builds that
-    word only when its 2|w| + n|X| + j m (m - 1) letters exceed the
+    word only when its 2|w| + n|X| + |t| m (m - 1) letters exceed the
     budget, as free reduction only shortens a word.
     """
 
     def __init__(self, w: tuple[int, ...], x: tuple[int, ...], m: int,
-                 positive: bool):
+                 positive: bool, twists: int = 0):
         self.w, self.x, self.m, self.positive = w, x, m, positive
-        self._n = self._j = 0
+        self.twists = twists
+        self._n = self._t = 0
         self._point = [0, 1] * m
+
+    def _shifted(self, n: int, j: int) -> int:
+        """t, the full twists of the probe on b^n with j full twists once
+        the peeled ones are taken out."""
+        return j - n * self.twists if self.positive else j + n * self.twists
+
+    def word(self, n: int, j: int) -> tuple[int, ...]:
+        """Letters of the probe on b^n with j full twists:
+        ``spread_probe(w, X, m, n, t, positive)``."""
+        return spread_probe(self.w, self.x, self.m, n, self._shifted(n, j), self.positive)
 
     def inside(self, n: int, j: int) -> bool:
         """Whether b^n lies strictly inside delta^(2j) in the direction
         of b's sign, for n >= 1 and j >= 0."""
-        w, x, m, positive = self.w, self.x, self.m, self.positive
         if _impl is not _reduction_py:
-            return sign_of(spread_probe(w, x, m, n, j, positive)) > 0
+            return sign_of(self.word(n, j)) > 0
+        w, x, m = self.w, self.x, self.m
+        t = self._shifted(n, j)
         budget = default_budget()
-        if 2 * len(w) + n * len(x) + j * m * (m - 1) > budget:
-            length = len(dynnikov.free_reduce(spread_probe(w, x, m, n, j, positive)))
+        if 2 * len(w) + n * len(x) + abs(t) * m * (m - 1) > budget:
+            length = len(dynnikov.free_reduce(self.word(n, j)))
             if length > budget:
                 raise ReductionBudgetExceeded(
                     f"word of length {length} exceeds budget {budget}"
                 )
-        step = spread_probe(w, x, m, n - self._n, j - self._j, positive)
+        step = spread_probe(w, x, m, n - self._n, t - self._t, self.positive)
         self._point = dynnikov.act(self._point, dynnikov.free_reduce(step))
-        self._n, self._j = n, j
+        self._n, self._t = n, t
         return dynnikov.point_sign(self._point) > 0
 
 

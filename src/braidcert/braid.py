@@ -214,9 +214,10 @@ def delta(m: int) -> BraidWord:
     size = m * (m - 1) // 2
     if size > MAX_WORD_LETTERS:  # refused before a letter is built
         raise WordLengthExceeded(f"{size} letters exceeds the cap of {MAX_WORD_LETTERS}")
+    generators = list(range(1, m))  # one int object per index, for every block
     letters: list[int] = []
     for block in range(m - 1, 0, -1):
-        letters.extend(range(1, block + 1))
+        letters.extend(generators[:block])
     return BraidWord(m, tuple(letters))
 
 
@@ -239,7 +240,8 @@ def _full_twists(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Letters of delta^2 and of delta^-2 on m strands, kept for the
     last three strand counts asked: floor searches reach 3 to 5."""
     full = delta(m).letters * 2
-    return full, tuple(-x for x in reversed(full))
+    negatives = [-i for i in range(m)]  # one int object per inverse generator
+    return full, tuple(map(negatives.__getitem__, reversed(full)))
 
 
 def format_braid(u: BraidWord) -> str:

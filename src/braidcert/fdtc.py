@@ -133,12 +133,15 @@ def fdtc_interval_by_floor(b: BraidWord, tol: Fraction | int) -> FdtcValue:
     The floor comes from :func:`~braidcert.ordering.power_floor`, which
     searches it through a central root of b when b is periodic and
     otherwise climbs a binary ladder of powers with one probe per step;
-    the value is the same as ``dehornoy_floor(b**k)``.  One probe object
-    answers the search for the floor of b and every ladder step; in the
-    pure-Python build it walks Dynnikov coordinates on from the last
-    probe's image, so each letter of the power and its twists is walked
-    once, and a root test walks the power of b's cyclic core against a
-    cached image of the full twists."""
+    the value is the same as ``dehornoy_floor(b**k)``.  Both work on a
+    twist-free rotation of b's cyclic core: the longest run of whole full
+    twists is peeled off it, and as delta^2 is central only the twist
+    counts of the queries change.  One probe object answers the search
+    for the floor of b and every ladder step; in the pure-Python build it
+    walks Dynnikov coordinates on from the last probe's image, so each
+    letter of the power and its twists is walked once, and a root test
+    walks the power of the twist-free core against a cached image of the
+    full twists."""
     t = Fraction(tol)
     if t <= 0:
         raise BadParameters(f"tolerance must be positive, got {t}")

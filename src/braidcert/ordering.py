@@ -13,10 +13,14 @@ sign is the answer.  Whether a word is trivial, a question that needs no
 sign, is decided apart from the kernel, by Dynnikov coordinates
 (:mod:`braidcert.dynnikov`).  Every probe of a floor search or ladder
 goes to one probe object per search (:class:`braidcert._kernel.FloorProbe`),
-built once on the braid's cyclic core, which the compiled kernel answers
-by handle reduction and the pure-Python build by a coordinate walk that
-continues from the last probe's point.  A root test compares the walked
-image of a power with the image of a whole number of full twists, cached
+built once on a twist-free rotation of the braid's cyclic core: the
+longest run of whole full twists is peeled off the core
+(:func:`_peel_twists`), and as delta^2 is central each probe carries
+them as a shift of its twist count, which may then be negative.  The
+compiled kernel answers each probe by handle reduction and the
+pure-Python build by a coordinate walk that continues from the last
+probe's point.  A root test compares the walked image of a power of the
+twist-free core with the image of a whole number of full twists, cached
 per strand count and power (:func:`twist_point`).
 
 The *floor* of a braid ``b`` counts full twists, using the Garside half
@@ -139,20 +143,25 @@ def dehornoy_floor(u: BraidWord) -> int:
     of delta, and symmetrically.  Every probe is decided exactly, so the
     result does not depend on the start, only the number of probes
     does.  The probes go to one :class:`braidcert._kernel.FloorProbe`
-    on u's cyclic core; in the pure-Python build, each one after the
-    first walks only the full twists by which it differs from the last.
+    on the twist-free rotation of u's cyclic core (:func:`_peel_twists`),
+    so no probe holds the core's own run of full twists; in the
+    pure-Python build, each one after the first walks only the full
+    twists by which it differs from the last.
     """
     probe = _floor_probe(u)
     return 0 if probe is None else _search_floor(u, probe)
 
 
 def _floor_probe(b: BraidWord) -> _kernel.FloorProbe | None:
-    """The probe object of a floor search on b, built on b's cyclic core
-    with b's sign; None for the identity, whose floor is 0."""
+    """The probe object of a floor search on b, with b's sign, built on
+    b's cyclic core less the full twists of b's sign that
+    :func:`_peel_twists` takes off it; None for the identity, whose
+    floor is 0."""
     sign = sigma_sign(b)
     if sign is OrderSign.TRIVIAL:
         return None
-    return _kernel.FloorProbe(*_cyclic_core(b), b.strands, sign is OrderSign.POSITIVE)
+    w, y, e = _peel_twists(b, sign.value)
+    return _kernel.FloorProbe(w, y, b.strands, sign is OrderSign.POSITIVE, e)
 
 
 @lru_cache(maxsize=1024)
@@ -174,28 +183,31 @@ def central_root(b: BraidWord, max_power: int) -> tuple[int, int] | None:
     p = q e(b) / (m (m-1)), so each q costs at most one word-problem
     query, and none when p is not an integer.
 
-    The query is on the cyclic core.  Write b = w X w^-1 with X
-    cyclically reduced; then b^q = w X^q w^-1, and as delta^2 is
-    central, b^q = delta^(2p) exactly when X^q = delta^(2p), a question
-    without the conjugator's 2 |w| letters.  Dynnikov coordinates decide
-    it: the action is faithful and each word acts by a bijection, so
-    X^q = delta^(2p) exactly when both move the start point s to the
-    same image, and the test compares the walk of X^q from s with
-    :func:`twist_point`, the image under delta^(2p), which is walked
-    once per (m, p).  No root query reaches the handle-reduction kernel
-    or its budget.
+    The query is on the twist-free core.  Write b = delta^(2e) w Y w^-1,
+    with the longest run of whole full twists of the exponent sum's sign
+    peeled off b's cyclic core (:func:`_peel_twists`); then
+    b^q = delta^(2qe) w Y^q w^-1, and as delta^2 is central,
+    b^q = delta^(2p) exactly when Y^q = delta^(2(p - qe)), a question
+    without the conjugator's 2 |w| letters or the q |e| peeled twists.
+    Dynnikov coordinates decide it: the action is faithful and each word
+    acts by a bijection, so Y^q = delta^(2(p - qe)) exactly when both
+    move the start point s to the same image, and the test compares the
+    walk of Y^q from s with :func:`twist_point`, the image under
+    delta^(2(p - qe)), which is walked once per (m, p - qe).  No root
+    query reaches the handle-reduction kernel or its budget.
 
     Raises WordLengthExceeded where b**q would, when |b| q passes
     MAX_WORD_LETTERS.
     """
     m = b.strands
-    core = BraidWord(m, _cyclic_core(b)[1])
+    _, y, e = _peel_twists(b, -1 if b.exponent_sum < 0 else 1)
+    core = BraidWord(m, y)
     for q in (m, m - 1):
         p, rest = divmod(q * b.exponent_sum, m * (m - 1))
         if q > max_power or rest:
             continue
         check_power(b, q)
-        if tuple(dynnikov.act((0, 1) * m, (core**q).letters)) == twist_point(m, p):
+        if tuple(dynnikov.act((0, 1) * m, (core**q).letters)) == twist_point(m, p - q * e):
             return q, p
     return None
 
@@ -208,6 +220,60 @@ def _cyclic_core(b: BraidWord) -> tuple[tuple[int, ...], tuple[int, ...]]:
     while j - i > 1 and letters[i] == -letters[j - 1]:
         i, j = i + 1, j - 1
     return letters[:i], letters[i:j]
+
+
+def _peel_twists(b: BraidWord, s: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """(w, Y, e) with b = delta^(2e) w Y w^-1, for s = 1 or -1: Y is b's
+    cyclic core X, rotated to begin with its longest run of whole
+    literal blocks delta^(2s), less that run of |e| blocks; e has the
+    sign of s, or is 0.
+
+    The rotation B A of X = A B is A^-1 X A, so b = (w' A) (B A) (w' A)^-1
+    for b = w' X w'^-1, and as delta^2 is central the run's blocks leave
+    the conjugate as a power of delta^2.  A core shorter than one block
+    comes back whole, with e = 0, and no delta^2 is built for it.
+
+    A prefix-function (Knuth-Morris-Pratt) match of the block over X
+    followed by its first |X| - 1 letters finds every block of the cyclic
+    word, and one pass from the right counts the blocks in a row from
+    each.  A run is capped at |X| // (m (m-1)) blocks, so that it never
+    counts a block twice by wrapping past the core's end.  Both passes
+    are linear in |X|.
+    """
+    w, x = _cyclic_core(b)
+    m, n = b.strands, len(x)
+    size = m * (m - 1)
+    if n < size:
+        return w, x, 0
+    block = full_twist_letters(m, s)
+    border = [0] * size  # border[i]: longest proper border of block[:i + 1]
+    k = 0
+    for i in range(1, size):
+        while k and block[i] != block[k]:
+            k = border[k - 1]
+        if block[i] == block[k]:
+            k += 1
+        border[i] = k
+    runs: dict[int, int] = {}  # start of each block in x x -> blocks in a row
+    k = 0
+    for i, y in enumerate(x + x[:n - 1]):
+        while k and y != block[k]:
+            k = border[k - 1]
+        if y == block[k]:
+            k += 1
+            if k == size:
+                runs[i - size + 1] = 1
+                k = border[k - 1]
+    cap = n // size
+    e = r = 0
+    for i in reversed(runs):
+        runs[i] += runs.get(i + size, 0)
+        if i < n and min(runs[i], cap) >= e:
+            e, r = min(runs[i], cap), i
+    if not e:
+        return w, x, 0
+    rotated = x[r:] + x[:r]
+    return w + x[:r], rotated[e * size:], s * e
 
 
 def power_floor(b: BraidWord, k: int) -> int:
@@ -266,13 +332,23 @@ def power_floor(b: BraidWord, k: int) -> int:
     spread the same way, as w (delta^(2a_1) X) ... (delta^(2a_n) X) w^-1
     (:func:`braidcert._kernel.spread_probe`).
 
+    X is in fact a twist-free rotation of b's cyclic core: the longest
+    run of whole full twists of b's sign, delta^(2e), is peeled off it
+    (:func:`_peel_twists`), so that b = delta^(2e) b' with
+    b' = w X w^-1, and the probe is b'^-n delta^(2(J - ne)), or
+    delta^(2(J + ne)) b'^n for b < 1.  Its twist count may be negative.
+    Without the peel, free reduction cancels nothing between a copy's
+    own full twists and the probe's, which a rotation keeps apart, and
+    every copy carries them again.
+
     One probe object (:class:`braidcert._kernel.FloorProbe`), built once
-    on (w, X), answers the search for the floor of b and then every
+    on (w, X) and e, answers the search for the floor of b and then every
     ladder step.  The compiled kernel handle-reduces each probe's word.
     The pure-Python build walks Dynnikov coordinates and continues each
     probe from the last one's point: the probe b^-n delta^(2J) is the
     last one, b^-n0 delta^(2J0), times b^-(n - n0) delta^(2(J - J0)), so
-    only n - n0 more spread copies and J - J0 full twists are walked,
+    only n - n0 more spread copies of X and the difference in twist
+    counts are walked,
     and the first step continues from the search's last probe.
 
     The ladder reads the bits of k after the leading one: each bit

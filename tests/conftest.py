@@ -177,14 +177,15 @@ def recorded_walks():
 @contextmanager
 def recorded_probes():
     """Every floor probe asked inside the block, as the letters of its
-    whole word ``_kernel.spread_probe(w, x, m, n, j, positive)``: the
-    word the compiled kernel handle-reduces, and the braid whose image
-    the pure-Python build has walked once the probe is answered."""
+    whole word ``FloorProbe.word(n, j)``, spread over the twist-free core
+    with the peeled full twists taken off j: the word the compiled
+    kernel handle-reduces, and the braid whose image the pure-Python
+    build has walked once the probe is answered."""
     probes: list[tuple[int, ...]] = []
     original = _kernel.FloorProbe.inside
 
     def recording(self, n, j):
-        probes.append(_kernel.spread_probe(self.w, self.x, self.m, n, j, self.positive))
+        probes.append(self.word(n, j))
         return original(self, n, j)
 
     _kernel.FloorProbe.inside = recording

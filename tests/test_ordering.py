@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -65,6 +66,19 @@ def assert_walks_continue(walked: list, probes: list) -> None:
     for walk, probe in zip(walked, probes):
         done += walk
         assert dynnikov.is_trivial(done + inverse(probe))
+
+
+def assert_floor_probe(b: BraidWord, n: int, probe: tuple[int, ...]) -> int:
+    """j for a floor probe on b^n, checked to be, as a braid, the probe
+    that the floor's definition asks for: b^-n delta^(2j) for a positive
+    b, delta^(2j) b^n for a negative one.  j is read off the exponent
+    sum, m (m-1) j - n e(b) or m (m-1) j + n e(b)."""
+    m, positive = b.strands, sigma_sign(b) is OrderSign.POSITIVE
+    total = sum(1 if x > 0 else -1 for x in probe)
+    j, rest = divmod(total + (n if positive else -n) * b.exponent_sum, m * (m - 1))
+    assert rest == 0
+    assert dynnikov.is_trivial(probe + block_probe(b, n, j).inverse().letters)
+    return j
 
 
 def floor_by_definition(b: BraidWord) -> int:
@@ -297,28 +311,37 @@ class TestPowerFloor:
             assume(central_root(b, k) is None)
         # the central-root test decides triviality off the kernel
         assert root == []
+        with recorded_walks() as root_walks:
+            central_root(b, k)
         with recorded_probes() as base:
             dehornoy_floor(b)
-        with recorded_queries() as queries, recorded_probes() as probes:
+        with (recorded_queries() as queries, recorded_probes() as probes,
+              recorded_walks() as walked):
             power_floor(b, k)
         # the floor of b costs what dehornoy_floor(b) costs, and each
         # ladder step one probe; the one sign query is of b, and the
         # compiled kernel decides the probes through sign_of, the
-        # pure-Python build by coordinates
+        # pure-Python build by coordinates, walking each probe on from
+        # the last after the root test's walks
         steps = k.bit_length() - 1 + bin(k).count("1") - 1
         assert probes[:len(base)] == base
         assert len(probes) == len(base) + steps
         assert queries[:1] == [b.letters]
         assert queries[1:] in ([], probes)
+        assert walked[:len(root_walks)] == root_walks
+        if queries[1:] == []:
+            assert_walks_continue(walked[len(root_walks):], probes)
+        for probe in base:
+            assert_floor_probe(b, 1, probe)
         probes = probes[len(base):]
         # nothing asks for the sign of a bare power
         bare = {(b**n).letters for n in range(2, k + 1)}
         assert not bare.intersection(queries + probes)
-        # each step's probe on b^n spreads its J full twists through the
-        # n copies of the cyclic core; J is read off the probe's length,
-        # which is that of b^-n delta^(2J)
-        m, positive = b.strands, sigma_sign(b) is OrderSign.POSITIVE
-        w, x = _cyclic_core(b)
+        # each step's probe on b^n is b^-n delta^(2J), or delta^(2J) b^n,
+        # as a braid; its word spreads J less the n |e| full twists peeled
+        # off b = delta^(2e) w Y w^-1 through the n copies of Y
+        m, sign = b.strands, sigma_sign(b)
+        w, y, e = ordering._peel_twists(b, sign.value)
         powers, n = [], 1
         for bit in bin(k)[3:]:
             n *= 2
@@ -327,9 +350,10 @@ class TestPowerFloor:
                 n += 1
                 powers.append(n)
         for n, probe in zip(powers, probes):
-            j, rest = divmod(len(probe) - 2 * len(w) - n * len(x), m * (m - 1))
-            assert rest == 0 and j >= 1
-            assert probe == _kernel.spread_probe(w, x, m, n, j, positive)
+            j = assert_floor_probe(b, n, probe)
+            assert j >= 1
+            assert probe == _kernel.spread_probe(w, y, m, n, j - n * abs(e),
+                                                 sign is OrderSign.POSITIVE)
 
     def test_ladder_keeps_the_power_letter_cap(self, monkeypatch):
         # b^n is never built, but a probe on it is refused where b**n is
@@ -468,9 +492,12 @@ class TestLadderEngine:
                 dehornoy_floor(b)
             with recorded_probes() as probes, recorded_walks() as walked:
                 floors[kernel] = power_floor(b, 24)
-            # the search's probes, then one per ladder step
+            # the search's probes, then one per ladder step, each the
+            # probe on b^n that the floor's definition asks for
             assert probes[:len(searched)] == searched
             assert len(probes) == len(searched) + 5
+            for n, probe in zip([1] * len(searched) + [2, 3, 6, 12, 24], probes):
+                assert_floor_probe(b, n, probe)
             # after the root test's walks, the compiled kernel sends no
             # walk; the pure-Python build walks each probe on from the
             # last, the first step from the search's last probe, and so
@@ -495,6 +522,8 @@ class TestLadderEngine:
                   recorded_walks() as walked):
                 dehornoy_floor(b)
             assert probes
+            for probe in probes:
+                assert_floor_probe(b, 1, probe)
             # sign_of is asked for the sign of b; the compiled kernel
             # decides the probes through it, the pure-Python build walks
             # the first probe whole and then only full twists
@@ -533,11 +562,112 @@ class TestLadderEngine:
         monkeypatch.setenv("BRAIDCERT_REDUCTION_BUDGET", str(length))
         assert floor_probe.inside(6, 3) == (_reduction_py.sign_of(probe, 10**6) > 0)
 
+    def test_peeled_probe_with_negative_twists_is_refused_alike(self, c_kernel,
+                                                                 monkeypatch):
+        # b = delta^6 w Y w^-1: the probe on b^2 with one full twist keeps
+        # 1 - 2 * 3 = -5 of them, 70 letters that the pure-Python build
+        # counts by |t| before it walks, as free reduction cancels none
+        b = (full_twist(4) ** 3 * BraidWord(4, (1, -2, 3))).conjugated_by(
+            BraidWord(4, (2, -3)))
+        probe = ordering._floor_probe(b)
+        assert (probe.positive, probe.twists) == (True, 3)
+        word = probe.word(2, 1)
+        assert_floor_probe(b, 2, word)
+        length = len(BraidWord(4, word))
+        assert length == len(word) == 70
+        monkeypatch.setenv("BRAIDCERT_REDUCTION_BUDGET", str(length - 1))
+        for kernel in (c_kernel, _reduction_py):
+            monkeypatch.setattr(_kernel, "_impl", kernel)
+            with pytest.raises(ReductionBudgetExceeded) as refused:
+                probe.inside(2, 1)
+            assert str(refused.value) == f"word of length {length} exceeds budget {length - 1}"
+
 
 #: Steps (n, j) of a probe object: n >= 1 copies of the braid, j >= 0 full
 #: twists, in any order, so that both grow and shrink between probes.
 probe_steps = st.lists(st.tuples(st.integers(1, 8), st.integers(0, 6)),
                        min_size=1, max_size=6)
+
+
+@st.composite
+def twisted_cores(draw) -> BraidWord:
+    """w X w^-1 on 3 to 6 strands, X a rotation of x with d whole blocks
+    delta^(+-2) put in at one place and up to one more block at another;
+    x is random letters, a power of delta_1 = sigma_1 ... sigma_(m-1) or
+    empty.  So blocks straddle the core's end, some cores are exactly
+    delta^(2e), some are periodic, and some are shorter than one block."""
+    m = draw(st.integers(3, 6))
+    x = list(draw(st.one_of(letter_lists(m, 6),
+                            st.integers(1, m).map(lambda j: list(range(1, m)) * j))))
+    for d in (draw(st.integers(-2, 2)), draw(st.integers(-1, 1))):
+        at = draw(st.integers(0, len(x)))
+        x[at:at] = delta_power(m, 2 * d)
+    r = draw(st.integers(0, max(len(x) - 1, 0)))
+    w = tuple(draw(letter_lists(m, 3)))
+    return BraidWord(m, w + tuple(x[r:] + x[:r]) + inverse(w))
+
+
+def longest_run(x: tuple[int, ...], block: tuple[int, ...]) -> int:
+    """Most whole blocks in a row at the start of any rotation of x, by
+    trying every rotation."""
+    best = 0
+    for r in range(len(x)):
+        rotated, run = x[r:] + x[:r], 0
+        while rotated[run * len(block):(run + 1) * len(block)] == block:
+            run += 1
+        best = max(best, run)
+    return best
+
+
+_STRADDLING = braid.full_twist_letters(3, 2)
+
+
+class TestPeelTwists:
+    """ordering._peel_twists: b = delta^(2e) w Y w^-1, with Y the cyclic
+    core rotated to begin with its longest run of whole blocks
+    delta^(2s), less that run."""
+
+    @given(twisted_cores(), st.sampled_from([1, -1]))
+    # delta^4 on 3 strands, rotated so that a block straddles its end
+    @example(BraidWord(3, _STRADDLING[2:] + _STRADDLING[:2]), 1)
+    @example(BraidWord(4, (1, 2, 1, 3)), -1)
+    @settings(max_examples=200, deadline=None)
+    def test_peel_rotates_and_keeps_the_braid(self, b, s):
+        m = b.strands
+        w0, x = _cyclic_core(b)
+        w, y, e = ordering._peel_twists(b, s)
+        assert dynnikov.is_trivial(
+            delta_power(m, 2 * e) + w + y + inverse(w) + inverse(b.letters))
+        assert abs(e) * m * (m - 1) <= len(x)
+        if len(x) < m * (m - 1):
+            assert (w, y, e) == (w0, x, 0)
+            return
+        block = braid.full_twist_letters(m, s)
+        assert e == s * longest_run(x, block)
+        r = len(w) - len(w0)
+        assert w == w0 + x[:r]
+        assert x[r:] + x[:r] == block * abs(e) + y
+
+    @given(twisted_cores(), st.integers(1, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_power_floor_matches_floor_of_power(self, b, k):
+        assert power_floor(b, k) == dehornoy_floor(b**k)
+
+    @given(twisted_cores())
+    @settings(max_examples=60, deadline=None)
+    def test_central_root_matches_the_word_problem(self, b):
+        m = b.strands
+        expected = next(((q, p) for q, p in candidate_roots(b)
+                         if (b**q * full_twist(m) ** -p).is_trivial()), None)
+        assert central_root(b, m) == expected
+
+    def test_long_core_is_peeled_in_linear_time(self):
+        # 30,000 full twists and one letter: one scan of the 180,001
+        # letters, where trying every rotation took 24 s on 48,001
+        b = BraidWord(3, braid.full_twist_letters(3, 30000) + (1,))
+        start = time.perf_counter()
+        assert ordering._peel_twists(b, 1) == ((), (1,), 30000)
+        assert time.perf_counter() - start < 5
 
 
 class TestFloorProbe:
@@ -562,14 +692,22 @@ class TestFloorProbe:
                 assert probe.inside(n, j) == (sign > 0)
 
     @given(braid_words(max_len=20))
+    @example(pa_word(2, [1, 2]).conjugated_by(BraidWord(3, (2, 1))))
+    @example((full_twist(4) ** -2 * BraidWord(4, (-3, 1))).conjugated_by(BraidWord(4, (2,))))
     def test_search_builds_its_probe_on_the_cyclic_core(self, b):
+        # the probe object holds b's twist-free core: b = delta^(2e) w Y w^-1,
+        # with the whole full twists of b's sign peeled off its cyclic core
         probe = ordering._floor_probe(b)
         sign = sigma_sign(b)
         if sign is OrderSign.TRIVIAL:
             assert probe is None
         else:
-            assert (probe.w, probe.x) == _cyclic_core(b)
-            assert (probe.m, probe.positive) == (b.strands, sign is OrderSign.POSITIVE)
+            m = b.strands
+            w, y, e = ordering._peel_twists(b, sign.value)
+            assert (probe.w, probe.x, probe.twists) == (w, y, e)
+            assert (probe.m, probe.positive) == (m, sign is OrderSign.POSITIVE)
+            assert dynnikov.is_trivial(
+                delta_power(m, 2 * e) + w + y + inverse(w) + inverse(b.letters))
 
     @given(st.integers(2, 6).flatmap(lambda m: st.tuples(
                st.just(m), letter_lists(m, 5), letter_lists(m, 8))),
@@ -719,6 +857,19 @@ def core_power(b: BraidWord, q: int) -> tuple[int, ...]:
     return (BraidWord(b.strands, _cyclic_core(b)[1]) ** q).letters
 
 
+def root_walk(b: BraidWord, q: int) -> tuple[tuple[int, ...], int]:
+    """(Y^q, e): the letters central_root walks for q, the power of b's
+    twist-free core Y, with b = delta^(2e) w Y w^-1 and the full twists of
+    the exponent sum's sign peeled off; checked to spell, with the q e
+    full twists and the conjugator, b^q as a braid."""
+    m = b.strands
+    w, y, e = ordering._peel_twists(b, -1 if b.exponent_sum < 0 else 1)
+    walked = (BraidWord(m, y) ** q).letters
+    assert dynnikov.is_trivial(delta_power(m, 2 * q * e) + w + walked + inverse(w)
+                               + (b**q).inverse().letters)
+    return walked, e
+
+
 def candidate_roots(b: BraidWord) -> list[tuple[int, int]]:
     """(q, p) for q = m, m - 1 wherever p = q e(b) / (m (m-1)) is an
     integer: the roots central_root may have to decide."""
@@ -740,10 +891,11 @@ screen_inputs = st.one_of(
 
 
 def warm_twist_points(b: BraidWord) -> None:
-    """Cache twist_point for every candidate root of b, so that a root
-    test then walks the core's power alone."""
-    for _, p in candidate_roots(b):
-        twist_point(b.strands, p)
+    """Cache twist_point for every candidate root of b, less the twists
+    peeled off b's core, so that a root test then walks the core's power
+    alone."""
+    for q, p in candidate_roots(b):
+        twist_point(b.strands, p - q * root_walk(b, q)[1])
 
 
 class TestCrossingScreen:
@@ -771,14 +923,18 @@ class TestCrossingScreen:
             assert dynnikov.is_trivial((b**q).letters + twist)
         # the first test of a (m, p) also walks delta^(2p); later ones
         # take its image from the cache
+        # the first test of a (m, p) walks the power of the twist-free
+        # core and delta^(2(p - q e)), without the q e peeled full twists;
+        # later ones take the twists' image from the cache
         q, p = roots[0]
+        walked, e = root_walk(b, q)
         twist_point.cache_clear()
         with recorded_walks() as walks:
             assert central_root(b, m) == roots[0]
-        assert walks == [core_power(b, q), delta_power(m, 2 * p)]
+        assert walks == [walked, delta_power(m, 2 * (p - q * e))]
         with recorded_walks() as walks:
             assert central_root(b, m) == roots[0]
-        assert walks == [core_power(b, q)]
+        assert walks == [walked]
 
     @given(screen_inputs)
     @settings(max_examples=80, deadline=None)
@@ -798,10 +954,10 @@ class TestCrossingScreen:
     @given(screen_inputs)
     @settings(max_examples=80, deadline=None)
     def test_screened_out_q_sends_no_query(self, b):
-        # the only walks are of X^q on the core, one for each candidate
-        # up to the first root; the kernel is never asked
+        # the only walks are of Y^q on the twist-free core, one for each
+        # candidate up to the first root; the kernel is never asked
         candidates = candidate_roots(b)
-        asked = [core_power(b, q) for q, _ in candidates]
+        asked = [root_walk(b, q)[0] for q, _ in candidates]
         warm_twist_points(b)
         with recorded_queries() as kernel_queries, recorded_walks() as walks:
             root = central_root(b, b.strands)

@@ -162,10 +162,13 @@ class TestGarsideElements:
     def test_twist_cache_is_bounded(self):
         # spread probes on 20 strand counts from 300 to 680 leave the
         # twists of the last three in the cache: tuples and the int
-        # objects they hold, under 64 MiB, where keeping all twenty held
-        # 228 MiB
+        # objects they hold, 20 MiB, where keeping all twenty held
+        # 228 MiB.  Each letter is one of the m - 1 generators or their
+        # inverses, so the ints are shared: the pair on 680 strands is
+        # 7.1 MiB, where a fresh int per letter made it 21.6 MiB
         def size(objects) -> int:
-            return sum(map(sys.getsizeof, objects))
+            ints = {id(x): x for twist in objects for x in twist if not -5 <= x <= 256}
+            return sum(map(sys.getsizeof, objects)) + sum(map(sys.getsizeof, ints.values()))
 
         braid._full_twists.cache_clear()
         try:
@@ -174,8 +177,8 @@ class TestGarsideElements:
             assert braid._full_twists.cache_info().currsize == 3
             kept = [twist for m in (640, 660, 680) for twist in braid._full_twists(m)]
             assert braid._full_twists.cache_info().misses == 20
-            ints = {id(x): x for twist in kept for x in twist if not -5 <= x <= 256}
-            assert size(kept) + size(ints.values()) < 64 * 2**20
+            assert size(kept) < 24 * 2**20
+            assert size(braid._full_twists(680)) < 8 * 2**20
         finally:
             braid._full_twists.cache_clear()
 
