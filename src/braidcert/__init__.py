@@ -6,8 +6,10 @@ signed generator sequences, the Dehornoy order via handle reduction
 (with a compiled kernel when available), the word problem by integer
 Dynnikov coordinates, fractional Dehn twist
 coefficients as exact rationals on three strands and certified
-intervals otherwise, and verdict certificates whose inequalities an
-independent replay checker re-evaluates.
+intervals otherwise (from ``power_floor``, which gives the Dehornoy
+floor of a power b^k together with the sign of b, read off a central
+root or asked once by the floor search), and verdict certificates
+whose inequalities an independent replay checker re-evaluates.
 """
 
 from __future__ import annotations

@@ -63,7 +63,7 @@ def _parse_rational(text: str, what: str) -> Fraction:
 
 
 def _parse_tol(text: str) -> Fraction:
-    return _parse_rational(text, "tol")
+    return _parse_rational(text.strip(BLANKS), "tol")
 
 
 def _parse_fdtc_value(text: str) -> FdtcValue:
@@ -417,7 +417,7 @@ def _option_int(text: str) -> int:
     """An integer option's value by :func:`parse_decimal`, failing with
     argparse's own usage message for a bad value."""
     try:
-        return parse_decimal(text)
+        return parse_decimal(text.strip(BLANKS))
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 

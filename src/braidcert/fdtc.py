@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from braidcert.braid import BraidWord
-from braidcert.errors import BadGenus, BadParameters, NotThreeBraid
+from braidcert.errors import BadGenus, BadParameters, NotThreeBraid, WordLengthExceeded
 # dehornoy_floor is not called here any more but stays importable from
 # this module, where callers and perfbench's tracer look it up.
 from braidcert.ordering import (  # noqa: F401
@@ -133,23 +133,33 @@ def fdtc_interval_by_floor(b: BraidWord, tol: Fraction | int) -> FdtcValue:
     The floor comes from :func:`~braidcert.ordering.power_floor`, which
     searches it through a central root of b when b is periodic and
     otherwise climbs a binary ladder of powers with one probe per step;
-    the value is the same as ``dehornoy_floor(b**k)``.  Both work on a
-    twist-free rotation of b's cyclic core: the longest run of whole full
-    twists is peeled off it, and as delta^2 is central only the twist
-    counts of the queries change.  One probe object answers the search
-    for the floor of b and every ladder step; in the pure-Python build it
-    walks Dynnikov coordinates on from the last probe's image, so each
-    letter of the power and its twists is walked once, and a root test
-    walks the power of the twist-free core against a cached image of the
-    full twists."""
+    the value is the same as ``dehornoy_floor(b**k)``.  It also gives the
+    sign of b, which fixes the sign of c(b): the sign of p in the root
+    b^q = delta^(2p), which asks no query, or else the one sign query
+    that orients the ladder's probes.  Only when power_floor refuses a
+    power past the letter cap is b's sign asked apart, so that the
+    identity, which needs no power, still answers 0.  Both routes work
+    on a twist-free rotation of b's cyclic core: the longest run of whole
+    full twists is peeled off it, and as delta^2 is central only the
+    twist counts of the queries change.  One probe object answers the
+    search for the floor of b and every ladder step; in the pure-Python
+    build it walks Dynnikov coordinates on from the last probe's image,
+    so each letter of the power and its twists is walked once, and a
+    root test walks the power of the twist-free core against a cached
+    image of the full twists."""
     t = Fraction(tol)
     if t <= 0:
         raise BadParameters(f"tolerance must be positive, got {t}")
-    sign = sigma_sign(b)
+    k = math.ceil(1 / t)
+    try:
+        sign, floor = power_floor(b, k)
+    except WordLengthExceeded:
+        # a power past the letter cap, which the identity needs none of
+        if sigma_sign(b) is not OrderSign.TRIVIAL:
+            raise
+        sign = OrderSign.TRIVIAL
     if sign is OrderSign.TRIVIAL:
         return FdtcValue.exact(0, "trivial braid")
-    k = math.ceil(1 / t)
-    floor = power_floor(b, k)
     prov = f"Dehornoy floor {floor} of the {k}-th power, twist bounds"
     if sign is OrderSign.POSITIVE:
         return FdtcValue.interval(Fraction(floor, k), Fraction(floor + 1, k), prov)

@@ -153,10 +153,10 @@ def dehornoy_floor(u: BraidWord) -> int:
 
 
 def _floor_probe(b: BraidWord) -> _kernel.FloorProbe | None:
-    """The probe object of a floor search on b, with b's sign, built on
-    b's cyclic core less the full twists of b's sign that
-    :func:`_peel_twists` takes off it; None for the identity, whose
-    floor is 0."""
+    """The probe object of a floor search on b, oriented by b's sign (its
+    ``positive``), built on b's cyclic core less the full twists of b's
+    sign that :func:`_peel_twists` takes off it; None for the identity,
+    whose floor is 0.  The sign is its one kernel query on b."""
     sign = sigma_sign(b)
     if sign is OrderSign.TRIVIAL:
         return None
@@ -194,19 +194,24 @@ def central_root(b: BraidWord, max_power: int) -> tuple[int, int] | None:
     move the start point s to the same image, and the test compares the
     walk of Y^q from s with :func:`twist_point`, the image under
     delta^(2(p - qe)), which is walked once per (m, p - qe).  No root
-    query reaches the handle-reduction kernel or its budget.
+    query reaches the handle-reduction kernel or its budget.  The peel
+    waits for a candidate root: it runs once, for the first q that passes
+    both the exponent-sum test and max_power, and not at all when
+    neither does.
 
     Raises WordLengthExceeded where b**q would, when |b| q passes
     MAX_WORD_LETTERS.
     """
-    m = b.strands
-    _, y, e = _peel_twists(b, -1 if b.exponent_sum < 0 else 1)
-    core = BraidWord(m, y)
+    m, total = b.strands, b.exponent_sum
+    core = None
     for q in (m, m - 1):
-        p, rest = divmod(q * b.exponent_sum, m * (m - 1))
+        p, rest = divmod(q * total, m * (m - 1))
         if q > max_power or rest:
             continue
         check_power(b, q)
+        if core is None:  # peeled once, for the first candidate root
+            _, y, e = _peel_twists(b, -1 if total < 0 else 1)
+            core = BraidWord(m, y)
         if tuple(dynnikov.act((0, 1) * m, (core**q).letters)) == twist_point(m, p - q * e):
             return q, p
     return None
@@ -276,14 +281,17 @@ def _peel_twists(b: BraidWord, s: int) -> tuple[tuple[int, ...], tuple[int, ...]
     return w + x[:r], rotated[e * size:], s * e
 
 
-def power_floor(b: BraidWord, k: int) -> int:
-    """dehornoy_floor(b**k) for k >= 1, without a search on b^k.
+def power_floor(b: BraidWord, k: int) -> tuple[OrderSign, int]:
+    """(sigma_sign(b), dehornoy_floor(b**k)) for k >= 1, without a search
+    on b^k and with at most one sign query on b itself.
 
     When b has a central root b^q = delta^(2p) with q <= k (see
     :func:`central_root`), the floor is a whole number of twists plus the
     floor of a remainder.  Write k = s q + r with r = k mod q, so that
     b^k = delta^(2t) b^r with t = p s.  b > 1 exactly when p > 0, as b^q
-    and b have the same sign.  For p >= 0, every power of b is >= 1, and
+    and b have the same sign, and p = 0 only for the identity, as braid
+    groups are torsion-free; so the root gives b's sign, and no query
+    asks for it.  For p >= 0, every power of b is >= 1, and
     for an x >= 1 the floor is the largest i with delta^(2i) <= x.
     Left-invariance and the centrality of delta^2 shift it by whole
     twists:
@@ -299,7 +307,8 @@ def power_floor(b: BraidWord, k: int) -> int:
     runs on fewer than q copies of b.
 
     Otherwise the floor is quasi-additive on powers of b, and a binary
-    ladder climbs to k with one probe per step.
+    ladder climbs to k with one probe per step.  The sign of b is the one
+    query that orients the ladder's probe object (:func:`_floor_probe`).
 
     Lemma: for A, B >= 1, floor(b^(A+B)) is S = floor(b^A) + floor(b^B)
     or S + 1.  Proof for b > 1, where every power of b is > 1: a
@@ -363,12 +372,16 @@ def power_floor(b: BraidWord, k: int) -> int:
     root = central_root(b, k)
     if root is not None:
         q, p = root
+        if p == 0:  # b^q = 1, so b = 1, whose floor asks no query
+            return OrderSign.TRIVIAL, 0
         s, r = divmod(k, q)
-        return abs(p) * s + dehornoy_floor(BraidWord(m, b.letters * r))
+        sign = OrderSign.POSITIVE if p > 0 else OrderSign.NEGATIVE
+        return sign, abs(p) * s + dehornoy_floor(BraidWord(m, b.letters * r))
 
     probe = _floor_probe(b)
     if probe is None:
-        return 0
+        return OrderSign.TRIVIAL, 0
+    sign = OrderSign.POSITIVE if probe.positive else OrderSign.NEGATIVE
     n, f = 1, _search_floor(b, probe)
 
     def floor_of_power(n: int, s: int) -> int:
@@ -381,4 +394,4 @@ def power_floor(b: BraidWord, k: int) -> int:
         n, f = 2 * n, floor_of_power(2 * n, 2 * f)
         if bit == "1":
             n, f = n + 1, floor_of_power(n + 1, f + f1)
-    return f
+    return sign, f

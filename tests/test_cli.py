@@ -200,6 +200,9 @@ class TestErrors:
         (["certify-genus1", "--word", "3: -1 -2", "--n", "\u0663"], "--n"),
         (["certify-surgery", "--c", "1/2", "--n", "2", "--q", "0",
           "--genus", "1_0"], "--genus"),
+        # int() would strip a newline or a vertical tab, which are no blanks
+        (["certify-cover", "--word", "3: 1 -2", "--t", "2\n"], "--t"),
+        (["certify-genus1", "--word", "3: -1 -2", "--n", "\x0b3"], "--n"),
     ])
     def test_integer_options_take_ascii_decimals_only(self, capsys, argv, bad):
         with pytest.raises(SystemExit) as info:
@@ -220,6 +223,9 @@ class TestErrors:
          "interval endpoint"),
         (["certify-surgery", "--c", "1/2\u3000", "--n", "4", "--q", "0"],
          "twist value"),
+        (["fdtc", "4: 1 2 3", "--tol", "1/4\n"], "tol"),
+        (["certify-surgery", "--c", "\x0c1/2", "--n", "4", "--q", "0"],
+         "twist value"),
     ])
     def test_rational_options_take_ascii_decimals_only(self, capsys, argv, what):
         code, out, err = run(capsys, *argv)
@@ -230,6 +236,13 @@ class TestErrors:
     def test_exact_decimal_tolerance_still_accepted(self, capsys):
         code, out, _ = run(capsys, "fdtc", "4: 1 2 3", "--tol", "0.5")
         assert (code, out) == (0, "c in [0, 1/2]\n")
+
+    def test_option_values_strip_ascii_blanks(self, capsys):
+        # as around corpus fields and --c, and nothing else
+        assert run(capsys, "fdtc", "4: 1 2 3", "--tol", " 0.5\t") == run(
+            capsys, "fdtc", "4: 1 2 3", "--tol", "0.5")
+        argv = ["certify-genus1", "--word", "3: -1 -2", "--n"]
+        assert run(capsys, *argv, "\t3 ") == run(capsys, *argv, "3")
 
     def test_bad_budget_setting_is_an_error_line(self, capsys, monkeypatch):
         monkeypatch.setenv("BRAIDCERT_REDUCTION_BUDGET", "abc")

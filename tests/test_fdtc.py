@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from conftest import three_braids
+from conftest import recorded_queries, three_braids
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +15,8 @@ from braidcert import (
     BraidWord,
     FdtcValue,
     NotThreeBraid,
+    ReductionBudgetExceeded,
+    WordLengthExceeded,
     dehornoy_floor,
     delta,
     fdtc_exact_b3,
@@ -23,7 +25,9 @@ from braidcert import (
     fdtc_lift,
     fdtc_lower_bound,
     full_twist,
+    sigma_sign,
 )
+from braidcert import _kernel, _reduction_py, braid
 
 C = full_twist(3)
 
@@ -149,6 +153,54 @@ class TestIntervalByFloor:
         v = fdtc_interval_by_floor(full_twist(4) ** -2, Fraction(1, 6))
         assert v.contains(Fraction(-2))
         assert v.hi <= 0
+
+    def test_one_sign_query_on_b(self, c_kernel, monkeypatch):
+        w = BraidWord(4, (2, -3, 1))
+        ladder = (BraidWord(4, (1, 1, 1)) * full_twist(4)).conjugated_by(w)
+        central = BraidWord(4, (1, 2, 3) * 2).conjugated_by(w)
+        for kernel in (c_kernel, _reduction_py):
+            monkeypatch.setattr(_kernel, "_impl", kernel)
+            # the ladder's probe object asks b's sign once; under the
+            # compiled kernel its probes' spread words go through sign_of
+            with recorded_queries() as queries:
+                v = fdtc_interval_by_floor(ladder, Fraction(1, 12))
+            assert v.contains(1)
+            assert queries.count(ladder.letters) == 1
+            # a root b^4 = delta^2 gives the sign; k = 12 leaves no
+            # remainder, so the one query is the identity's floor
+            with recorded_queries() as queries:
+                v = fdtc_interval_by_floor(central, Fraction(1, 12))
+            assert v.contains(Fraction(1, 2))
+            assert queries == [()]
+
+    def test_long_identity_past_the_root_power_cap(self, monkeypatch):
+        # the root test's b^4 would pass the letter cap; b's sign answers
+        monkeypatch.setattr(braid, "MAX_WORD_LETTERS", 1000)
+        b = BraidWord(4, (1, 2, 1, -2, -1, -2) * 50)
+        with pytest.raises(WordLengthExceeded):
+            b**4
+        v = fdtc_interval(b, Fraction(1, 12))
+        assert v.is_exact and v.value == 0
+        # a nontrivial braid there is still refused
+        with pytest.raises(WordLengthExceeded):
+            fdtc_interval(BraidWord(4, (1, 2, 3) * 100), Fraction(1, 12))
+
+    def test_central_route_sends_b_to_no_budget(self, monkeypatch):
+        # a root decides b's sign and k mod q = 0 leaves no search, so a
+        # b longer than the budget gets its interval; a long identity
+        # gets 0 from its root b^4 = 1
+        monkeypatch.setenv("BRAIDCERT_REDUCTION_BUDGET", "15")
+        w = BraidWord(4, (2, 3, 2, -1, 3, 3, 2, 2))
+        b = BraidWord(4, (1, 2, 3) * 2).conjugated_by(w)
+        assert len(b) == 22
+        with pytest.raises(ReductionBudgetExceeded):
+            sigma_sign(b)
+        v = fdtc_interval(b, Fraction(1, 4))
+        assert (v.lo, v.hi) == (Fraction(1, 2), Fraction(3, 4))
+        trivial = BraidWord(4, (1, 2, 1, -2, -1, -2) * 3)
+        for tol in (Fraction(1, 10), Fraction(1, 12)):
+            v = fdtc_interval(trivial, tol)
+            assert v.is_exact and v.value == 0
 
 
 class TestIntervalDispatch:

@@ -251,20 +251,20 @@ class TestPowerFloor:
            st.integers(1, 24))
     @settings(max_examples=40, deadline=None)
     def test_matches_floor_of_power_random(self, b, k):
-        assert power_floor(b, k) == dehornoy_floor(b**k)
+        assert power_floor(b, k) == (sigma_sign(b), dehornoy_floor(b**k))
 
     @given(twisted_families(max_strands=5), st.integers(1, 24))
     @settings(max_examples=40, deadline=None)
     def test_matches_floor_of_power_families(self, case, k):
         b, _, _ = case
-        assert power_floor(b, k) == dehornoy_floor(b**k)
+        assert power_floor(b, k) == (sigma_sign(b), dehornoy_floor(b**k))
 
     @given(st.integers(-3, 3), st.lists(st.integers(1, 4), min_size=1, max_size=3),
            st.integers(1, 24))
     @settings(max_examples=20, deadline=None)
     def test_matches_floor_of_power_pseudo_anosov(self, d, a, k):
         b = pa_word(d, a)
-        assert power_floor(b, k) == dehornoy_floor(b**k)
+        assert power_floor(b, k) == (sigma_sign(b), dehornoy_floor(b**k))
 
     @given(braid_words(min_strands=3, max_strands=6, max_len=8),
            st.sampled_from([5, 7, 13, 25, 31]), st.booleans())
@@ -274,19 +274,20 @@ class TestPowerFloor:
         # sign of b picks the direction of every probe
         if negative == (sigma_sign(b) is OrderSign.POSITIVE):
             b = b.inverse()
-        assert power_floor(b, k) == dehornoy_floor(b**k)
+        assert power_floor(b, k) == (sigma_sign(b), dehornoy_floor(b**k))
 
     @pytest.mark.parametrize("k", [1, 2, 5, 12, 31])
     def test_trivial_braid(self, k):
         for b in (BraidWord(4, ()), BraidWord(5, (1, 3, -1, -3))):
-            assert power_floor(b, k) == dehornoy_floor(b**k) == 0
+            assert power_floor(b, k) == (sigma_sign(b), dehornoy_floor(b**k))
+            assert power_floor(b, k) == (OrderSign.TRIVIAL, 0)
 
     def test_zero_twists_past_the_half_twist_cap(self):
         # delta^2 on more than 1,414 strands passes the letter cap, but
         # the identity's root and floor need no full twist
-        assert power_floor(BraidWord(2000, ()), 2000) == 0
+        assert power_floor(BraidWord(2000, ()), 2000) == (OrderSign.TRIVIAL, 0)
         assert central_root(BraidWord(2000, ()), 2000) == (2000, 0)
-        assert power_floor(BraidWord(1500, ()), 1499) == 0
+        assert power_floor(BraidWord(1500, ()), 1499) == (OrderSign.TRIVIAL, 0)
         # a probe that needs delta^2 there is still refused
         with pytest.raises(WordLengthExceeded):
             power_floor(BraidWord(2000, (1, 2, -1, -2)), 2000)
@@ -359,7 +360,7 @@ class TestPowerFloor:
         # b^n is never built, but a probe on it is refused where b**n is
         b = pa_word(0, [1])
         monkeypatch.setattr(braid, "MAX_WORD_LETTERS", 20)
-        assert power_floor(b, 8) == dehornoy_floor(b**8)
+        assert power_floor(b, 8) == (sigma_sign(b), dehornoy_floor(b**8))
         with pytest.raises(WordLengthExceeded):
             power_floor(b, 24)
 
@@ -387,7 +388,7 @@ class TestPowerFloor:
         if invert:
             b = b.inverse()
         assume(central_root(b, k) is not None)
-        assert power_floor(b, k) == dehornoy_floor(b**k)
+        assert power_floor(b, k) == (sigma_sign(b), dehornoy_floor(b**k))
 
     #: (m, j, k, r): b = delta_1^j, conjugated, on m strands, has its root
     #: at q = m; r is the remainder nearest to 0, |r| <= q / 2, so that
@@ -418,7 +419,7 @@ class TestPowerFloor:
             return dehornoy_floor(u)
 
         monkeypatch.setattr(ordering, "dehornoy_floor", recording)
-        assert power_floor(b, k) == dehornoy_floor(b**k)
+        assert power_floor(b, k) == (sigma_sign(b), dehornoy_floor(b**k))
         assert searched == [b ** (k % q)]
 
     @given(twisted_families(max_strands=5), st.integers(0, 12), st.booleans())
@@ -436,9 +437,9 @@ class TestPowerFloor:
         assume(root is not None)
         q, p = root
         with recorded_queries() as near, recorded_walks() as near_walks:
-            floor = power_floor(b, k)
+            sign, floor = power_floor(b, k)
         with recorded_queries() as far, recorded_walks() as far_walks:
-            assert power_floor(b, k + 10 * q) == floor + 10 * abs(p)
+            assert power_floor(b, k + 10 * q) == (sign, floor + 10 * abs(p))
         assert far == near
         assert far_walks == near_walks
 
@@ -510,7 +511,7 @@ class TestLadderEngine:
                 assert_walks_continue(walked, probes)
                 assert sum(map(len, walked)) < sum(
                     len(dynnikov.free_reduce(probe)) for probe in probes)
-        assert set(floors.values()) == {dehornoy_floor(b**24)}
+        assert set(floors.values()) == {(sigma_sign(b), dehornoy_floor(b**24))}
 
     @pytest.mark.parametrize("b", _LADDER_BRAIDS)
     def test_search_asks_one_sign_and_probes_the_rest(self, c_kernel, monkeypatch, b):
@@ -651,7 +652,7 @@ class TestPeelTwists:
     @given(twisted_cores(), st.integers(1, 12))
     @settings(max_examples=40, deadline=None)
     def test_power_floor_matches_floor_of_power(self, b, k):
-        assert power_floor(b, k) == dehornoy_floor(b**k)
+        assert power_floor(b, k) == (sigma_sign(b), dehornoy_floor(b**k))
 
     @given(twisted_cores())
     @settings(max_examples=60, deadline=None)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+from fractions import Fraction
 
 import pytest
 from conftest import braid_words, traced_peak
@@ -271,6 +272,10 @@ class TestParsing:
             ("1_0: 1 2", 1),   # int() would read 10 strands
             (" 3: 1 2\u30001", 7),  # an ideographic space is no separator
             ("\u30003: 1", 1),      # nor is it stripped off the strand count
+            ("3: \x0b1", 4),   # int() would strip a vertical tab
+            ("3: 1\n", 4),     # and a newline
+            ("3:\x0c 1 2", 3),  # a form feed is no separator either
+            ("3\r: 1", 1),     # nor stripped off the strand count
         ],
     )
     def test_only_ascii_decimal_integers(self, text, column):
@@ -279,6 +284,15 @@ class TestParsing:
         assert info.value.column == column
         assert parse_braid("3: +1 -2") == BraidWord(3, (1, -2))
         assert parse_braid("\t3 :\t1  -2 ") == BraidWord(3, (1, -2))
+
+    @pytest.mark.parametrize("text", [" 5", "5 ", "\t5", "5\n", "\x0b5", "\x0c5"])
+    def test_number_text_keeps_its_whitespace(self, text):
+        # int() and Fraction() strip all of these; the number rule does not
+        for number in (int, Fraction):
+            with pytest.raises(ValueError):
+                braid.parse_decimal(text, number)
+        assert braid.parse_decimal("5") == 5
+        assert braid.parse_decimal("-5/12", Fraction) == Fraction(-5, 12)
 
     def test_parse_error_line_passthrough(self):
         with pytest.raises(ParseError) as info:
