@@ -28,6 +28,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable
 
 from braidcert.braid import BLANKS, BraidWord, parse_braid, parse_decimal
@@ -360,7 +361,7 @@ def _cmd_corpus(args) -> int:
     tol = _cli_value(args, _TOL)
     try:
         with open(args.file, encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
+            lines = handle.read().split("\n")
     except OSError as exc:
         print(f"error: cannot read corpus: {exc}", file=sys.stderr)
         return 1
@@ -441,7 +442,11 @@ def _add_report(p: argparse.ArgumentParser) -> None:
                    help="output format (default: text)")
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by
+    every later one.  It carries data only: each subcommand's task, never
+    a function, so that :func:`main` looks its handler up when it runs."""
     parser = argparse.ArgumentParser(
         prog="braidcert",
         description="Braid-order computations and branched-cover certificates"
@@ -453,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
         for param in ((task.braid,) if task.braid else ()) + task.params:
             _add_param(p, param)
         _add_report(p)
-        p.set_defaults(func=_run_command, task=task)
+        p.set_defaults(task=task)
 
     p = sub.add_parser("corpus", help="batch-run tasks from a corpus file"
                                       " (id<tab>task<tab>params<tab>braid;"
@@ -462,14 +467,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     _add_param(p, _TOL)
     _add_report(p)
-    p.set_defaults(func=_cmd_corpus)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return _cmd_corpus(args) if args.command == "corpus" else _run_command(args)
     except BraidError as exc:
         name = type(exc).__name__
         if getattr(args, "report", "text") == "json":

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from braidcert import cli
 from braidcert.cli import main
 
 
@@ -397,3 +398,72 @@ class TestCorpus:
                  + repr("6\u3000t=2"))
         assert (blank["id"], blank["error"]) == ("line-3", "ParseError")
         assert (ok["id"], ok["floor"]) == ("ok", 0)
+
+    @pytest.mark.parametrize("sep", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+                                     "\u2028"])
+    def test_records_end_at_newline_only(self, tmp_path, capsys, sep):
+        # str.splitlines would end the row at each of these, certifying
+        # "3: 1" and reporting the rest as a line 2 the file does not have
+        p = tmp_path / "corpus.tsv"
+        p.write_text(f"e1\tClassify3\t-\t3: 1{sep}2\n", encoding="utf-8")
+        code, out, _ = run(capsys, "corpus", str(p), "--report", "json")
+        assert code == 1
+        (record,) = (json.loads(line) for line in out.splitlines())
+        assert (record["id"], record["error"]) == ("e1", "ParseError")
+        assert record["message"] == (f"line 1, column 4: letter {'1' + sep + '2'!r}"
+                                     " is not an integer")
+        if sep == "\v":
+            assert record["message"].endswith("letter '1\\x0b2' is not an integer")
+
+    def test_crlf_rows(self, tmp_path, capsys):
+        p = tmp_path / "corpus.tsv"
+        p.write_bytes(b"a\tFloor\t-\t3: 1\r\n\r\nb\tFloor\t-\t3: 1 2 1 1 2 1\r\n")
+        code, out, _ = run(capsys, "corpus", str(p))
+        assert code == 0
+        assert out.splitlines() == ["a\t0", "b\t1"]
+
+
+class TestParserReuse:
+    """One parser serves every call of a process."""
+
+    ARGVS = (["order", "3: 1", "3: 2 1"],
+             ["certify-cover", "--word", "3: 1 2", "--t", "x"],  # usage error
+             ["corpus", None, "--report", "json"],
+             ["fdtc", "4: 1 2 3 1 2 3", "--tol", "1/4"])
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_reused_parser_keeps_no_state(self, tmp_path, capsys):
+        p = tmp_path / "corpus.tsv"
+        p.write_text(CORPUS)
+        argvs = [[str(p) if a is None else a for a in argv] for argv in self.ARGVS]
+        fresh = []
+        for argv in argvs:
+            cli.build_parser.cache_clear()
+            fresh.append(self.outcome(capsys, argv))
+        parser = cli.build_parser()
+        reused = [self.outcome(capsys, argv) for argv in argvs]
+        assert cli.build_parser() is parser
+        assert reused == fresh
+        assert [o[0] for o in reused] == [0, ("exit", 2), 0, 0]
+
+    def test_handlers_are_looked_up_per_call(self, tmp_path, capsys, monkeypatch):
+        # a wrapper installed after the parser exists is the one called
+        p = tmp_path / "corpus.tsv"
+        p.write_text(CORPUS)
+        cli.build_parser()
+        calls = []
+        monkeypatch.setattr(cli, "_cmd_corpus", lambda args: calls.append(args.file) or 0)
+        monkeypatch.setattr(cli, "_run_command",
+                            lambda args: calls.append(args.task.command) or 0)
+        assert main(["corpus", str(p)]) == 0
+        assert main(["floor", "3: 1"]) == 0
+        assert calls == [str(p), "floor"]
+        assert capsys.readouterr().out == ""
