@@ -40,11 +40,6 @@ MAX_WORD_LETTERS = 10**6
 #: The separators of the text format: ASCII space and tab, nothing else.
 BLANKS = " \t"
 
-#: ASCII whitespace that is no separator: parse_decimal refuses a number
-#: with any of it around, since str.strip() would remove it.
-_OTHER_ASCII_SPACE = "".join(c for c in map(chr, range(128))
-                             if c.isspace() and c not in BLANKS)
-
 _N = TypeVar("_N")
 
 
@@ -283,11 +278,6 @@ def parse_braid(text: str, line: int = 1) -> BraidWord:
             1 + _leading_ws(head),
         )
 
-    # A field that keeps parse_decimal's rule as a whole keeps it in every
-    # token, and int() reads such a token as parse_decimal would.
-    plain = tail.isascii() and "_" not in tail and not any(
-        c in tail for c in _OTHER_ASCII_SPACE)
-    read = int if plain else parse_decimal
     letters: list[int] = []
     col = len(head) + len(sep) + 1  # 1-based column of the next token
     for token in tail.replace("\t", " ").split(" "):
@@ -295,7 +285,7 @@ def parse_braid(text: str, line: int = 1) -> BraidWord:
         if not token:
             continue
         try:
-            x = read(token)
+            x = parse_decimal(token)
         except ValueError:
             raise ParseError(f"letter {token!r} is not an integer", line, at) from None
         if x == 0 or abs(x) >= strands:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import ast
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from braidcert.certify import Certificate, Verdict
 
@@ -129,12 +128,6 @@ def evaluate_inequality(text: str) -> bool:
         raise ReplayError(
             f"inequality of {len(text)} characters exceeds {MAX_INEQUALITY_CHARS}"
         )
-    # A str subclass may redefine equality and hashing, so only an exact
-    # str may stand for a text already evaluated.
-    return _evaluate_known(text) if type(text) is str else _evaluate(text)
-
-
-def _evaluate(text: str) -> bool:
     try:
         result = _eval(ast.parse(text, mode="eval"))
     except SyntaxError as exc:
@@ -146,12 +139,6 @@ def _evaluate(text: str) -> bool:
     if not isinstance(result, bool):
         raise ReplayError("expression is arithmetic, not a comparison")
     return result
-
-
-#: Results by exact text: a batch of certificates cites few distinct
-#: inequalities many times.  An error is raised afresh on every call,
-#: since lru_cache keeps only returned values.
-_evaluate_known = lru_cache(maxsize=512)(_evaluate)
 
 
 def verify_certificate(cert: Certificate) -> bool:
