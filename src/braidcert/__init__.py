@@ -10,9 +10,15 @@ intervals otherwise (from ``power_floor``, which gives the Dehornoy
 floor of a power b^k together with the sign of b, read off a central
 root or asked once by the floor search), and verdict certificates
 whose inequalities an independent replay checker re-evaluates.
+
+Importing the package loads only the error, word, kernel and order
+modules; a name from ``certify``, ``fdtc``, ``threebraid`` or ``replay``
+loads its module on first use.
 """
 
 from __future__ import annotations
+
+import importlib
 
 from braidcert._kernel import DEFAULT_REDUCTION_BUDGET, default_budget, kernel_name
 from braidcert.braid import (
@@ -27,20 +33,6 @@ from braidcert.braid import (
     is_trivial,
     parse_braid,
 )
-from braidcert.certify import (
-    Certificate,
-    DegeneracySlope,
-    Justification,
-    SurgerySlope,
-    Verdict,
-    certify_closed_braid_cover,
-    certify_fibred_cover,
-    certify_genus1_cover,
-    certify_orbifold_cover,
-    certify_satellite,
-    excluded_q,
-    slope_distance,
-)
 from braidcert.errors import (
     BadGenus,
     BadParameters,
@@ -54,14 +46,6 @@ from braidcert.errors import (
     StrandMismatch,
     WordLengthExceeded,
 )
-from braidcert.fdtc import (
-    FdtcValue,
-    fdtc_exact_b3,
-    fdtc_interval,
-    fdtc_interval_by_floor,
-    fdtc_lift,
-    fdtc_lower_bound,
-)
 from braidcert.ordering import (
     Comparison,
     OrderSign,
@@ -71,19 +55,45 @@ from braidcert.ordering import (
     reduced_word,
     sigma_sign,
 )
-from braidcert.replay import ReplayError, evaluate_inequality, verify_certificate
-from braidcert.threebraid import (
-    LSpaceStatus,
-    NTType,
-    PeriodicForm,
-    PseudoAnosovForm,
-    ReducibleForm,
-    baldwin_lspace_double_cover,
-    normal_form,
-    nt_type,
-    representative,
-    sl2_image,
-)
+
+#: Names bound on first access, by the module that defines them (PEP 562).
+#: Every command needs the modules imported above; these four only some
+#: commands need, so ``import braidcert`` does not load them.  A name is
+#: looked up on its module at each access, never stored here.
+_LAZY = {
+    name: module
+    for module, names in {
+        "certify": (
+            "Certificate", "DegeneracySlope", "Justification", "SurgerySlope",
+            "Verdict", "certify_closed_braid_cover", "certify_fibred_cover",
+            "certify_genus1_cover", "certify_orbifold_cover", "certify_satellite",
+            "excluded_q", "slope_distance",
+        ),
+        "fdtc": (
+            "FdtcValue", "fdtc_exact_b3", "fdtc_interval", "fdtc_interval_by_floor",
+            "fdtc_lift", "fdtc_lower_bound",
+        ),
+        "replay": ("ReplayError", "evaluate_inequality", "verify_certificate"),
+        "threebraid": (
+            "LSpaceStatus", "NTType", "PeriodicForm", "PseudoAnosovForm",
+            "ReducibleForm", "baldwin_lspace_double_cover", "normal_form", "nt_type",
+            "representative", "sl2_image",
+        ),
+    }.items()
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _LAZY.keys())
+
 
 __version__ = "0.1.0"
 

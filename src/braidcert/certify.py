@@ -271,6 +271,10 @@ def certify_orbifold_cover(c_h: FdtcValue, p: int, q: int, m: int) -> Certificat
 
 #: Gate wording, (proved note, assertion, refusal on 3 strands, refusal
 #: on other strand counts), for a closed braid and for a satellite pattern.
+_TWO_STRANDS_PERIODIC = (
+    "no 2-braid is pseudo-Anosov: B_2 is generated by sigma_1, and"
+    " sigma_1^2 = Delta^2 is central, so every 2-braid is periodic"
+)
 _BRAID_PA_GATE = (
     "pseudo-Anosov type proved by the 3-braid classification",
     "braid asserted pseudo-Anosov",
@@ -295,11 +299,14 @@ def _pa_gate(
 ) -> Certificate | None:
     """Establish pseudo-Anosov type of b, or refuse.
 
-    On 3 strands the classification proves it; failing that, and on any
-    other strand count, only an assertion lets the certifier proceed.
-    Records the proof or assertion in notes / assumptions and returns
-    None, or returns the Unknown certificate that refuses."""
+    No 2-braid is pseudo-Anosov, so on 2 strands the gate refuses even
+    an assertion.  On 3 strands the classification proves it; failing
+    that, and on 4 or more strands, only an assertion lets the certifier
+    proceed.  Records the proof or assertion in notes / assumptions and
+    returns None, or returns the Unknown certificate that refuses."""
     proved, asserted, not_pa, must_assert = wording
+    if b.strands == 2:
+        return _verdict((), assumptions, (), _TWO_STRANDS_PERIODIC)
     if b.strands == 3 and nt_type(normal_form(b)) is NTType.PSEUDO_ANOSOV:
         notes.append(proved)
         return None
@@ -329,7 +336,8 @@ def certify_closed_braid_cover(
     Two rules: even t for odd-strand braids with certified |c| >= 2, and
     factorisations t = n k with 2 <= n <= |c| and n coprime to the
     strand count.  Pseudo-Anosov type is proved by the classification on
-    3 strands and must be asserted otherwise.
+    3 strands and must be asserted on more; a 2-braid is never
+    pseudo-Anosov.
     """
     if t < 2:
         raise BadParameters(f"cover order must be >= 2, got {t}")

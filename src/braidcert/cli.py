@@ -24,31 +24,19 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from braidcert.braid import BLANKS, BraidWord, parse_braid, parse_decimal
-from braidcert.certify import (
-    Certificate,
-    Verdict,
-    certify_closed_braid_cover,
-    certify_fibred_cover,
-    certify_genus1_cover,
-    certify_satellite,
-)
 from braidcert.errors import BadParameters, BraidError, ParseError
-from braidcert.fdtc import FdtcValue, fdtc_interval
 from braidcert.ordering import compare, dehornoy_floor, sigma_sign
-from braidcert.threebraid import (
-    PseudoAnosovForm,
-    ReducibleForm,
-    baldwin_lspace_double_cover,
-    normal_form,
-)
+
+if TYPE_CHECKING:
+    from braidcert.certify import Certificate
+    from braidcert.fdtc import FdtcValue
 
 _MISSING_ASSERTION_NOTE = (
     "{what} was not explicitly asserted on the command line; the verdict is"
@@ -69,6 +57,8 @@ def _parse_tol(text: str) -> Fraction:
 
 def _parse_fdtc_value(text: str) -> FdtcValue:
     """Exact rational "a/b", or interval "lo,hi"."""
+    from braidcert.fdtc import FdtcValue
+
     if "," in text:
         lo_text, _, hi_text = text.partition(",")
         lo = _parse_rational(lo_text.strip(BLANKS), "interval endpoint")
@@ -111,7 +101,7 @@ def _flag(option: str, help: str, corpus: str | None = None,
     return Param(option, corpus, None, False, help=help, caveat=caveat)
 
 
-Result = tuple[dict, str, Certificate | None]
+Result = tuple[dict, str, "Certificate | None"]
 
 
 @dataclass(frozen=True)
@@ -132,6 +122,10 @@ class Task:
 
 # ---------------------------------------------------------------------------
 # task runners
+#
+# Each runner imports the library functions it calls when it runs, so a
+# command loads only the modules it uses.  The import reads the module's
+# attribute on every call.
 
 
 def _order(braid: BraidWord, v: dict) -> Result:
@@ -148,6 +142,8 @@ def _floor(braid: BraidWord, v: dict) -> Result:
 
 
 def _fdtc(braid: BraidWord, v: dict) -> Result:
+    from braidcert.fdtc import fdtc_interval
+
     value = fdtc_interval(braid, v["tol"])
     if value.is_exact:
         return ({"kind": "exact", "value": str(value.value),
@@ -157,6 +153,8 @@ def _fdtc(braid: BraidWord, v: dict) -> Result:
 
 
 def _classify3(braid: BraidWord, v: dict) -> Result:
+    from braidcert.threebraid import PseudoAnosovForm, ReducibleForm, normal_form
+
     nf = normal_form(braid)
     d = nf.central_power
     if isinstance(nf, PseudoAnosovForm):
@@ -173,6 +171,8 @@ def _classify3(braid: BraidWord, v: dict) -> Result:
 
 
 def _lspace2(braid: BraidWord, v: dict) -> Result:
+    from braidcert.threebraid import baldwin_lspace_double_cover, normal_form
+
     status = baldwin_lspace_double_cover(normal_form(braid)).value
     return {"status": status}, status, None
 
@@ -182,19 +182,27 @@ def _certified(cert: Certificate) -> Result:
 
 
 def _certify_cover(braid: BraidWord, v: dict) -> Result:
+    from braidcert.certify import certify_closed_braid_cover
+
     return _certified(certify_closed_braid_cover(
         braid, v["t"], pa_asserted=v["assert_pa"], tol=v["tol"]))
 
 
 def _certify_genus1(braid: BraidWord, v: dict) -> Result:
+    from braidcert.certify import certify_genus1_cover
+
     return _certified(certify_genus1_cover(braid, v["n"]))
 
 
 def _certify_surgery(braid: None, v: dict) -> Result:
+    from braidcert.certify import certify_fibred_cover
+
     return _certified(certify_fibred_cover(v["c"], v["n"], v["q"], genus=v["genus"]))
 
 
 def _certify_satellite(braid: BraidWord, v: dict) -> Result:
+    from braidcert.certify import certify_satellite
+
     return _certified(certify_satellite(
         braid, v["n"], v["c"], companion_exact_zero=v["zero_companion"],
         pa_asserted=v["assert_pa"]))
@@ -271,6 +279,8 @@ _CORPUS_TASKS = {task.corpus: task for task in TASKS if task.corpus}
 
 def _json_line(record: dict) -> str:
     """One JSON report line, in the stable separators of the goldens."""
+    import json
+
     return json.dumps(record, separators=(", ", ": "))
 
 
@@ -279,9 +289,11 @@ def _emit(args, record: dict, text: str) -> None:
 
 
 def _exit_for(certs: list[Certificate]) -> int:
-    if certs and all(c.verdict is Verdict.UNKNOWN for c in certs):
-        return 2
-    return 0
+    if not certs:
+        return 0
+    from braidcert.certify import Verdict
+
+    return 2 if all(c.verdict is Verdict.UNKNOWN for c in certs) else 0
 
 
 def _cli_value(args, param: Param):

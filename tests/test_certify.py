@@ -223,12 +223,15 @@ _COMPANION = ("companion is a fibred hyperbolic knot in an integer homology"
               " sphere (asserted)")
 _NO_PA_FOUND = ("3-braid classification does not find pseudo-Anosov type;"
                 " proceeding on the assertion")
+_PERIODIC_2 = ("no 2-braid is pseudo-Anosov: B_2 is generated by sigma_1, and"
+               " sigma_1^2 = Delta^2 is central, so every 2-braid is periodic")
 
 
 class TestPseudoAnosovGate:
     """Every branch of the pseudo-Anosov gate in both certifiers: proved
     on 3 strands, asserted against the classification, refused on 3
-    strands, asserted and refused on 4 strands."""
+    strands, asserted and refused on 4 strands, and refused on 2 strands
+    with or without the assertion, as every 2-braid is periodic."""
 
     @pytest.mark.parametrize("b,t,asserted,verdict,assumptions,notes", [
         (C ** 2 * PA, 2, False, Verdict.EXCELLENT, (),
@@ -242,6 +245,8 @@ class TestPseudoAnosovGate:
         (full_twist(4) ** 3, 3, False, Verdict.UNKNOWN, (),
          ("pseudo-Anosov type is only provable on 3 strands; assert it"
           " explicitly for other strand counts",)),
+        (BraidWord(2, (1,) * 6), 3, True, Verdict.UNKNOWN, (), (_PERIODIC_2,)),
+        (BraidWord(2, (1,) * 6), 3, False, Verdict.UNKNOWN, (), (_PERIODIC_2,)),
     ])
     def test_closed_braid_cover(self, b, t, asserted, verdict, assumptions,
                                 notes):
@@ -261,6 +266,10 @@ class TestPseudoAnosovGate:
         (BraidWord(4, (1, 3)), 3, False, Verdict.UNKNOWN, (_COMPANION,),
          ("pattern pseudo-Anosov type must be asserted on more than 3"
           " strands",)),
+        (BraidWord(2, (1,)), 3, True, Verdict.UNKNOWN, (_COMPANION,),
+         (_PERIODIC_2,)),
+        (BraidWord(2, (1,)), 3, False, Verdict.UNKNOWN, (_COMPANION,),
+         (_PERIODIC_2,)),
     ])
     def test_satellite(self, pattern, n, asserted, verdict, assumptions, notes):
         cert = certify_satellite(pattern, n, FdtcValue.exact(Fraction(0), "t"),

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import braidcert.threebraid
 from braidcert import cli
 from braidcert.cli import main
 
@@ -467,3 +472,41 @@ class TestParserReuse:
         assert main(["floor", "3: 1"]) == 0
         assert calls == [str(p), "floor"]
         assert capsys.readouterr().out == ""
+
+
+class TestStartupImports:
+    """A one-shot command loads only the modules it runs: the task
+    runners import the certifiers, twists and 3-braid classification
+    when they run, and the package binds their names on first use."""
+
+    LAZY = ("certify", "fdtc", "replay", "threebraid")
+
+    @pytest.mark.parametrize("argv,loaded", [
+        (["order", "3: 1"], ()),
+        (["floor", "3: 1 2"], ()),
+        (["classify3", "3: 1 -2"], ("threebraid",)),
+        (["certify-cover", "--word", "3: 1 -2", "--t", "2"],
+         ("certify", "fdtc", "threebraid")),
+    ], ids=["order", "floor", "classify3", "certify-cover"])
+    def test_command_loads_only_what_it_runs(self, argv, loaded):
+        code = ("import sys\n"
+                "from braidcert.cli import main\n"
+                "main(sys.argv[1:])\n"
+                "print(*sorted(m for m in sys.modules if m.startswith('braidcert.')))")
+        src = Path(cli.__file__).parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        result = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                                capture_output=True, text=True, check=True)
+        modules = set(result.stdout.splitlines()[-1].split())
+        assert {m for m in self.LAZY if f"braidcert.{m}" in modules} == set(loaded)
+
+    def test_runners_look_the_library_up_per_call(self, capsys, monkeypatch):
+        # a wrapper installed on the library module is the one a runner calls
+        calls = []
+        original = braidcert.threebraid.normal_form
+        monkeypatch.setattr(braidcert.threebraid, "normal_form",
+                            lambda b: calls.append(b) or original(b))
+        assert main(["classify3", "3: 1 -2"]) == 0
+        assert main(["lspace2", "3: 1 -2"]) == 0
+        assert len(calls) == 2
+        assert capsys.readouterr().out.splitlines()[0] == "PseudoAnosov d=0 a=[1]"

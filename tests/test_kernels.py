@@ -10,6 +10,7 @@ integral Burau matrices at t = -1.
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 
@@ -64,6 +65,40 @@ def growing_words(draw):
                               min_size=2, max_size=10))
         letters += [e * g, *inner, -e * g]
     return m, tuple(letters + _letters(draw, range(1, m), 6))
+
+
+def _inverse(letters):
+    return tuple(-x for x in reversed(letters))
+
+
+def _long_words():
+    """Words of 1,000 to 20,000 letters, each a shape the
+    compiled kernel grows its buffers on: a handle whose interior
+    alternates sigma_2 and sigma_3 doubles on its one rewrite, past the
+    input's length; floor probes u^-1 Delta^(2j) on powers u of
+    pseudo-Anosov braids; a long word of the trivial braid; and
+    conjugates w sigma_1^(+-1) w^-1 of random words, whose handles span
+    thousands of letters.  Signs of all three values occur."""
+    rng = random.Random(22)
+
+    def half(m):
+        return tuple(x for block in range(m - 1, 0, -1) for x in range(1, block + 1))
+
+    def conjugate(m, n, centre):
+        gens = [x for g in range(1, m) for x in (g, -g)]
+        w = tuple(rng.choice(gens) for _ in range(n))
+        return w + (centre,) + _inverse(w)
+
+    return [
+        pytest.param((-1,) + (2, 3) * 500 + (1,), id="grow-1k"),
+        pytest.param((-1,) + (2, 3) * 10_000 + (1,), id="grow-20k"),
+        pytest.param(_inverse((-1,) + (2, 3) * 2_500 + (1,)), id="grow-negative-5k"),
+        pytest.param(_inverse((1, -2) * 5_000) + half(3) * 6, id="probe3-10k"),
+        pytest.param(_inverse((1, 2, -3) * 1_500) + half(4) * 4, id="probe4-5k"),
+        pytest.param((1, 2, 1, -2, -1, -2) * 3_300, id="trivial-20k"),
+        pytest.param(conjugate(3, 2_000, 1), id="conjugate3-4k"),
+        pytest.param(conjugate(4, 1_000, -1), id="conjugate4-2k"),
+    ]
 
 
 def _free_length(letters):
@@ -247,6 +282,15 @@ class TestKernelParity:
         for name in ("reduce_word", "sign_of"):
             assert _outcome(getattr(c_kernel, name), w, max_len) == _outcome(
                 getattr(_reduction_py, name), w, max_len)
+
+    @pytest.mark.parametrize("letters", _long_words())
+    def test_long_words_identical(self, c_kernel, letters):
+        # one letter past the freely reduced length, a word that grows
+        # trips the budget mid-reduction
+        for name in ("reduce_word", "sign_of"):
+            for max_len in (BUDGET, _free_length(letters) + 1):
+                assert _outcome(getattr(c_kernel, name), letters, max_len) == _outcome(
+                    getattr(_reduction_py, name), letters, max_len)
 
     def test_high_generators_identical(self, c_kernel):
         # neither kernel reads a strand count: generators far above any

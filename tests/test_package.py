@@ -10,18 +10,46 @@ import pkgutil
 import types
 from pathlib import Path
 
+import pytest
+
 import braidcert
 
 
 def test_all_lists_every_public_name():
+    # read through dir() and getattr, as the certifier, twist, 3-braid
+    # and replay names are bound on first use, not at import
     public = {
         name
-        for name, value in vars(braidcert).items()
+        for name in dir(braidcert)
         if not name.startswith("_")
-        and not isinstance(value, (types.ModuleType, type(__future__.annotations)))
+        and not isinstance(getattr(braidcert, name),
+                           (types.ModuleType, type(__future__.annotations)))
     }
     assert len(braidcert.__all__) == len(set(braidcert.__all__))
     assert set(braidcert.__all__) == public
+
+
+def test_every_exported_name_is_its_home_modules_object():
+    constants = {"DEFAULT_REDUCTION_BUDGET": "_kernel", "MAX_WORD_LETTERS": "braid"}
+    for name in braidcert.__all__:
+        value = getattr(braidcert, name)
+        home = (f"braidcert.{constants[name]}" if name in constants
+                else value.__module__)
+        assert getattr(importlib.import_module(home), name) is value, name
+
+
+def test_unknown_names_are_not_attributes():
+    assert not hasattr(braidcert, "no_such_name")
+    with pytest.raises(AttributeError, match="no_such_name"):
+        braidcert.no_such_name  # noqa: B018
+
+
+def test_star_import_binds_every_exported_name():
+    namespace: dict = {}
+    exec("from braidcert import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(braidcert.__all__)
+    assert all(namespace[name] is getattr(braidcert, name)
+               for name in braidcert.__all__)
 
 
 def _public_callables():
