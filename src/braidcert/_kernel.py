@@ -185,4 +185,4 @@ def reduce_word(letters) -> list[int]:
 
 def kernel_name() -> str:
     """Which reduction kernel is active: "c" or "python"."""
-    return "c" if _impl is _reduction_c else "python"
+    return "python" if _impl is _reduction_py else "c"

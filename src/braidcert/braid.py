@@ -297,16 +297,20 @@ def parse_braid(text: str, line: int = 1) -> BraidWord:
 
 
 def parse_decimal(text: str, number: Callable[[str], _N] = int) -> _N:
-    """number(text) for ASCII text without '_' or surrounding whitespace;
-    ValueError otherwise.
+    """number(text) for ASCII text without '_', an exponent or
+    surrounding whitespace; ValueError otherwise.
 
     The one rule for number text, in braid words, command-line options,
     corpus parameters and BRAIDCERT_REDUCTION_BUDGET.  int() and
     Fraction() alone also read '_' separators and non-ASCII digits, so
     that "1_0" would be 10 and an Arabic-Indic three would be 3, and
     they strip any whitespace, so that "1\n" or a vertical tab before a
-    1 would be 1, although only BLANKS separate the tokens of a word."""
-    if not text.isascii() or "_" in text or text != text.strip():
+    1 would be 1, although only BLANKS separate the tokens of a word.
+    Fraction() also reads exponents, so that the six characters
+    "1e5000" would be a 5,001-digit number, which Python refuses to
+    print, and "1e-10000000" takes seconds to build."""
+    if (not text.isascii() or "_" in text or "e" in text or "E" in text
+            or text != text.strip()):
         raise ValueError(text)
     return number(text)
 

@@ -372,9 +372,9 @@ def _run_corpus_entry(name: str, params: str, braid_text: str, tol: Fraction,
 def _cmd_corpus(args) -> int:
     tol = _cli_value(args, _TOL)
     try:
-        with open(args.file, encoding="utf-8") as handle:
+        with open(args.file, encoding="utf-8-sig") as handle:
             lines = handle.read().split("\n")
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         print(f"error: cannot read corpus: {exc}", file=sys.stderr)
         return 1
 

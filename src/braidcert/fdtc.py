@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from braidcert.braid import BraidWord
+from braidcert.braid import MAX_WORD_LETTERS, BraidWord
 from braidcert.errors import BadGenus, BadParameters, NotThreeBraid, WordLengthExceeded
 # dehornoy_floor is not called here any more but stays importable from
 # this module, where callers and perfbench's tracer look it up.
@@ -146,11 +146,19 @@ def fdtc_interval_by_floor(b: BraidWord, tol: Fraction | int) -> FdtcValue:
     build it walks Dynnikov coordinates on from the last probe's image,
     so each letter of the power and its twists is walked once, and a
     root test walks the power of the twist-free core against a cached
-    image of the full twists."""
+    image of the full twists.
+
+    A tolerance below 1/MAX_WORD_LETTERS is refused: the power of any
+    nonempty word would pass the letter cap, and k itself could be too
+    long to print."""
     t = Fraction(tol)
     if t <= 0:
         raise BadParameters(f"tolerance must be positive, got {t}")
     k = math.ceil(1 / t)
+    if k > MAX_WORD_LETTERS:
+        raise BadParameters(f"tolerance must be at least 1/{MAX_WORD_LETTERS}, so"
+                            f" that the power k = ceil(1/tol) stays within the"
+                            f" letter cap")
     try:
         sign, floor = power_floor(b, k)
     except WordLengthExceeded:

@@ -238,45 +238,33 @@ def _peel_twists(b: BraidWord, s: int) -> tuple[tuple[int, ...], tuple[int, ...]
     the conjugate as a power of delta^2.  A core shorter than one block
     comes back whole, with e = 0, and no delta^2 is built for it.
 
-    A prefix-function (Knuth-Morris-Pratt) match of the block over X
-    followed by its first |X| - 1 letters finds every block of the cyclic
-    word, and one pass from the right counts the blocks in a row from
-    each.  A run is capped at |X| // (m (m-1)) blocks, so that it never
-    counts a block twice by wrapping past the core's end.  Both passes
-    are linear in |X|.
+    Written as text of one character per letter, X followed by its
+    first |X| - 1 letters holds every stretch of at most |X| letters of
+    the cyclic word, first at a start inside X.  A run of e blocks holds
+    one of e - 1, so a binary search over e <= |X| // (m (m-1)), the cap
+    that keeps a run from counting a block twice, finds the longest run
+    with the standard library's substring search, and X is rotated at
+    that run's first start.
     """
     w, x = _cyclic_core(b)
     m, n = b.strands, len(x)
     size = m * (m - 1)
     if n < size:
         return w, x, 0
-    block = full_twist_letters(m, s)
-    border = [0] * size  # border[i]: longest proper border of block[:i + 1]
-    k = 0
-    for i in range(1, size):
-        while k and block[i] != block[k]:
-            k = border[k - 1]
-        if block[i] == block[k]:
-            k += 1
-        border[i] = k
-    runs: dict[int, int] = {}  # start of each block in x x -> blocks in a row
-    k = 0
-    for i, y in enumerate(x + x[:n - 1]):
-        while k and y != block[k]:
-            k = border[k - 1]
-        if y == block[k]:
-            k += 1
-            if k == size:
-                runs[i - size + 1] = 1
-                k = border[k - 1]
-    cap = n // size
-    e = r = 0
-    for i in reversed(runs):
-        runs[i] += runs.get(i + size, 0)
-        if i < n and min(runs[i], cap) >= e:
-            e, r = min(runs[i], cap), i
+    # a run needs m (m-1) <= |X| <= MAX_WORD_LETTERS, so m <= 1000 and
+    # each letter's code point m + y lies in [1, 2m - 1], below 2,000
+    text = "".join([chr(m + y) for y in x + x[:n - 1]])
+    block = "".join([chr(m + y) for y in full_twist_letters(m, s)])
+    e, hi = 0, n // size
+    while e < hi:
+        mid = (e + hi + 1) // 2
+        if block * mid in text:
+            e = mid
+        else:
+            hi = mid - 1
     if not e:
         return w, x, 0
+    r = text.find(block * e)
     rotated = x[r:] + x[:r]
     return w + x[:r], rotated[e * size:], s * e
 

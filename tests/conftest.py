@@ -91,6 +91,17 @@ def c_kernel(c_package):
     return module
 
 
+@pytest.fixture
+def other_kernel(c_kernel, monkeypatch):
+    """The kernel this process did not select, set as ``_kernel._impl``
+    for one test: the compiled one where the pure-Python one runs, and
+    the other way round, so a test that takes it runs its body under
+    both kernels in one session."""
+    kernel = _reduction_py if _kernel._impl is c_kernel else c_kernel
+    monkeypatch.setattr(_kernel, "_impl", kernel)
+    return kernel
+
+
 def _letters(draw, gens, max_len):
     return draw(st.lists(st.sampled_from([x for g in gens for x in (g, -g)]),
                          max_size=max_len))

@@ -7,7 +7,8 @@ tolerance.  Criterion 7 replays every certificate emitted by the earlier
 criteria; the suites after the first two emit no certificates, so the
 replay set is exactly the certificates produced by criteria 1 and 2 (the
 module accumulates them in CERTS, and regenerates them if criterion 7 is
-invoked on its own).
+invoked on its own).  Criteria 3, 4, 6 and 7 run again under the kernel
+the process did not select, each line naming its kernel.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from fractions import Fraction
 from math import gcd
 
 import conftest
+import pytest
 
 from braidcert import (
     BraidWord,
@@ -37,6 +39,7 @@ from braidcert import (
     fdtc_lift,
     full_twist,
     is_trivial,
+    kernel_name,
     normal_form,
     sigma_sign,
     verify_certificate,
@@ -56,7 +59,7 @@ TOTAL_LSPACE_CAP = {1: {0: 5, 1: 2}, 2: {0: 3, 1: 3}, 3: {0: 2, 1: 5}}
 
 def _verdict_line(num: int, name: str, ok: bool, detail: str) -> None:
     status = "PASS" if ok else "FAIL"
-    line = f"ACCEPTANCE {num} {name}: {status} ({detail})"
+    line = f"ACCEPTANCE {num} {name} [{kernel_name()} kernel]: {status} ({detail})"
     conftest.ACCEPTANCE_LINES.append(line)
     print(line, file=sys.__stdout__, flush=True)
 
@@ -350,3 +353,20 @@ def test_criterion_7_certificate_replay():
               f" (the other suites emit none), {failures} failures")
     _verdict_line(7, "certificate replay", bool(ok), detail)
     assert ok, detail
+
+
+# ---------------------------------------------------------------------------
+# the criteria that reach a kernel, under the other kernel
+
+
+@pytest.mark.parametrize("criterion", [
+    test_criterion_3_fdtc_exactness,
+    test_criterion_3_floor_cost,
+    test_criterion_4_floor_identities,
+    test_criterion_6_order_axioms,
+    test_criterion_7_certificate_replay,
+], ids=lambda criterion: criterion.__name__.removeprefix("test_"))
+def test_under_the_other_kernel(criterion, other_kernel, monkeypatch):
+    # criterion 7 replays certificates made under this kernel
+    monkeypatch.setitem(globals(), "CERTS", [])
+    criterion()

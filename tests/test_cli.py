@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -239,6 +240,35 @@ class TestErrors:
         assert out == ""
         assert err.startswith(f"error: BadParameters: {what} must be a rational")
 
+    # Fraction() alone would read exponents: these made rationals past
+    # Python's int-to-str limit, a traceback when printed
+    @pytest.mark.parametrize("argv, what, text", [
+        (["fdtc", "4: 1 2 3 1", "--tol", "1e-5000"], "tol", "1e-5000"),
+        (["certify-cover", "--word", "4: 1 2 3 1", "--t", "2", "--assert-pa",
+          "--tol", "1e-5000"], "tol", "1e-5000"),
+        (["certify-surgery", "--c", "1e5000", "--n", "2", "--q", "1"],
+         "twist value", "1e5000"),
+        (["certify-satellite", "--pattern", "3: 1 -2", "--n", "2", "--c",
+          "1e5000"], "twist value", "1e5000"),
+        (["fdtc", "4: 1 2", "--tol", "1e-10000000"], "tol", "1e-10000000"),
+    ])
+    def test_exponents_are_refused(self, capsys, argv, what, text):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"error: BadParameters: {what} must be a"
+                                    f" rational like 5/12, got {text!r}"]
+
+    def test_tolerance_below_the_letter_cap_is_an_error_line(self, capsys):
+        # 4,299 zeros and a 1: k = ceil(1/tol) would have 4,301 digits
+        code, out, err = run(capsys, "fdtc", "4: 1 2 3 1", "--tol",
+                             "0." + "0" * 4299 + "1")
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            "error: BadParameters: tolerance must be at least 1/1000000,"
+            " so that the power k = ceil(1/tol) stays within the letter cap"]
+
     def test_exact_decimal_tolerance_still_accepted(self, capsys):
         code, out, _ = run(capsys, "fdtc", "4: 1 2 3", "--tol", "0.5")
         assert (code, out) == (0, "c in [0, 1/2]\n")
@@ -419,6 +449,42 @@ class TestCorpus:
                                      " is not an integer")
         if sep == "\v":
             assert record["message"].endswith("letter '1\\x0b2' is not an integer")
+
+    def test_exponent_rows_are_error_records(self, tmp_path, capsys):
+        p = tmp_path / "corpus.tsv"
+        p.write_text("ok\tFdtc\t-\t3: 1 2\n"
+                     "tol\tFdtc\ttol=1e-5000\t4: 1 2 3 1\n"
+                     "sat\tSatellite\tn=2 c=1e5000\t3: 1 -2\n"
+                     "fine\tFloor\t-\t3: 1 2 1 1 2 1\n")
+        code, out, err = run(capsys, "corpus", str(p), "--report", "json")
+        assert (code, err) == (1, "")
+        ok, tol, sat, fine = (json.loads(line) for line in out.splitlines())
+        assert (ok["value"], fine["floor"]) == ("1/3", 1)
+        assert (tol["error"], tol["message"]) == (
+            "BadParameters", "tol must be a rational like 5/12, got '1e-5000'")
+        assert (sat["error"], sat["message"]) == (
+            "BadParameters", "twist value must be a rational like 5/12,"
+                             " got '1e5000'")
+
+    def test_byte_order_mark_before_a_comment(self, tmp_path, capsys):
+        p = tmp_path / "corpus.tsv"
+        p.write_text("# rows\ne1\tFloor\t-\t3: 1\n", encoding="utf-8-sig")
+        assert run(capsys, "corpus", str(p)) == (0, "e1\t0\n", "")
+
+    def test_byte_order_mark_before_a_row(self, tmp_path, capsys):
+        p = tmp_path / "corpus.tsv"
+        p.write_text("e1\tFloor\t-\t3: 1\n", encoding="utf-8-sig")
+        code, out, _ = run(capsys, "corpus", str(p), "--report", "json")
+        assert code == 0
+        assert json.loads(out)["id"] == "e1"
+
+    def test_file_not_utf8_is_an_error_line(self, tmp_path, capsys):
+        p = tmp_path / "corpus.tsv"
+        p.write_text("# caf\u00e9\ne1\tFloor\t-\t3: 1\n", encoding="latin-1")
+        code, out, err = run(capsys, "corpus", str(p))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: cannot read corpus: 'utf-8' codec can't"
+                              " decode byte 0xe9")
 
     def test_crlf_rows(self, tmp_path, capsys):
         p = tmp_path / "corpus.tsv"

@@ -7,6 +7,8 @@ without its ``--assert-*`` flags, the parse-, parameter-, usage- and
 budget-error paths, and a corpus (``tests/golden/corpus.tsv``) that runs
 every task on 3, 4 and 5 strands next to rows that fail.
 ``tests/golden/parser.json`` pins the subcommands and their options.
+Every case runs under both reduction kernels, with the same expected
+files.
 
 After an intended change of output, rewrite the expected files with
 ``PYTHONPATH=src python tests/test_cli_golden.py --write`` and review the
@@ -172,6 +174,12 @@ def write_goldens(argv: list[str]) -> None:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name):
+    expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    assert render_case(name) == expected
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden_under_the_other_kernel(name, other_kernel):
     expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
     assert render_case(name) == expected
 

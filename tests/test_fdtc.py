@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidcert import (
+    MAX_WORD_LETTERS,
     BadGenus,
     BadParameters,
     BraidWord,
@@ -129,6 +130,22 @@ class TestIntervalByFloor:
             fdtc_interval_by_floor(BraidWord(3, (1,)), Fraction(0))
         with pytest.raises(BadParameters):
             fdtc_interval_by_floor(BraidWord(3, (1,)), Fraction(-1, 2))
+
+    @pytest.mark.parametrize("b", [
+        BraidWord(4, (1, 2, 3) * 2),  # periodic: b^2 = delta^2
+        BraidWord(4, ()),
+        BraidWord(4, (1, 2, 3)),
+    ])
+    def test_tolerance_past_the_letter_cap_is_refused(self, b):
+        # k = ceil(1/tol) may not pass MAX_WORD_LETTERS; a root route
+        # would have answered without building b^k, and k = 10^4300
+        # would have too many digits to print
+        for tol in (Fraction(1, MAX_WORD_LETTERS + 1), Fraction(1, 10**4300)):
+            with pytest.raises(BadParameters, match="at least 1/1000000"):
+                fdtc_interval_by_floor(b, tol)
+        if b.letters != (1, 2, 3):
+            v = fdtc_interval_by_floor(b, Fraction(1, MAX_WORD_LETTERS))
+            assert v.width <= Fraction(1, MAX_WORD_LETTERS)
 
     def test_trivial_is_exact_zero(self):
         v = fdtc_interval_by_floor(BraidWord(4, ()), Fraction(1, 12))

@@ -608,19 +608,22 @@ def twisted_cores(draw) -> BraidWord:
     return BraidWord(m, w + tuple(x[r:] + x[:r]) + inverse(w))
 
 
-def longest_run(x: tuple[int, ...], block: tuple[int, ...]) -> int:
-    """Most whole blocks in a row at the start of any rotation of x, by
-    trying every rotation."""
-    best = 0
+def longest_run(x: tuple[int, ...], block: tuple[int, ...]) -> tuple[int, int]:
+    """(run, r): the most whole blocks in a row at the start of any
+    rotation of x, and the first rotation x[r:] + x[:r] that starts with
+    them (0 when none does), by trying every rotation."""
+    best = first = 0
     for r in range(len(x)):
         rotated, run = x[r:] + x[:r], 0
         while rotated[run * len(block):(run + 1) * len(block)] == block:
             run += 1
-        best = max(best, run)
-    return best
+        if run > best:
+            best, first = run, r
+    return best, first
 
 
 _STRADDLING = braid.full_twist_letters(3, 2)
+_DELTA2_3 = braid.full_twist_letters(3, 1)
 
 
 class TestPeelTwists:
@@ -632,6 +635,9 @@ class TestPeelTwists:
     # delta^4 on 3 strands, rotated so that a block straddles its end
     @example(BraidWord(3, _STRADDLING[2:] + _STRADDLING[:2]), 1)
     @example(BraidWord(4, (1, 2, 1, 3)), -1)
+    # delta^2 = 1 2 1 1 2 1 overlaps itself: one block at 0, then the
+    # longest run, two blocks from 5, starts on that block's last letter
+    @example(BraidWord(3, (1, 2, 1, 1, 2) + _DELTA2_3 * 2 + (2,)), 1)
     @settings(max_examples=200, deadline=None)
     def test_peel_rotates_and_keeps_the_braid(self, b, s):
         m = b.strands
@@ -644,8 +650,10 @@ class TestPeelTwists:
             assert (w, y, e) == (w0, x, 0)
             return
         block = braid.full_twist_letters(m, s)
-        assert e == s * longest_run(x, block)
+        run, first = longest_run(x, block)
+        assert e == s * run
         r = len(w) - len(w0)
+        assert r == first
         assert w == w0 + x[:r]
         assert x[r:] + x[:r] == block * abs(e) + y
 

@@ -294,6 +294,15 @@ class TestParsing:
         assert braid.parse_decimal("5") == 5
         assert braid.parse_decimal("-5/12", Fraction) == Fraction(-5, 12)
 
+    @pytest.mark.parametrize("text", ["1e3", "1E3", "1e-5000", "2.5e1"])
+    def test_number_text_has_no_exponent(self, text):
+        # Fraction() reads exponents: six characters could make a rational
+        # too long to print
+        for number in (int, Fraction):
+            with pytest.raises(ValueError):
+                braid.parse_decimal(text, number)
+        assert braid.parse_decimal("0.25", Fraction) == Fraction(1, 4)
+
     def test_parse_error_line_passthrough(self):
         with pytest.raises(ParseError) as info:
             parse_braid("3: 1 z", line=7)
