@@ -40,6 +40,12 @@ MAX_WORD_LETTERS = 10**6
 #: The separators of the text format: ASCII space and tab, nothing else.
 BLANKS = " \t"
 
+#: Longest number text :func:`parse_decimal` reads.  A rational read from
+#: it has a numerator and a denominator of at most this many digits, fewer
+#: than the 640 below which Python's int-to-str limit cannot be set, so
+#: every number that parses also prints.
+_MAX_NUMBER_CHARS = 600
+
 _N = TypeVar("_N")
 
 
@@ -297,8 +303,9 @@ def parse_braid(text: str, line: int = 1) -> BraidWord:
 
 
 def parse_decimal(text: str, number: Callable[[str], _N] = int) -> _N:
-    """number(text) for ASCII text without '_', an exponent or
-    surrounding whitespace; ValueError otherwise.
+    """number(text) for ASCII text of at most _MAX_NUMBER_CHARS characters,
+    without '_', an exponent or surrounding whitespace; ValueError
+    otherwise.
 
     The one rule for number text, in braid words, command-line options,
     corpus parameters and BRAIDCERT_REDUCTION_BUDGET.  int() and
@@ -308,9 +315,11 @@ def parse_decimal(text: str, number: Callable[[str], _N] = int) -> _N:
     1 would be 1, although only BLANKS separate the tokens of a word.
     Fraction() also reads exponents, so that the six characters
     "1e5000" would be a 5,001-digit number, which Python refuses to
-    print, and "1e-10000000" takes seconds to build."""
-    if (not text.isascii() or "_" in text or "e" in text or "E" in text
-            or text != text.strip()):
+    print, and "1e-10000000" takes seconds to build.  A decimal needs no
+    exponent to pass that limit: "0." with 4,299 zeros and a 1 has a
+    denominator of 4,301 digits."""
+    if (len(text) > _MAX_NUMBER_CHARS or not text.isascii() or "_" in text
+            or "e" in text or "E" in text or text != text.strip()):
         raise ValueError(text)
     return number(text)
 

@@ -5,7 +5,9 @@ a braid word) and returns a :class:`Certificate`: a verdict plus the
 chain of rules that justify it.  Every justification carries the rule's
 defining inequality *instantiated with the exact rationals used*, in a
 tiny arithmetic grammar that the independent replay checker
-(:mod:`braidcert.replay`) re-evaluates from scratch.  Definite verdicts
+(:mod:`braidcert.replay`) re-evaluates from scratch; each rule's
+citation and inequality are stated once, as templates in ``_RULES``.
+Definite verdicts
 (Excellent, TotalLSpace) always carry at least one justification;
 geometric hypotheses that cannot be checked from the input (fibredness,
 hyperbolicity, irreducibility, pseudo-Anosov type on more than 3
@@ -132,7 +134,106 @@ def slope_distance(s: SurgerySlope, d: DegeneracySlope) -> int:
 
 
 # ---------------------------------------------------------------------------
-# shared builders
+# the rules and shared builders
+
+
+#: The inequality of both twist-gap rules: scale * |p c - q| >= 1 at both
+#: ends of the twist interval [lo, hi], and the product term pins both
+#: ends to the same side of the root q / p.
+_TWIST_GAP = (
+    "{scale} * abs({p} * ({lo}) - ({q})) >= 1"
+    " and {scale} * abs({p} * ({hi}) - ({q})) >= 1"
+    " and ({p} * ({lo}) - ({q})) * ({p} * ({hi}) - ({q})) > 0"
+)
+
+#: Every certificate rule, stated once: rule id -> (citation, inequality),
+#: two templates that :func:`_rule` fills in.  Whether a rule applies is
+#: decided in the certifiers, never by evaluating these templates, so
+#: replay's independent evaluation of the filled-in inequality checks
+#: that decision.
+_RULES = {
+    "cover-surgery-twist-gap": (
+        "surgery along the lifted binding with slope (n, q) is excellent"
+        " when the fractional twist keeps distance |n c - q| >= 1",
+        _TWIST_GAP,
+    ),
+    "genus-twist-floor": (
+        "0-surgery in the n-fold cover is excellent once n >= 2 (2 genus - 1):"
+        " a nonzero twist of a genus-g pseudo-Anosov monodromy satisfies"
+        " |c| >= 1 / (2 (2 g - 1))",
+        "({q}) == 0 and {n} >= 2 * (2 * {genus} - 1) and {cmin} > 0",
+    ),
+    "orbifold-twist-gap": (
+        "the orbifold filling of multiplicity m along slope (p, q) is"
+        " excellent when m |p c - q| >= 1",
+        _TWIST_GAP,
+    ),
+    "even-cover": (
+        "every even-order cyclic branched cover of the closure of an"
+        " odd-strand pseudo-Anosov braid with |c| >= 2 is excellent",
+        "{cmin} >= 2 and {t} % 2 == 0 and {m} % 2 == 1",
+    ),
+    "coprime-divisor-cover": (
+        "the (n k)-fold cyclic branched cover of a pseudo-Anosov braid"
+        " closure is excellent for 2 <= n <= |c| with n coprime to the"
+        " strand count",
+        "{t} == {n} * {k} and 2 <= {n} and {n} <= {cmin}"
+        " and gcd({m}, {n}) == 1 and {k} >= 1",
+    ),
+    "genus1-trichotomy": (
+        "an irreducible manifold with a genus-one one-boundary open book is"
+        " excellent exactly when it is not an L-space, and a total L-space"
+        " otherwise",
+        "{n} >= 2",
+    ),
+    "genus1-pa-zero-twist": (
+        "pseudo-Anosov genus-one monodromy with zero fractional twist: every"
+        " cyclic branched cover of the binding is an L-space",
+        "({d}) == 0 and {n} >= 2",
+    ),
+    "genus1-pa-nonzero-twist": (
+        "pseudo-Anosov genus-one monodromy with full-twist power d != 0: the"
+        " n-th power has twist n d of magnitude >= 2, so the cover is"
+        " excellent",
+        "abs({n} * ({d})) >= 2",
+    ),
+    "genus1-reducible-twisted": (
+        "reducible genus-one monodromy with full-twist power d != 0: the n-th"
+        " power has |n d| >= 2, outside the L-space range of the reducible"
+        " family",
+        "abs({n} * ({d})) >= 2",
+    ),
+    "genus1-periodic-residue": (
+        "periodic family sigma_1^{power} sigma_2^-1 with d full twists: the"
+        " n-fold cover is an L-space exactly when n d sits in the residue"
+        " window of n modulo {modulus}",
+        "{window}",  # the side of the window that holds: _periodic_residue
+    ),
+    "satellite-zero-twist-companion": (
+        "satellite with companion monodromy of fractional twist exactly zero:"
+        " every cover order coprime to the braid index is excellent",
+        "gcd({m}, {n}) == 1",
+    ),
+    "satellite-twist-threshold": (
+        "satellite with companion twist certified nonzero: cover orders"
+        " n >= 2 / |c| coprime to the braid index are excellent",
+        "gcd({m}, {n}) == 1 and {cmin} > 0 and {n} * ({cmin}) >= 2",
+    ),
+    "satellite-nonnegative-twists": (
+        "pattern braid Dehornoy-nonnegative (so its twist is >= 0) and"
+        " companion twist certified >= 0: all cover orders >= 2 coprime to"
+        " the braid index are excellent",
+        "gcd({m}, {n}) == 1 and ({lo}) >= 0 and {n} >= 2",
+    ),
+}
+
+
+def _rule(rule_id: str, **values) -> Justification:
+    """The justification of rule ``rule_id``, its citation and inequality
+    filled in with ``values``."""
+    citation, inequality = _RULES[rule_id]
+    return Justification(rule_id, citation.format(**values),
+                         inequality.format(**values))
 
 
 def _verdict(justifications, assumptions, notes, otherwise: str) -> Certificate:
@@ -145,23 +246,16 @@ def _verdict(justifications, assumptions, notes, otherwise: str) -> Certificate:
     return Certificate(Verdict.UNKNOWN, (), tuple(assumptions), (*notes, otherwise))
 
 
-def _gap_inequality(scale: int, p: int, q: int, v: FdtcValue) -> str | None:
-    """Instantiated check that scale * |p * c - q| >= 1 holds for every c
-    in the interval; None when it cannot be certified.  The product term
-    pins both endpoints to the same side of the root q / p."""
-    lo, hi = v.lo, v.hi
-    holds = (
-        scale * abs(p * lo - q) >= 1
-        and scale * abs(p * hi - q) >= 1
-        and (p * lo - q) * (p * hi - q) > 0
-    )
-    if not holds:
-        return None
-    return (
-        f"{scale} * abs({p} * ({lo}) - ({q})) >= 1"
-        f" and {scale} * abs({p} * ({hi}) - ({q})) >= 1"
-        f" and ({p} * ({lo}) - ({q})) * ({p} * ({hi}) - ({q})) > 0"
-    )
+def _twist_gap(
+    rule_id: str, scale: int, p: int, q: int, v: FdtcValue
+) -> list[Justification]:
+    """[the twist-gap rule's justification] when scale * |p c - q| >= 1
+    holds for every c in the interval v, with both ends on one side of
+    the root q / p; [] when that cannot be certified."""
+    at_lo, at_hi = p * v.lo - q, p * v.hi - q
+    if scale * abs(at_lo) >= 1 and scale * abs(at_hi) >= 1 and at_lo * at_hi > 0:
+        return [_rule(rule_id, scale=scale, p=p, q=q, lo=v.lo, hi=v.hi)]
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -189,37 +283,11 @@ def certify_fibred_cover(
     if genus is not None and genus < 1:
         raise BadGenus(f"genus must be >= 1, got {genus}")
 
-    justifications = []
-    gap = _gap_inequality(1, n, q, c_h)
-    if gap is not None:
-        justifications.append(
-            Justification(
-                rule="cover-surgery-twist-gap",
-                citation=(
-                    "surgery along the lifted binding with slope (n, q) is"
-                    " excellent when the fractional twist keeps distance"
-                    " |n c - q| >= 1"
-                ),
-                inequality=gap,
-            )
-        )
-
+    justifications = _twist_gap("cover-surgery-twist-gap", 1, n, q, c_h)
     cmin = c_h.abs_lower_bound()
     if genus is not None and q == 0 and n >= 2 * (2 * genus - 1) and cmin > 0:
         justifications.append(
-            Justification(
-                rule="genus-twist-floor",
-                citation=(
-                    "0-surgery in the n-fold cover is excellent once"
-                    " n >= 2 (2 genus - 1): a nonzero twist of a genus-g"
-                    " pseudo-Anosov monodromy satisfies |c| >= 1 / (2 (2 g - 1))"
-                ),
-                inequality=(
-                    f"({q}) == 0 and {n} >= 2 * (2 * {genus} - 1)"
-                    f" and {cmin} > 0"
-                ),
-            )
-        )
+            _rule("genus-twist-floor", q=q, n=n, genus=genus, cmin=cmin))
 
     return _verdict(
         justifications, _FIBRED_ASSUMPTIONS, (),
@@ -248,19 +316,8 @@ def certify_orbifold_cover(c_h: FdtcValue, p: int, q: int, m: int) -> Certificat
     if math.gcd(p, abs(q)) != 1:
         raise BadParameters(f"slope ({p}, {q}) is not in lowest terms")
 
-    gap = _gap_inequality(m, p, q, c_h)
-    justifications = () if gap is None else (
-        Justification(
-            rule="orbifold-twist-gap",
-            citation=(
-                "the orbifold filling of multiplicity m along slope"
-                " (p, q) is excellent when m |p c - q| >= 1"
-            ),
-            inequality=gap,
-        ),
-    )
     return _verdict(
-        justifications, _FIBRED_ASSUMPTIONS, (),
+        _twist_gap("orbifold-twist-gap", m, p, q, c_h), _FIBRED_ASSUMPTIONS, (),
         f"certified twist data allows {m} |{p} c - {q}| < 1; no rule applies",
     )
 
@@ -354,36 +411,13 @@ def certify_closed_braid_cover(
 
     justifications = []
     if m % 2 == 1 and t % 2 == 0 and cmin >= 2:
-        justifications.append(
-            Justification(
-                rule="even-cover",
-                citation=(
-                    "every even-order cyclic branched cover of the closure of"
-                    " an odd-strand pseudo-Anosov braid with |c| >= 2 is"
-                    " excellent"
-                ),
-                inequality=f"{cmin} >= 2 and {t} % 2 == 0 and {m} % 2 == 1",
-            )
-        )
+        justifications.append(_rule("even-cover", cmin=cmin, t=t, m=m))
 
     biggest = int(cmin)  # floor: cmin >= 0
     for n in range(2, biggest + 1):
         if t % n == 0 and math.gcd(m, n) == 1:
-            k = t // n
-            justifications.append(
-                Justification(
-                    rule="coprime-divisor-cover",
-                    citation=(
-                        "the (n k)-fold cyclic branched cover of a"
-                        " pseudo-Anosov braid closure is excellent for"
-                        " 2 <= n <= |c| with n coprime to the strand count"
-                    ),
-                    inequality=(
-                        f"{t} == {n} * {k} and 2 <= {n} and {n} <= {cmin}"
-                        f" and gcd({m}, {n}) == 1 and {k} >= 1"
-                    ),
-                )
-            )
+            justifications.append(_rule("coprime-divisor-cover",
+                                        t=t, n=n, k=t // n, cmin=cmin, m=m))
             break
 
     return _verdict(
@@ -404,37 +438,23 @@ _GENUS1_ASSUMPTIONS = (
 )
 
 
-def _trichotomy_just(n: int) -> Justification:
-    return Justification(
-        rule="genus1-trichotomy",
-        citation=(
-            "an irreducible manifold with a genus-one one-boundary open book is"
-            " excellent exactly when it is not an L-space, and a total L-space"
-            " otherwise"
-        ),
-        inequality=f"{n} >= 2",
-    )
-
-
-def _periodic_residue(family: int, d: int, n: int) -> tuple[bool, str, str]:
+def _periodic_residue(family: int, modulus: int, d: int, n: int) -> tuple[bool, str]:
     """L-space condition for the n-fold cover of the periodic family
-    C^d sigma_1^-family sigma_2^-1.  Returns (is_lspace, inequality for
-    the L-space side, inequality for its negation), instantiated."""
-    modulus = 2 if family == 2 else 3
+    C^d sigma_1^-family sigma_2^-1, whose window repeats modulo modulus.
+    Returns (is_lspace, the inequality of the side that holds),
+    instantiated."""
     k, r = divmod(n, modulus)
     base = 2 * k if family == 3 else k
     nd = n * d
     if r == 0:
-        is_l = nd in (base - 1, base + 1)
-        pos = f"{n} * ({d}) == {base} - 1 or {n} * ({d}) == {base} + 1"
-        neg = f"{n} * ({d}) != {base} - 1 and {n} * ({d}) != {base} + 1"
-        return is_l, pos, neg
+        if nd in (base - 1, base + 1):
+            return True, f"{n} * ({d}) == {base} - 1 or {n} * ({d}) == {base} + 1"
+        return False, f"{n} * ({d}) != {base} - 1 and {n} * ({d}) != {base} + 1"
     lo = base if (family == 3 and r == 2) else base - 1
     hi = lo + 3
-    is_l = lo <= nd <= hi
-    pos = f"{lo} <= {n} * ({d}) <= {hi}"
-    neg = f"{n} * ({d}) < {lo} or {n} * ({d}) > {hi}"
-    return is_l, pos, neg
+    if lo <= nd <= hi:
+        return True, f"{lo} <= {n} * ({d}) <= {hi}"
+    return False, f"{n} * ({d}) < {lo} or {n} * ({d}) > {hi}"
 
 
 def certify_genus1_cover(h: BraidWord, n: int) -> Certificate:
@@ -453,28 +473,10 @@ def certify_genus1_cover(h: BraidWord, n: int) -> Certificate:
     nf = normal_form(h)
     d = nf.central_power
 
-    if isinstance(nf, PseudoAnosovForm) and d == 0:
-        verdict = Verdict.TOTAL_L_SPACE
-        why = Justification(
-            rule="genus1-pa-zero-twist",
-            citation=(
-                "pseudo-Anosov genus-one monodromy with zero"
-                " fractional twist: every cyclic branched cover of"
-                " the binding is an L-space"
-            ),
-            inequality=f"({d}) == 0 and {n} >= 2",
-        )
-    elif isinstance(nf, PseudoAnosovForm):
-        verdict = Verdict.EXCELLENT
-        why = Justification(
-            rule="genus1-pa-nonzero-twist",
-            citation=(
-                "pseudo-Anosov genus-one monodromy with full-twist"
-                " power d != 0: the n-th power has twist n d of"
-                " magnitude >= 2, so the cover is excellent"
-            ),
-            inequality=f"abs({n} * ({d})) >= 2",
-        )
+    if isinstance(nf, PseudoAnosovForm):
+        verdict = Verdict.TOTAL_L_SPACE if d == 0 else Verdict.EXCELLENT
+        why = _rule("genus1-pa-zero-twist" if d == 0 else "genus1-pa-nonzero-twist",
+                    d=d, n=n)
     elif isinstance(nf, ReducibleForm):
         if d == 0:
             raise SplitBinding(
@@ -482,31 +484,17 @@ def certify_genus1_cover(h: BraidWord, n: int) -> Certificate:
                 " split closure and the cover dichotomy does not apply"
             )
         verdict = Verdict.EXCELLENT
-        why = Justification(
-            rule="genus1-reducible-twisted",
-            citation=(
-                "reducible genus-one monodromy with full-twist power"
-                " d != 0: the n-th power has |n d| >= 2, outside the"
-                " L-space range of the reducible family"
-            ),
-            inequality=f"abs({n} * ({d})) >= 2",
-        )
+        why = _rule("genus1-reducible-twisted", d=d, n=n)
     else:
         assert isinstance(nf, PeriodicForm)
         family = -nf.sigma1_power
-        is_l, pos, neg = _periodic_residue(family, d, n)
+        modulus = 2 if family == 2 else 3
+        is_l, window = _periodic_residue(family, modulus, d, n)
         verdict = Verdict.TOTAL_L_SPACE if is_l else Verdict.EXCELLENT
-        why = Justification(
-            rule="genus1-periodic-residue",
-            citation=(
-                f"periodic family sigma_1^{nf.sigma1_power} sigma_2^-1 with d"
-                f" full twists: the n-fold cover is an L-space exactly when"
-                f" n d sits in the residue window of n modulo"
-                f" {2 if family == 2 else 3}"
-            ),
-            inequality=pos if is_l else neg,
-        )
-    return Certificate(verdict, (why, _trichotomy_just(n)), _GENUS1_ASSUMPTIONS)
+        why = _rule("genus1-periodic-residue", power=nf.sigma1_power,
+                    modulus=modulus, window=window)
+    return Certificate(verdict, (why, _rule("genus1-trichotomy", n=n)),
+                       _GENUS1_ASSUMPTIONS)
 
 
 # ---------------------------------------------------------------------------
@@ -554,51 +542,17 @@ def certify_satellite(
     if companion_exact_zero or (c_companion.is_exact and c_companion.lo == 0):
         if companion_exact_zero:
             assumptions.append("companion fractional twist asserted exactly zero")
-        justifications.append(
-            Justification(
-                rule="satellite-zero-twist-companion",
-                citation=(
-                    "satellite with companion monodromy of fractional twist"
-                    " exactly zero: every cover order coprime to the braid"
-                    " index is excellent"
-                ),
-                inequality=f"gcd({m}, {n}) == 1",
-            )
-        )
+        justifications.append(_rule("satellite-zero-twist-companion", m=m, n=n))
 
     cmin = c_companion.abs_lower_bound()
     if cmin > 0 and n * cmin >= 2:
         justifications.append(
-            Justification(
-                rule="satellite-twist-threshold",
-                citation=(
-                    "satellite with companion twist certified nonzero:"
-                    " cover orders n >= 2 / |c| coprime to the braid index"
-                    " are excellent"
-                ),
-                inequality=(
-                    f"gcd({m}, {n}) == 1 and {cmin} > 0"
-                    f" and {n} * ({cmin}) >= 2"
-                ),
-            )
-        )
+            _rule("satellite-twist-threshold", m=m, n=n, cmin=cmin))
 
     pattern_sign = sigma_sign(pattern)
     if pattern_sign is not OrderSign.NEGATIVE and c_companion.certifies_nonnegative():
         justifications.append(
-            Justification(
-                rule="satellite-nonnegative-twists",
-                citation=(
-                    "pattern braid Dehornoy-nonnegative (so its twist is"
-                    " >= 0) and companion twist certified >= 0: all cover"
-                    " orders >= 2 coprime to the braid index are excellent"
-                ),
-                inequality=(
-                    f"gcd({m}, {n}) == 1 and ({c_companion.lo}) >= 0"
-                    f" and {n} >= 2"
-                ),
-            )
-        )
+            _rule("satellite-nonnegative-twists", m=m, n=n, lo=c_companion.lo))
 
     return _verdict(
         justifications, assumptions, notes,

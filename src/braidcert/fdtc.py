@@ -23,14 +23,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from braidcert.braid import MAX_WORD_LETTERS, BraidWord
-from braidcert.errors import BadGenus, BadParameters, NotThreeBraid, WordLengthExceeded
+from braidcert.errors import (
+    BadGenus,
+    BadParameters,
+    NotThreeBraid,
+    ReductionBudgetExceeded,
+    WordLengthExceeded,
+)
 # dehornoy_floor is not called here any more but stays importable from
 # this module, where callers and perfbench's tracer look it up.
 from braidcert.ordering import (  # noqa: F401
     OrderSign,
     dehornoy_floor,
     power_floor,
-    sigma_sign,
 )
 from braidcert.threebraid import (
     PeriodicForm,
@@ -137,8 +142,11 @@ def fdtc_interval_by_floor(b: BraidWord, tol: Fraction | int) -> FdtcValue:
     sign of b, which fixes the sign of c(b): the sign of p in the root
     b^q = delta^(2p), which asks no query, or else the one sign query
     that orients the ladder's probes.  Only when power_floor refuses a
-    power past the letter cap is b's sign asked apart, so that the
-    identity, which needs no power, still answers 0.  Both routes work
+    power past the letter cap, or a kernel query past the reduction
+    budget, is b asked apart whether it is trivial, so that the identity,
+    which needs neither, still answers 0: a nonzero exponent sum rules it
+    out, and otherwise Dynnikov coordinates decide the word problem
+    without a budget.  Both routes work
     on a twist-free rotation of b's cyclic core: the longest run of whole
     full twists is peeled off it, and as delta^2 is central only the
     twist counts of the queries change.  One probe object answers the
@@ -161,9 +169,10 @@ def fdtc_interval_by_floor(b: BraidWord, tol: Fraction | int) -> FdtcValue:
                             f" letter cap")
     try:
         sign, floor = power_floor(b, k)
-    except WordLengthExceeded:
-        # a power past the letter cap, which the identity needs none of
-        if sigma_sign(b) is not OrderSign.TRIVIAL:
+    except (WordLengthExceeded, ReductionBudgetExceeded):
+        # the identity has exponent sum 0: any other sum refuses at once,
+        # without a walk of b
+        if b.exponent_sum != 0 or not b.is_trivial():
             raise
         sign = OrderSign.TRIVIAL
     if sign is OrderSign.TRIVIAL:

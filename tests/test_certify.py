@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from conftest import three_braids
@@ -34,6 +36,7 @@ from braidcert import (
     slope_distance,
     verify_certificate,
 )
+from braidcert.certify import _RULES
 from braidcert.cli import _json_line
 
 C = full_twist(3)
@@ -426,6 +429,39 @@ class TestCertificateStructure:
         assert lines[0] == "Excellent"
         assert lines[1].startswith("  rule cover-surgery-twist-gap:")
         assert lines[2].startswith("    check:")
+
+
+class TestRuleTable:
+    def test_every_rule_is_emitted_and_replays(self):
+        half, zero = FdtcValue.exact(Fraction(1, 2), "t"), FdtcValue.exact(0, "t")
+        w1 = BraidWord(3, (-1, -2))
+        certs = [
+            certify_fibred_cover(half, 2, 0),
+            certify_fibred_cover(FdtcValue.interval(Fraction(1, 10), Fraction(1, 2),
+                                                    "t"), 6, 0, genus=2),
+            certify_orbifold_cover(half, 3, 1, 2),
+            certify_closed_braid_cover(C ** 3 * PA, 4),  # even and divisor
+            certify_genus1_cover(PA, 3),
+            certify_genus1_cover(C * PA, 2),
+            certify_genus1_cover(C * BraidWord(3, (2, 2)), 2),
+            certify_genus1_cover(w1, 5),  # periodic, L-space side
+            certify_genus1_cover(w1, 6),  # periodic, the other side
+            certify_satellite(PA, 2, zero, companion_exact_zero=True),
+            certify_satellite(BraidWord(3, (1, 2)), 4, half, pa_asserted=True),
+        ]
+        emitted = {j.rule for cert in certs for j in cert.justifications}
+        assert emitted == set(_RULES)
+        assert all(verify_certificate(cert) is True for cert in certs)
+
+    def test_every_golden_rule_is_in_the_table(self):
+        # as JSON fields and as text lines
+        rules = set()
+        for path in Path(__file__).with_name("golden").glob("*.txt"):
+            text = path.read_text()
+            rules |= set(re.findall(r'"rule": "([^"]*)"', text))
+            rules |= set(re.findall(r"^ *rule (\S*):", text, re.MULTILINE))
+        assert len(rules) == 10
+        assert rules <= set(_RULES)
 
 
 class TestReplayChecker:

@@ -11,9 +11,15 @@ from pathlib import Path
 
 import pytest
 
+import braidcert.braid
 import braidcert.threebraid
 from braidcert import cli
 from braidcert.cli import main
+
+
+#: 4,299 zeros and a 1 after the point: a denominator of 4,301 digits,
+#: past Python's int-to-str limit, so a traceback once printed.
+TOO_LONG = "0." + "0" * 4299 + "1"
 
 
 def run(capsys, *argv):
@@ -260,10 +266,25 @@ class TestErrors:
         assert err.splitlines() == [f"error: BadParameters: {what} must be a"
                                     f" rational like 5/12, got {text!r}"]
 
+    @pytest.mark.parametrize("argv, what, text", [
+        (["fdtc", "4: 1 2 3 1", "--tol", "-" + TOO_LONG], "tol", "-" + TOO_LONG),
+        (["fdtc", "4: 1 2 3 1", "--tol", TOO_LONG], "tol", TOO_LONG),
+        (["certify-satellite", "--pattern", "3: 1 -2", "--n", "2", "--c",
+          TOO_LONG], "twist value", TOO_LONG),
+    ], ids=["negative-tol", "tol", "satellite-c"])
+    def test_rationals_too_long_to_print_are_refused(self, capsys, argv, what,
+                                                     text):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"error: BadParameters: {what} must be a"
+                                    f" rational like 5/12, got {text!r}"]
+
     def test_tolerance_below_the_letter_cap_is_an_error_line(self, capsys):
-        # 4,299 zeros and a 1: k = ceil(1/tol) would have 4,301 digits
+        # the finest tolerance text that parses: k = ceil(1/tol) would have
+        # as many digits as the text has characters
+        cap = braidcert.braid._MAX_NUMBER_CHARS
         code, out, err = run(capsys, "fdtc", "4: 1 2 3 1", "--tol",
-                             "0." + "0" * 4299 + "1")
+                             "0." + "0" * (cap - 3) + "1")
         assert (code, out) == (1, "")
         assert err.splitlines() == [
             "error: BadParameters: tolerance must be at least 1/1000000,"
@@ -465,6 +486,22 @@ class TestCorpus:
         assert (sat["error"], sat["message"]) == (
             "BadParameters", "twist value must be a rational like 5/12,"
                              " got '1e5000'")
+
+    def test_rational_too_long_to_print_is_an_error_record(self, tmp_path,
+                                                           capsys):
+        # once a traceback that lost the whole batch
+        p = tmp_path / "corpus.tsv"
+        p.write_text(f"ok\tFloor\t-\t3: 1 2\n"
+                     f"sat\tSatellite\tn=2 c={TOO_LONG}\t3: 1 -2\n"
+                     f"fine\tFloor\t-\t3: 1 2 1 1 2 1\n")
+        code, out, err = run(capsys, "corpus", str(p))
+        assert (code, err) == (1, "")
+        assert out.splitlines() == [
+            "ok\t0",
+            f"sat\terror: BadParameters: twist value must be a rational like"
+            f" 5/12, got {TOO_LONG!r}",
+            "fine\t1",
+        ]
 
     def test_byte_order_mark_before_a_comment(self, tmp_path, capsys):
         p = tmp_path / "corpus.tsv"

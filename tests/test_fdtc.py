@@ -191,7 +191,8 @@ class TestIntervalByFloor:
             assert queries == [()]
 
     def test_long_identity_past_the_root_power_cap(self, monkeypatch):
-        # the root test's b^4 would pass the letter cap; b's sign answers
+        # the root test's b^4 would pass the letter cap; b's triviality
+        # answers
         monkeypatch.setattr(braid, "MAX_WORD_LETTERS", 1000)
         b = BraidWord(4, (1, 2, 1, -2, -1, -2) * 50)
         with pytest.raises(WordLengthExceeded):
@@ -201,6 +202,23 @@ class TestIntervalByFloor:
         # a nontrivial braid there is still refused
         with pytest.raises(WordLengthExceeded):
             fdtc_interval(BraidWord(4, (1, 2, 3) * 100), Fraction(1, 12))
+
+    def test_long_identity_past_the_budget_is_exact_zero(self, monkeypatch):
+        # the ladder's sign query on b passes the budget; the word problem,
+        # walked by coordinates, asks the kernel nothing
+        monkeypatch.setenv("BRAIDCERT_REDUCTION_BUDGET", "1000")
+        block = (1, 2, 1, -2, -1, -2) + (3, 2, 3, -2, -3, -2)
+        b = BraidWord(4, block * 25001)
+        assert len(b) == 300012
+        with pytest.raises(ReductionBudgetExceeded):
+            sigma_sign(b)
+        v = fdtc_interval(b, Fraction(1, 2))
+        assert v.is_exact and v.value == 0
+        # a nontrivial braid there is still refused, with the kernel's
+        # error, whether its exponent sum rules out the identity or not
+        for tail in ((1,), (1, -2)):
+            with pytest.raises(ReductionBudgetExceeded, match="exceeds budget 1000"):
+                fdtc_interval(BraidWord(4, block * 100 + tail), Fraction(1, 2))
 
     def test_central_route_sends_b_to_no_budget(self, monkeypatch):
         # a root decides b's sign and k mod q = 0 leaves no search, so a

@@ -266,6 +266,61 @@ def test_cache_and_half_twist_check_sees_every_form():
     ]
 
 
+def _justification_calls(source: str) -> list[tuple[int, str]]:
+    """(line, dotted name of the enclosing functions and classes, or
+    "<module>") for each call of Justification in a module's source:
+    bare, under an import alias, or as an attribute such as
+    ``certify.Justification``."""
+    tree = ast.parse(source)
+    names = {"Justification"} | {
+        alias.asname for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names if alias.name == "Justification" and alias.asname}
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = node.name if owner == "<module>" else f"{owner}.{node.name}"
+        if isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Name) and node.func.id in names
+                or isinstance(node.func, ast.Attribute)
+                and node.func.attr == "Justification"):
+            found.append((node.lineno, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_justifications_are_built_by_the_rule_table_alone():
+    # each rule is stated once, in certify._RULES, and certify._rule
+    # fills it in
+    package = Path(braidcert.__file__).parent
+    calls = {path.name: [owner for _, owner in found]
+             for path in sorted(package.glob("*.py"))
+             if (found := _justification_calls(path.read_text()))}
+    assert calls == {"certify.py": ["_rule"]}
+
+
+def test_justification_check_sees_every_form():
+    source = ("from braidcert import certify\n"
+              "from braidcert.certify import Justification as J\n"
+              "CHECK = Justification('r', 'c', '1 > 0')\n"
+              "def build():\n"
+              "    return certify.Justification(rule='r', citation='c',\n"
+              "                                 inequality='1 > 0')\n"
+              "class Maker:\n"
+              "    def make(self):\n"
+              "        def inner():\n"
+              "            return J('r', 'c', '1 > 0')\n"
+              "        return inner\n"
+              "def _rule():\n"
+              "    return justification('r') or Justification\n")
+    assert _justification_calls(source) == [
+        (3, "<module>"), (5, "build"), (10, "Maker.make.inner"),
+    ]
+
+
 def _unread_parameters(source: str) -> list[str]:
     """Where a module's source defines a public function or method with a
     parameter that its body never reads, as "name(parameter)".  A

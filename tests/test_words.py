@@ -303,6 +303,25 @@ class TestParsing:
                 braid.parse_decimal(text, number)
         assert braid.parse_decimal("0.25", Fraction) == Fraction(1, 4)
 
+    def test_every_number_that_parses_prints(self):
+        # a decimal with 4,300 places, sign or none, has a denominator of
+        # 4,301 digits, past Python's int-to-str limit; the longest texts
+        # that parse give at most as many digits as the lowest limit allows
+        cap = braid._MAX_NUMBER_CHARS
+        lowest = sys.int_info.str_digits_check_threshold
+        for text in ("9" * cap, "-" + "9" * (cap - 1), "." + "9" * (cap - 1),
+                     "9" * (cap // 2) + "." + "9" * (cap - 1 - cap // 2),
+                     "9" * (cap // 2) + "/" + "7" * (cap - 1 - cap // 2)):
+            value = braid.parse_decimal(text, Fraction)
+            assert len(text) == cap
+            assert max(len(str(abs(value.numerator))),
+                       len(str(value.denominator))) <= lowest
+        for text in ("9" * (cap + 1), "." + "9" * cap,
+                     "0." + "0" * 4299 + "1", "-0." + "0" * 4299 + "1"):
+            for number in (int, Fraction):
+                with pytest.raises(ValueError):
+                    braid.parse_decimal(text, number)
+
     def test_parse_error_line_passthrough(self):
         with pytest.raises(ParseError) as info:
             parse_braid("3: 1 z", line=7)
