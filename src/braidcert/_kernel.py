@@ -25,7 +25,7 @@ from __future__ import annotations
 import os
 
 from braidcert import _reduction_py, dynnikov
-from braidcert.braid import BLANKS, full_twist_letters, parse_decimal
+from braidcert.braid import BLANKS, full_twist_letters, number_repr, parse_decimal
 from braidcert.errors import BadParameters, ReductionBudgetExceeded
 
 try:
@@ -62,7 +62,7 @@ def default_budget() -> int:
             value = parse_decimal(raw)
         except ValueError:
             raise BadParameters(
-                f"BRAIDCERT_REDUCTION_BUDGET must be an integer, got {raw!r}"
+                f"BRAIDCERT_REDUCTION_BUDGET must be an integer, got {number_repr(raw)}"
             ) from None
         if value <= 0:
             raise BadParameters("BRAIDCERT_REDUCTION_BUDGET must be positive")

@@ -273,7 +273,7 @@ def parse_braid(text: str, line: int = 1) -> BraidWord:
         strands = parse_decimal(strands_text)
     except ValueError:
         raise ParseError(
-            f"strand count {strands_text!r} is not an integer",
+            f"strand count {number_repr(strands_text)} is not an integer",
             line,
             1 + _leading_ws(head),
         ) from None
@@ -293,7 +293,8 @@ def parse_braid(text: str, line: int = 1) -> BraidWord:
         try:
             x = parse_decimal(token)
         except ValueError:
-            raise ParseError(f"letter {token!r} is not an integer", line, at) from None
+            raise ParseError(f"letter {number_repr(token)} is not an integer", line,
+                             at) from None
         if x == 0 or abs(x) >= strands:
             raise ParseError(
                 f"letter {x} is out of range for {strands} strands", line, at
@@ -322,6 +323,18 @@ def parse_decimal(text: str, number: Callable[[str], _N] = int) -> _N:
             or "e" in text or "E" in text or text != text.strip()):
         raise ValueError(text)
     return number(text)
+
+
+def number_repr(text: str) -> str:
+    """repr(text), for an error message on number text that
+    :func:`parse_decimal` refused; for text longer than
+    _MAX_NUMBER_CHARS, refused for its length alone, the repr of its
+    first 20 characters and that reason, so that a message never echoes
+    thousands of characters."""
+    if len(text) <= _MAX_NUMBER_CHARS:
+        return repr(text)
+    return (f"{text[:20]!r}... ({len(text)} characters, longer than the"
+            f" {_MAX_NUMBER_CHARS} a number may have)")
 
 
 def _leading_ws(s: str) -> int:

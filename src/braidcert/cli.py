@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable
 
-from braidcert.braid import BLANKS, BraidWord, parse_braid, parse_decimal
+from braidcert.braid import BLANKS, BraidWord, number_repr, parse_braid, parse_decimal
 from braidcert.errors import BadParameters, BraidError, ParseError
 from braidcert.ordering import compare, dehornoy_floor, sigma_sign
 
@@ -48,7 +48,8 @@ def _parse_rational(text: str, what: str) -> Fraction:
     try:
         return parse_decimal(text, Fraction)
     except (ValueError, ZeroDivisionError):
-        raise BadParameters(f"{what} must be a rational like 5/12, got {text!r}")
+        raise BadParameters(f"{what} must be a rational like 5/12, got"
+                            f" {number_repr(text)}")
 
 
 def _parse_tol(text: str) -> Fraction:
@@ -330,7 +331,7 @@ def _corpus_value(param: Param, raw: str, line_no: int):
         return parse_decimal(raw)
     except ValueError:
         raise ParseError(f"parameter {param.corpus} must be an integer, got"
-                         f" {raw!r}", line=line_no)
+                         f" {number_repr(raw)}", line=line_no)
 
 
 def _parse_params(task: Task, text: str, tol: Fraction, line_no: int) -> dict:
@@ -432,7 +433,8 @@ def _option_int(text: str) -> int:
     try:
         return parse_decimal(text.strip(BLANKS))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {number_repr(text)}") from None
 
 
 def _add_param(p: argparse.ArgumentParser, param: Param) -> None:

@@ -23,13 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from braidcert.braid import MAX_WORD_LETTERS, BraidWord
-from braidcert.errors import (
-    BadGenus,
-    BadParameters,
-    NotThreeBraid,
-    ReductionBudgetExceeded,
-    WordLengthExceeded,
-)
+from braidcert.errors import BadGenus, BadParameters, NotThreeBraid
 # dehornoy_floor is not called here any more but stays importable from
 # this module, where callers and perfbench's tracer look it up.
 from braidcert.ordering import (  # noqa: F401
@@ -141,20 +135,19 @@ def fdtc_interval_by_floor(b: BraidWord, tol: Fraction | int) -> FdtcValue:
     the value is the same as ``dehornoy_floor(b**k)``.  It also gives the
     sign of b, which fixes the sign of c(b): the sign of p in the root
     b^q = delta^(2p), which asks no query, or else the one sign query
-    that orients the ladder's probes.  Only when power_floor refuses a
-    power past the letter cap, or a kernel query past the reduction
-    budget, is b asked apart whether it is trivial, so that the identity,
-    which needs neither, still answers 0: a nonzero exponent sum rules it
-    out, and otherwise Dynnikov coordinates decide the word problem
-    without a budget.  Both routes work
-    on a twist-free rotation of b's cyclic core: the longest run of whole
-    full twists is peeled off it, and as delta^2 is central only the
-    twist counts of the queries change.  One probe object answers the
-    search for the floor of b and every ladder step; in the pure-Python
-    build it walks Dynnikov coordinates on from the last probe's image,
-    so each letter of the power and its twists is walked once, and a
-    root test walks the power of the twist-free core against a cached
-    image of the full twists.
+    that orients the ladder's probes.  The identity answers 0 under any
+    letter cap or reduction budget: power_floor decides it first, by one
+    Dynnikov walk of b, with no power and no kernel query.  Any other b is
+    refused for a power past the letter cap before any kernel work, and
+    for a kernel query past the budget when that query is asked.  Both
+    routes work on a twist-free rotation of b's cyclic core: the longest
+    run of whole full twists is peeled off it, and as delta^2 is central
+    only the twist counts of the queries change.  One probe object
+    answers the search for the floor of b and every ladder step; in the
+    pure-Python build it walks Dynnikov coordinates on from the last
+    probe's image, so each letter of the power and its twists is walked
+    once, and a root test walks the power of the twist-free core against
+    a cached image of the full twists.
 
     A tolerance below 1/MAX_WORD_LETTERS is refused: the power of any
     nonempty word would pass the letter cap, and k itself could be too
@@ -167,14 +160,7 @@ def fdtc_interval_by_floor(b: BraidWord, tol: Fraction | int) -> FdtcValue:
         raise BadParameters(f"tolerance must be at least 1/{MAX_WORD_LETTERS}, so"
                             f" that the power k = ceil(1/tol) stays within the"
                             f" letter cap")
-    try:
-        sign, floor = power_floor(b, k)
-    except (WordLengthExceeded, ReductionBudgetExceeded):
-        # the identity has exponent sum 0: any other sum refuses at once,
-        # without a walk of b
-        if b.exponent_sum != 0 or not b.is_trivial():
-            raise
-        sign = OrderSign.TRIVIAL
+    sign, floor = power_floor(b, k)
     if sign is OrderSign.TRIVIAL:
         return FdtcValue.exact(0, "trivial braid")
     prov = f"Dehornoy floor {floor} of the {k}-th power, twist bounds"

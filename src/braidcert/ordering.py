@@ -183,6 +183,11 @@ def central_root(b: BraidWord, max_power: int) -> tuple[int, int] | None:
     p = q e(b) / (m (m-1)), so each q costs at most one word-problem
     query, and none when p is not an integer.
 
+    An exponent sum of 0 forces p = 0, and as braid groups are
+    torsion-free, b^q = 1 only for b = 1: one walk of b decides it, and
+    the answer is (m, 0) for the identity, whatever max_power is, or None.
+    No power is built or checked against the letter cap for it.
+
     The query is on the twist-free core.  Write b = delta^(2e) w Y w^-1,
     with the longest run of whole full twists of the exponent sum's sign
     peeled off b's cyclic core (:func:`_peel_twists`); then
@@ -200,9 +205,11 @@ def central_root(b: BraidWord, max_power: int) -> tuple[int, int] | None:
     neither does.
 
     Raises WordLengthExceeded where b**q would, when |b| q passes
-    MAX_WORD_LETTERS.
+    MAX_WORD_LETTERS and the exponent sum is not 0.
     """
     m, total = b.strands, b.exponent_sum
+    if total == 0:
+        return (m, 0) if b.is_trivial() else None
     core = None
     for q in (m, m - 1):
         p, rest = divmod(q * total, m * (m - 1))
@@ -294,9 +301,13 @@ def power_floor(b: BraidWord, k: int) -> tuple[OrderSign, int]:
     twists of delta^(2t), so the cost does not grow with s: the search
     runs on fewer than q copies of b.
 
-    Otherwise the floor is quasi-additive on powers of b, and a binary
-    ladder climbs to k with one probe per step.  The sign of b is the one
-    query that orients the ladder's probe object (:func:`_floor_probe`).
+    Otherwise b is not the identity, for which central_root answers
+    (m, 0) under any k, the floor is quasi-additive on powers of b, and a
+    binary ladder climbs to k with one probe per step.  The sign of b is
+    the one query that orients the ladder's probe object
+    (:func:`_floor_probe`).  Before it, b^k is checked against the letter
+    cap, once for every rung, as each rung's power b^n has n <= k: a
+    refusal for length comes before any kernel work.
 
     Lemma: for A, B >= 1, floor(b^(A+B)) is S = floor(b^A) + floor(b^B)
     or S + 1.  Proof for b > 1, where every power of b is > 1: a
@@ -366,15 +377,13 @@ def power_floor(b: BraidWord, k: int) -> tuple[OrderSign, int]:
         sign = OrderSign.POSITIVE if p > 0 else OrderSign.NEGATIVE
         return sign, abs(p) * s + dehornoy_floor(BraidWord(m, b.letters * r))
 
-    probe = _floor_probe(b)
-    if probe is None:
-        return OrderSign.TRIVIAL, 0
+    check_power(b, k)  # every rung's power b^n has n <= k
+    probe = _floor_probe(b)  # b is not the identity, which has a root
     sign = OrderSign.POSITIVE if probe.positive else OrderSign.NEGATIVE
     n, f = 1, _search_floor(b, probe)
 
     def floor_of_power(n: int, s: int) -> int:
         # floor(b^n) is s or s + 1 by the lemma; one probe decides
-        check_power(b, n)
         return s if probe.inside(n, s + 1) else s + 1
 
     f1 = f

@@ -21,6 +21,13 @@ from braidcert.cli import main
 #: past Python's int-to-str limit, so a traceback once printed.
 TOO_LONG = "0." + "0" * 4299 + "1"
 
+#: How an error line shows TOO_LONG and its negative: a 20-character
+#: prefix and the length that refused them.
+TOO_LONG_SHOWN = ("'0.000000000000000000'... (4302 characters, longer than the"
+                  " 600 a number may have)")
+NEGATIVE_TOO_LONG_SHOWN = ("'-0.00000000000000000'... (4303 characters, longer"
+                           " than the 600 a number may have)")
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -266,18 +273,47 @@ class TestErrors:
         assert err.splitlines() == [f"error: BadParameters: {what} must be a"
                                     f" rational like 5/12, got {text!r}"]
 
-    @pytest.mark.parametrize("argv, what, text", [
-        (["fdtc", "4: 1 2 3 1", "--tol", "-" + TOO_LONG], "tol", "-" + TOO_LONG),
-        (["fdtc", "4: 1 2 3 1", "--tol", TOO_LONG], "tol", TOO_LONG),
+    @pytest.mark.parametrize("argv, what, shown", [
+        (["fdtc", "4: 1 2 3 1", "--tol", "-" + TOO_LONG], "tol",
+         NEGATIVE_TOO_LONG_SHOWN),
+        (["fdtc", "4: 1 2 3 1", "--tol", TOO_LONG], "tol", TOO_LONG_SHOWN),
         (["certify-satellite", "--pattern", "3: 1 -2", "--n", "2", "--c",
-          TOO_LONG], "twist value", TOO_LONG),
+          TOO_LONG], "twist value", TOO_LONG_SHOWN),
     ], ids=["negative-tol", "tol", "satellite-c"])
     def test_rationals_too_long_to_print_are_refused(self, capsys, argv, what,
-                                                     text):
+                                                     shown):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, "")
         assert err.splitlines() == [f"error: BadParameters: {what} must be a"
-                                    f" rational like 5/12, got {text!r}"]
+                                    f" rational like 5/12, got {shown}"]
+
+    def test_integers_too_long_are_shown_by_a_prefix(self, capsys,
+                                                     monkeypatch, tmp_path):
+        # each place that reads an integer echoes 20 characters of it and
+        # the length that refused it, not the whole text
+        ones = "1" * 700
+        shown = ("'11111111111111111111'... (700 characters, longer than the"
+                 " 600 a number may have)")
+        assert run(capsys, "order", f"3: {ones}", "3: 1")[2].splitlines() == [
+            f"error: ParseError: line 1, column 4: letter {shown} is not an"
+            f" integer"]
+        assert run(capsys, "order", f"{ones}: 1", "3: 1")[2].splitlines() == [
+            f"error: ParseError: line 1, column 1: strand count {shown} is not"
+            f" an integer"]
+        p = tmp_path / "corpus.tsv"
+        p.write_text(f"g1\tGenus1\tn={ones}\t3: -1 -2\n")
+        assert run(capsys, "corpus", str(p))[1].splitlines() == [
+            f"g1\terror: ParseError: line 1, column 1: parameter n must be an"
+            f" integer, got {shown}"]
+        with pytest.raises(SystemExit):
+            main(["certify-genus1", "--word", "3: -1 -2", "--n", ones])
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"braidcert certify-genus1: error: argument --n: invalid int value:"
+            f" {shown}")
+        monkeypatch.setenv("BRAIDCERT_REDUCTION_BUDGET", ones)
+        assert run(capsys, "floor", "3: 1 2")[2].splitlines() == [
+            f"error: BadParameters: BRAIDCERT_REDUCTION_BUDGET must be an"
+            f" integer, got {shown}"]
 
     def test_tolerance_below_the_letter_cap_is_an_error_line(self, capsys):
         # the finest tolerance text that parses: k = ceil(1/tol) would have
@@ -499,7 +535,7 @@ class TestCorpus:
         assert out.splitlines() == [
             "ok\t0",
             f"sat\terror: BadParameters: twist value must be a rational like"
-            f" 5/12, got {TOO_LONG!r}",
+            f" 5/12, got {TOO_LONG_SHOWN}",
             "fine\t1",
         ]
 

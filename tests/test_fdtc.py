@@ -5,7 +5,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from conftest import recorded_queries, three_braids
+from conftest import (
+    recorded_probes,
+    recorded_queries,
+    recorded_walks,
+    three_braids,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +21,7 @@ from braidcert import (
     BraidWord,
     FdtcValue,
     NotThreeBraid,
+    OrderSign,
     ReductionBudgetExceeded,
     WordLengthExceeded,
     dehornoy_floor,
@@ -26,9 +32,10 @@ from braidcert import (
     fdtc_lift,
     fdtc_lower_bound,
     full_twist,
+    power_floor,
     sigma_sign,
 )
-from braidcert import _kernel, _reduction_py, braid
+from braidcert import _kernel, _reduction_py, braid, ordering
 
 C = full_twist(3)
 
@@ -236,6 +243,81 @@ class TestIntervalByFloor:
         for tol in (Fraction(1, 10), Fraction(1, 12)):
             v = fdtc_interval(trivial, tol)
             assert v.is_exact and v.value == 0
+
+
+#: A 300-letter identity on 4 strands: exponent sum 0, and every kernel
+#: query on it outgrows a budget of 5.
+_LONG_IDENTITY = BraidWord(4, (1, 2, 1, -2, -1, -2) * 50)
+
+
+class TestOneIdentityDecision:
+    """power_floor decides the identity by one walk of b, before any
+    power, letter cap or kernel query."""
+
+    def assert_trivial(self, k):
+        b = _LONG_IDENTITY
+        with recorded_queries() as queries, recorded_walks() as walks:
+            assert power_floor(b, k) == (OrderSign.TRIVIAL, 0)
+        assert queries == []
+        assert walks == [b.letters]
+        v = fdtc_interval(b, Fraction(1, k))
+        assert v.is_exact and v.value == 0
+
+    def test_root_power_past_the_letter_cap(self, monkeypatch):
+        monkeypatch.setattr(braid, "MAX_WORD_LETTERS", 1000)
+        with pytest.raises(WordLengthExceeded):
+            _LONG_IDENTITY**4
+        self.assert_trivial(12)
+
+    def test_kernel_query_past_the_budget(self, monkeypatch):
+        monkeypatch.setenv("BRAIDCERT_REDUCTION_BUDGET", "5")
+        with pytest.raises(ReductionBudgetExceeded):
+            sigma_sign(_LONG_IDENTITY)
+        self.assert_trivial(12)
+
+    def test_both_root_candidates_skipped(self):
+        # k = 2 < m - 1 = 3 skips q = 4 and q = 3 alike
+        self.assert_trivial(2)
+
+
+class TestRefusalBeforeKernelWork:
+    #: A nontrivial 4-braid without a central root, so the ladder runs.
+    LADDER = (BraidWord(4, (1, 1, 1)) * full_twist(4)).conjugated_by(
+        BraidWord(4, (2, -3, 1)))
+
+    def test_ladder_power_past_the_cap_asks_nothing(self, monkeypatch):
+        b, k = self.LADDER, 12
+        assert ordering.central_root(b, k) is None
+        monkeypatch.setattr(braid, "MAX_WORD_LETTERS", len(b) * k - 1)
+        refusal = f"power would have {len(b) * k} letters"
+        with recorded_queries() as queries, recorded_probes() as probes:
+            with pytest.raises(WordLengthExceeded, match=refusal):
+                power_floor(b, k)
+        assert queries == [] and probes == []
+
+    def test_budget_refusal_walks_b_once(self, c_kernel, monkeypatch):
+        # exponent sum 0 leaves p = 0, the identity's root, as the only
+        # candidate for q = 4 and q = 3: one walk of b, not of b^4 and
+        # b^3, rules it out before the ladder's sign query is refused
+        monkeypatch.setenv("BRAIDCERT_REDUCTION_BUDGET", "1000")
+        b = BraidWord(4, (1, -2, 3, -2) * 2500)
+        for kernel in (c_kernel, _reduction_py):
+            monkeypatch.setattr(_kernel, "_impl", kernel)
+            with recorded_walks() as walks:
+                with pytest.raises(ReductionBudgetExceeded, match="budget 1000"):
+                    fdtc_interval(b, Fraction(1, 4))
+            assert walks == [b.letters]
+
+    def test_letter_cap_is_named_before_the_budget(self, monkeypatch):
+        # b^k is past the letter cap and b's sign query past the budget:
+        # the letter cap is checked first
+        b, k = self.LADDER, 12
+        monkeypatch.setattr(braid, "MAX_WORD_LETTERS", len(b) * k - 1)
+        monkeypatch.setenv("BRAIDCERT_REDUCTION_BUDGET", "5")
+        with pytest.raises(ReductionBudgetExceeded):
+            sigma_sign(b)
+        with pytest.raises(WordLengthExceeded):
+            fdtc_interval(b, Fraction(1, k))
 
 
 class TestIntervalDispatch:

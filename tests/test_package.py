@@ -370,3 +370,55 @@ def test_unread_check_sees_functions_and_methods():
     assert _unread_parameters(source) == [
         "sign(m)", "walk(pairs)", "walk(options)", "parse(text)",
     ]
+
+
+#: The refusals that fdtc lets through from the floor search as they are.
+_REFUSALS = {"WordLengthExceeded", "ReductionBudgetExceeded"}
+
+
+def _caught_refusals(source: str) -> list[tuple[int, str]]:
+    """(line, name) for each of _REFUSALS that an except clause in a
+    module's source names: bare, under an import alias, as an attribute
+    such as ``errors.WordLengthExceeded``, alone or in a tuple."""
+    tree = ast.parse(source)
+    aliases = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) for alias in node.names
+               if alias.name in _REFUSALS}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            for name in ast.walk(node.type):
+                if isinstance(name, ast.Name) and name.id in aliases:
+                    found.append((node.lineno, aliases[name.id]))
+                elif isinstance(name, ast.Attribute) and name.attr in _REFUSALS:
+                    found.append((node.lineno, name.attr))
+    return found
+
+
+def test_fdtc_catches_no_refusal():
+    # power_floor decides the identity under any letter cap or budget, so
+    # fdtc has no second path that catches a refusal and tries again
+    source = Path(braidcert.__file__).with_name("fdtc.py").read_text()
+    assert _caught_refusals(source) == []
+
+
+def test_refusal_check_sees_every_form():
+    source = ("from braidcert import errors\n"
+              "from braidcert.errors import ReductionBudgetExceeded as Budget\n"
+              "from braidcert.errors import WordLengthExceeded\n"
+              "try:\n"
+              "    pass\n"
+              "except WordLengthExceeded:\n"
+              "    pass\n"
+              "except (ValueError, Budget):\n"
+              "    pass\n"
+              "except errors.WordLengthExceeded as exc:\n"
+              "    pass\n"
+              "except (errors.ReductionBudgetExceeded, KeyError):\n"
+              "    pass\n"
+              "except Exception:\n"
+              "    raise WordLengthExceeded('refused')\n")
+    assert _caught_refusals(source) == [
+        (6, "WordLengthExceeded"), (8, "ReductionBudgetExceeded"),
+        (10, "WordLengthExceeded"), (12, "ReductionBudgetExceeded"),
+    ]
