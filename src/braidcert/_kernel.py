@@ -117,8 +117,8 @@ class FloorProbe:
     ``ordering._peel_twists``), and the e full twists, central, leave
     each probe as a shift of its twist count: c^n delta^(2j) is
     c'^n delta^(2t) for the conjugate c' of X^-1 or of X, with
-    t = j - n e for a positive b and t = j + n e for a negative one.
-    t may be negative.  Its word is :meth:`word`.
+    t = j - n |e|, as e has b's sign.  t may be negative.  Its word is
+    :meth:`word`.
 
     Under the compiled kernel, :func:`sign_of` decides each probe by
     handle reduction of that word.  The pure-Python build walks Dynnikov
@@ -150,7 +150,7 @@ class FloorProbe:
     def _shifted(self, n: int, j: int) -> int:
         """t, the full twists of the probe on b^n with j full twists once
         the peeled ones are taken out."""
-        return j - n * self.twists if self.positive else j + n * self.twists
+        return j - n * abs(self.twists)
 
     def word(self, n: int, j: int) -> tuple[int, ...]:
         """Letters of the probe on b^n with j full twists:

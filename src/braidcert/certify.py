@@ -28,8 +28,8 @@ from enum import Enum
 from fractions import Fraction
 
 from braidcert.braid import BraidWord
-from braidcert.errors import BadGenus, BadParameters, SplitBinding
-from braidcert.fdtc import FdtcValue, fdtc_interval
+from braidcert.errors import BadParameters, SplitBinding
+from braidcert.fdtc import FdtcValue, fdtc_interval, fdtc_lower_bound
 from braidcert.ordering import OrderSign, sigma_sign
 from braidcert.threebraid import (
     NTType,
@@ -276,16 +276,17 @@ def certify_fibred_cover(
     Certifies when |n c(K) - q| >= 1 holds across the whole certified
     interval; with the fibre genus supplied and c(K) certified nonzero,
     also when q = 0 and n >= 2 (2 genus - 1), via the universal lower
-    bound |c| >= 1 / (2 (2 genus - 1)) for pseudo-Anosov monodromies.
+    bound |c| >= 1 / (2 (2 genus - 1)) for pseudo-Anosov monodromies
+    (:func:`~braidcert.fdtc.fdtc_lower_bound`, which refuses a genus
+    below 1).
     """
     if n < 1:
         raise BadParameters(f"cover order must be >= 1, got {n}")
-    if genus is not None and genus < 1:
-        raise BadGenus(f"genus must be >= 1, got {genus}")
 
     justifications = _twist_gap("cover-surgery-twist-gap", 1, n, q, c_h)
     cmin = c_h.abs_lower_bound()
-    if genus is not None and q == 0 and n >= 2 * (2 * genus - 1) and cmin > 0:
+    if (genus is not None and n * fdtc_lower_bound(genus) >= 1
+            and q == 0 and cmin > 0):
         justifications.append(
             _rule("genus-twist-floor", q=q, n=n, genus=genus, cmin=cmin))
 

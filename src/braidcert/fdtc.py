@@ -6,7 +6,10 @@ the boundary twist, and is additive on commuting elements.  For braids
 (mapping classes of the punctured disc) it is computable:
 
 * exactly on 3 strands, through the conjugacy classification of
-  3-braids (:mod:`braidcert.threebraid`);
+  3-braids (:mod:`braidcert.threebraid`): ``c = d`` for the
+  pseudo-Anosov and reducible forms ``delta^(2d) w``, and for a periodic
+  braid, a root of ``b^q = delta^(2p)``, homogeneity gives
+  ``c = p/q = e(b)/6`` with ``e`` the exponent sum;
 * to any tolerance on any strand count, through Dehornoy floors of
   powers: ``floor(b^k) <= |c(b^k)| = k |c(b)| <= floor(b^k) + 1`` pins
   ``|c(b)|`` inside an interval of width ``1/k``, and the Dehornoy sign
@@ -31,22 +34,7 @@ from braidcert.ordering import (  # noqa: F401
     dehornoy_floor,
     power_floor,
 )
-from braidcert.threebraid import (
-    PeriodicForm,
-    PseudoAnosovForm,
-    ReducibleForm,
-    normal_form,
-)
-
-#: FDTC of the periodic 3-braid families sigma_1^m sigma_2^-1 relative
-#: to their full-twist part: these words satisfy w^3 = C^-1 (m = -1),
-#: w^2 = C^-1 (m = -2), w^3 = C^-2 (m = -3), so homogeneity forces the
-#: fractional parts below.
-_PERIODIC_FRACTION = {
-    -1: Fraction(-1, 3),
-    -2: Fraction(-1, 2),
-    -3: Fraction(-2, 3),
-}
+from braidcert.threebraid import PeriodicForm, normal_form
 
 
 @dataclass(frozen=True)
@@ -111,18 +99,18 @@ class FdtcValue:
 def fdtc_exact_b3(b: BraidWord) -> Fraction:
     """Exact FDTC of a 3-braid via its conjugacy normal form.
 
-    With C the full twist and d its exponent in the normal form: the
-    pseudo-Anosov and reducible families have c = d, and the periodic
-    families sigma_1^m sigma_2^-1 contribute the fixed fractional parts
-    -1/3, -1/2, -2/3 for m = -1, -2, -3.
+    With C = delta^2 the full twist and d its exponent in the normal
+    form, the pseudo-Anosov and reducible families have c = d.  A
+    periodic b has a root b^q = delta^(2p), q >= 1, so homogeneity and
+    c(delta^2) = 1 give c = p / q; the exponent sum e is a homomorphism
+    with e(delta^2) = 6, so q e(b) = 6 p, and c = e(b) / 6.
     """
     if b.strands != 3:
         raise NotThreeBraid(f"exact FDTC needs 3 strands, got {b.strands}")
     nf = normal_form(b)
-    if isinstance(nf, (PseudoAnosovForm, ReducibleForm)):
-        return Fraction(nf.central_power)
-    assert isinstance(nf, PeriodicForm)
-    return nf.central_power + _PERIODIC_FRACTION[nf.sigma1_power]
+    if isinstance(nf, PeriodicForm):
+        return Fraction(b.exponent_sum, 6)
+    return Fraction(nf.central_power)
 
 
 def fdtc_interval_by_floor(b: BraidWord, tol: Fraction | int) -> FdtcValue:
@@ -171,13 +159,14 @@ def fdtc_interval_by_floor(b: BraidWord, tol: Fraction | int) -> FdtcValue:
 
 def fdtc_interval(b: BraidWord, tol: Fraction | int) -> FdtcValue:
     """Certified enclosure of c(b): exact on 3 strands (delegating to
-    the conjugacy classification), floor-based interval otherwise."""
+    the conjugacy classification), floor-based interval otherwise, where
+    :func:`fdtc_interval_by_floor` checks the tolerance."""
+    if b.strands != 3:
+        return fdtc_interval_by_floor(b, tol)
     t = Fraction(tol)
     if t <= 0:
         raise BadParameters(f"tolerance must be positive, got {t}")
-    if b.strands == 3:
-        return FdtcValue.exact(fdtc_exact_b3(b), "conjugacy classification of 3-braids")
-    return fdtc_interval_by_floor(b, t)
+    return FdtcValue.exact(fdtc_exact_b3(b), "conjugacy classification of 3-braids")
 
 
 def fdtc_lift(c_b: Fraction | int, m: int, n: int) -> Fraction:

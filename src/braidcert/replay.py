@@ -28,17 +28,22 @@ class ReplayError(ValueError):
     evaluated (too long, too deeply nested, division by zero)."""
 
 
-#: Longest inequality string the checker reads; the certifiers emit a
-#: few dozen characters per inequality.
-MAX_INEQUALITY_CHARS = 4096
+#: Longest inequality string the checker reads: the longest that any
+#: certificate rule emits from numbers of at most 600 characters, the
+#: cap of the library's number parser.  That is a twist-gap inequality,
+#: 87 characters of template around 14 number slots: 10 integers (the
+#: scale, p and q) of at most 600 characters, and 4 twist bounds (lo and
+#: hi) of at most 1,200, as a decimal ".11...1" of 599 digits prints as
+#: a fraction over 10^599.  Every other rule is shorter.
+MAX_INEQUALITY_CHARS = 87 + 10 * 600 + 4 * 1200
 
 
 _BIN_OPS = {
     ast.Add: lambda a, b: a + b,
     ast.Sub: lambda a, b: a - b,
     ast.Mult: lambda a, b: a * b,
-    ast.Div: lambda a, b: Fraction(a) / Fraction(b),
-    ast.Mod: lambda a, b: a % b,
+    ast.Div: lambda a, b: a / b,
+    ast.Mod: lambda a, b: Fraction(_as_int(a, "%") % _as_int(b, "%")),
 }
 
 _CMP_OPS = {
@@ -87,10 +92,7 @@ def _eval(node):
         fn = _BIN_OPS.get(type(node.op))
         if fn is None:
             raise ReplayError(f"operator {type(node.op).__name__} not allowed")
-        left, right = _number(node.left), _number(node.right)
-        if isinstance(node.op, ast.Mod):
-            return Fraction(_as_int(left, "%") % _as_int(right, "%"))
-        return fn(left, right)
+        return fn(_number(node.left), _number(node.right))
     if isinstance(node, ast.Compare):
         left = _number(node.left)
         for op, comp in zip(node.ops, node.comparators):
@@ -134,7 +136,9 @@ def evaluate_inequality(text: str) -> bool:
         raise ReplayError(f"unparseable inequality: {exc.msg}") from None
     except ZeroDivisionError:
         raise ReplayError("division or % by zero") from None
-    except RecursionError:
+    except (RecursionError, MemoryError):
+        # CPython 3.11's parser overflows its stack on about 6,000 nested
+        # operators with a MemoryError
         raise ReplayError("inequality is nested too deeply") from None
     if not isinstance(result, bool):
         raise ReplayError("expression is arithmetic, not a comparison")

@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 from conftest import three_braids
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from braidcert import (
+    BadGenus,
     BadParameters,
     BraidWord,
     Certificate,
@@ -36,8 +37,10 @@ from braidcert import (
     slope_distance,
     verify_certificate,
 )
+from braidcert.braid import parse_decimal
 from braidcert.certify import _RULES
 from braidcert.cli import _json_line
+from braidcert.replay import MAX_INEQUALITY_CHARS
 
 C = full_twist(3)
 PA = BraidWord(3, (1, -2))
@@ -45,6 +48,16 @@ PA = BraidWord(3, (1, -2))
 small_rationals = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4), max_denominator=8
 )
+
+
+@st.composite
+def nonzero_twists(draw):
+    """Ends (lo, hi) of a twist interval certified nonzero: both on one
+    side of 0."""
+    ends = st.fractions(min_value=Fraction(1, 100), max_value=Fraction(4),
+                        max_denominator=100)
+    lo, hi = sorted((draw(ends), draw(ends)))
+    return draw(st.sampled_from([(lo, hi), (-hi, -lo)]))
 
 
 def assert_replays(cert: Certificate) -> None:
@@ -75,15 +88,30 @@ class TestFibredCover:
         assert cert.verdict is Verdict.EXCELLENT
         assert_replays(cert)
 
-    def test_genus_route(self):
-        v = FdtcValue.interval(Fraction(1, 10), Fraction(1, 2), "t")
-        cert = certify_fibred_cover(v, 6, 0, genus=2)
-        assert cert.verdict is Verdict.EXCELLENT
-        assert any(j.rule == "genus-twist-floor" for j in cert.justifications)
+    @given(st.integers(1, 6), st.integers(1, 30), nonzero_twists())
+    @example(2, 6, (Fraction(1, 10), Fraction(1, 2)))
+    # below the threshold n >= 2(2g-1) = 6 the rule stays silent
+    @example(2, 5, (Fraction(1, 10), Fraction(1, 2)))
+    @settings(max_examples=200)
+    def test_genus_route(self, genus, n, bounds):
+        cert = certify_fibred_cover(FdtcValue.interval(*bounds, "t"), n, 0,
+                                    genus=genus)
+        fired = any(j.rule == "genus-twist-floor" for j in cert.justifications)
+        assert fired == (n >= 2 * (2 * genus - 1))
+        if fired:
+            assert cert.verdict is Verdict.EXCELLENT
         assert_replays(cert)
-        # below the threshold n >= 2(2g-1) = 6 the rule stays silent
-        cert = certify_fibred_cover(v, 5, 0, genus=2)
-        assert all(j.rule != "genus-twist-floor" for j in cert.justifications)
+
+    @given(st.integers(-5, 0), st.integers(1, 30), st.integers(-3, 3),
+           nonzero_twists())
+    @settings(max_examples=100)
+    def test_genus_below_one_raises(self, genus, n, q, bounds):
+        v = FdtcValue.interval(*bounds, "t")
+        with pytest.raises(BadGenus, match=f"^genus must be >= 1, got {genus}$"):
+            certify_fibred_cover(v, n, q, genus=genus)
+        # the cover order is checked first
+        with pytest.raises(BadParameters, match="^cover order must be >= 1"):
+            certify_fibred_cover(v, 0, q, genus=genus)
 
     def test_bad_parameters(self):
         with pytest.raises(BadParameters):
@@ -527,11 +555,54 @@ class TestReplayChecker:
         with pytest.raises(ReplayError):
             evaluate_inequality(text)
 
+    def test_parser_stack_overflow_raises(self):
+        # CPython 3.11's parser gives up on this nesting with MemoryError
+        for depth in (6000, MAX_INEQUALITY_CHARS - 5):
+            with pytest.raises(ReplayError, match="nested too deeply"):
+                evaluate_inequality("-" * depth + "1 > 0")
+
     def test_overlong_input_raises(self):
-        with pytest.raises(ReplayError):
-            evaluate_inequality("-" * 5000 + "1 > 0")
-        with pytest.raises(ReplayError):
-            evaluate_inequality("1 > 0" + " and 1 > 0" * 500)
+        with pytest.raises(ReplayError, match="exceeds"):
+            evaluate_inequality("-" * MAX_INEQUALITY_CHARS + "1 > 0")
+        with pytest.raises(ReplayError, match="exceeds"):
+            evaluate_inequality(
+                "1 > 0" + " and 1 > 0" * (MAX_INEQUALITY_CHARS // 10 + 1))
+
+    def test_cap_is_inclusive(self):
+        text = "1 > 0" + " and 1 > 0" * (MAX_INEQUALITY_CHARS // 10 - 1)
+        text += " " * (MAX_INEQUALITY_CHARS - len(text))
+        assert evaluate_inequality(text)
+        with pytest.raises(ReplayError, match="exceeds"):
+            evaluate_inequality(text + " ")
+
+    def test_twist_gap_rules_replay_at_the_number_cap(self):
+        # the longest numbers the parser reads: integers of 600 characters,
+        # and a decimal of 599 digits that prints as a fraction of 1,200
+        big = parse_decimal("9" * 600)
+        q = parse_decimal("-1" + "0" * 598)
+        lo = parse_decimal("." + "1" * 599, Fraction)
+        hi = parse_decimal("." + "2" * 598 + "1", Fraction)
+        assert len(str(lo)) == len(str(hi)) == 1200
+        v = FdtcValue.interval(lo, hi, "t")
+        # the orbifold rule's scale is the 600-digit multiplicity, the
+        # surgery rule's is 1
+        for cert, rule, length in (
+                (certify_orbifold_cover(v, big, q, big), "orbifold-twist-gap",
+                 MAX_INEQUALITY_CHARS),
+                (certify_fibred_cover(v, big, q), "cover-surgery-twist-gap",
+                 MAX_INEQUALITY_CHARS - 2 * 599)):
+            assert cert.verdict is Verdict.EXCELLENT
+            (j,) = cert.justifications
+            assert (j.rule, len(j.inequality)) == (rule, length)
+            assert_replays(cert)
+
+    def test_long_surgery_certificate_replays(self):
+        # n = 10^590 and q = 10^590 + 7: an inequality of 4,829 characters
+        n, q = 10**590, 10**590 + 7
+        cert = certify_fibred_cover(FdtcValue.exact(Fraction(1, 3), "t"), n, q)
+        assert cert.verdict is Verdict.EXCELLENT
+        assert len(cert.justifications[0].inequality) == 4829
+        assert_replays(cert)
 
     def test_non_string_raises(self):
         for bad in (None, 1, b"1 > 0", ["1 > 0"]):

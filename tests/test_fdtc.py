@@ -11,7 +11,7 @@ from conftest import (
     recorded_walks,
     three_braids,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from braidcert import (
@@ -22,6 +22,7 @@ from braidcert import (
     FdtcValue,
     NotThreeBraid,
     OrderSign,
+    PeriodicForm,
     ReductionBudgetExceeded,
     WordLengthExceeded,
     dehornoy_floor,
@@ -32,6 +33,7 @@ from braidcert import (
     fdtc_lift,
     fdtc_lower_bound,
     full_twist,
+    normal_form,
     power_floor,
     sigma_sign,
 )
@@ -84,14 +86,24 @@ class TestExactB3:
         assert fdtc_exact_b3(C) == 1
         assert fdtc_exact_b3(BraidWord(3, ())) == 0
 
-    def test_periodic_families(self):
-        for d in range(-3, 4):
-            w1 = C ** d * BraidWord(3, (-1, -2))
-            w2 = C ** d * BraidWord(3, (-1, -1, -2))
-            w3 = C ** d * BraidWord(3, (-1, -1, -1, -2))
-            assert fdtc_exact_b3(w1) == d - Fraction(1, 3)
-            assert fdtc_exact_b3(w2) == d - Fraction(1, 2)
-            assert fdtc_exact_b3(w3) == d - Fraction(2, 3)
+    # the periodic families C^d sigma_1^m sigma_2^-1 satisfy w^3 = C^-1
+    # (m = -1), w^2 = C^-1 (m = -2) and w^3 = C^-2 (m = -3), so
+    # homogeneity forces these fractional parts
+    _PERIODIC_FRACTIONS = {-1: Fraction(-1, 3), -2: Fraction(-1, 2),
+                           -3: Fraction(-2, 3)}
+
+    @given(three_braids(max_len=10), st.integers(-5, 5),
+           st.sampled_from(sorted(_PERIODIC_FRACTIONS)))
+    @example(BraidWord(3, ()), 0, -1)
+    @example(BraidWord(3, ()), -3, -2)
+    @example(BraidWord(3, ()), 3, -3)
+    @settings(max_examples=150)
+    def test_periodic_families(self, w, d, m):
+        b = (C ** d * BraidWord(3, (-1,) * -m + (-2,))).conjugated_by(w)
+        assert isinstance(normal_form(b), PeriodicForm)
+        c = fdtc_exact_b3(b)
+        assert c == d + self._PERIODIC_FRACTIONS[m]
+        assert c == Fraction(b.exponent_sum, 6)
 
     def test_pa_and_reducible_families(self):
         for d in range(-3, 4):
