@@ -26,7 +26,7 @@ import os
 
 from braidcert import _reduction_py, dynnikov
 from braidcert.braid import BLANKS, full_twist_letters, number_repr, parse_decimal
-from braidcert.errors import BadParameters, ReductionBudgetExceeded
+from braidcert.errors import BadParameters
 
 try:
     from braidcert import _reduction_c
@@ -134,10 +134,11 @@ class FloorProbe:
     gives (:func:`braidcert.dynnikov.point_sign`).
 
     Either engine refuses a probe whose whole word, freely reduced, is
-    longer than the budget, with the kernels' own message, so both
-    builds fail on the same probes.  The pure-Python build builds that
-    word only when its 2|w| + n|X| + |t| m (m - 1) letters exceed the
-    budget, as free reduction only shortens a word.
+    longer than the budget: the walk by the pure-Python kernel's own
+    check, :func:`braidcert._reduction_py.admit`, so both builds fail on
+    the same probes with the same message.  The pure-Python build builds
+    that word only when its 2|w| + n|X| + |t| m (m - 1) letters exceed
+    the budget, as free reduction only shortens a word.
     """
 
     def __init__(self, w: tuple[int, ...], x: tuple[int, ...], m: int,
@@ -166,11 +167,7 @@ class FloorProbe:
         t = self._shifted(n, j)
         budget = default_budget()
         if 2 * len(w) + n * len(x) + abs(t) * m * (m - 1) > budget:
-            length = len(dynnikov.free_reduce(self.word(n, j)))
-            if length > budget:
-                raise ReductionBudgetExceeded(
-                    f"word of length {length} exceeds budget {budget}"
-                )
+            _reduction_py.admit(self.word(n, j), budget)
         step = spread_probe(w, x, m, n - self._n, t - self._t, self.positive)
         self._point = dynnikov.act(self._point, dynnikov.free_reduce(step))
         self._n, self._t = n, t

@@ -5,6 +5,12 @@ A word is a list of nonzero ints, letter +i / -i for the i-th Artin
 generator and its inverse.  The compiled twin ``_reduction_c`` mirrors
 this module exactly; tests assert they agree letter for letter.
 
+Every query starts at :func:`admit`: the word freely reduced by
+:func:`braidcert.dynnikov.free_reduce`, the library's one free
+reduction, and refused past the length budget.  The compiled twin keeps
+its own intake, so the parity tests check free reduction against an
+independent implementation.
+
 Algorithm: repeatedly rewrite the handle that closes leftmost.  A
 sigma_i-handle is a subword  (+-i) v (-+i)  whose interior v contains no
 letter of index <= i.  Rewriting drops the bracket pair and conjugates
@@ -30,23 +36,10 @@ Dehornoy order is already decided.
 
 from __future__ import annotations
 
+from braidcert import dynnikov
 from braidcert.errors import ReductionBudgetExceeded
 
 _MIXED = 2  # sentinel: lowest generator occurs with both signs
-
-
-def _free_reduce(letters):
-    out = []
-    push, pop = out.append, out.pop
-    top = 0  # last letter of out; 0 when out is empty, as no letter is 0
-    for x in letters:
-        if top == -x:
-            pop()
-            top = out[-1] if out else 0
-        else:
-            push(x)
-            top = x
-    return out
 
 
 def _definite_sign(cnt, low, top):
@@ -64,12 +57,19 @@ def _definite_sign(cnt, low, top):
     return 0
 
 
-def _reduce_core(letters, max_len, full):
-    w = _free_reduce(letters)
+def admit(letters, max_len):
+    """The freely reduced word, or ReductionBudgetExceeded when it is
+    longer than max_len: the budget check in front of every query."""
+    w = dynnikov.free_reduce(letters)
     if len(w) > max_len:
         raise ReductionBudgetExceeded(
             f"word of length {len(w)} exceeds budget {max_len}"
         )
+    return w
+
+
+def _reduce_core(letters, max_len, full):
+    w = admit(letters, max_len)
 
     # Tables are sized by the word's highest generator, as a rewrite
     # brings in no other; cnt[x] counts the letter x, x < 0 from the end.

@@ -67,18 +67,13 @@ class BraidWord:
             raise WordLengthExceeded(
                 f"{len(raw)} letters exceeds the cap of {MAX_WORD_LETTERS}"
             )
-        reduced: list[int] = []
         for x in raw:
             if type(x) is not int or x == 0 or abs(x) >= strands:
                 raise GeneratorOutOfRange(
                     f"letter {x!r} is not a generator of the {strands}-strand braid group"
                 )
-            if reduced and reduced[-1] == -x:
-                reduced.pop()
-            else:
-                reduced.append(x)
         object.__setattr__(self, "strands", strands)
-        object.__setattr__(self, "letters", tuple(reduced))
+        object.__setattr__(self, "letters", tuple(dynnikov.free_reduce(raw)))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -184,10 +179,6 @@ def compose(u: BraidWord, v: BraidWord) -> BraidWord:
     if u.strands != v.strands:
         raise StrandMismatch(
             f"cannot compose braids on {u.strands} and {v.strands} strands"
-        )
-    if len(u.letters) + len(v.letters) > MAX_WORD_LETTERS:
-        raise WordLengthExceeded(
-            f"product would have {len(u.letters) + len(v.letters)} letters"
         )
     return BraidWord(u.strands, u.letters + v.letters)
 

@@ -19,7 +19,8 @@ from conftest import _letters, letter_lists, probe_words, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidcert import BraidWord, OrderSign, _kernel, _reduction_py, reduced_word, sigma_sign
+from braidcert import (BraidWord, OrderSign, _kernel, _reduction_py, dynnikov, reduced_word,
+                       sigma_sign)
 from braidcert.errors import BadParameters, ReductionBudgetExceeded
 
 BUDGET = 10**6
@@ -102,7 +103,7 @@ def _long_words():
 
 
 def _free_length(letters):
-    return len(_reduction_py._free_reduce(letters))
+    return len(dynnikov.free_reduce(letters))
 
 
 def _outcome(fn, letters, max_len):

@@ -147,7 +147,8 @@ def _braidcert_imports(source: str) -> list[str]:
 
 def test_coordinate_walk_stands_alone():
     # dynnikov.py is the oracle the handle-reduction kernels are tested
-    # against, and they against it: it shares no code with them
+    # against, and they against it: it imports none of their code, and
+    # lends the pure-Python kernel only its free reduction
     source = Path(braidcert.__file__).with_name("dynnikov.py").read_text()
     assert _braidcert_imports(source) == []
 
@@ -159,6 +160,86 @@ def test_import_check_sees_every_form():
                               "from . import braid\n"
                               "import os\nfrom typing import Sequence\n") == [
         "braidcert.errors", "braidcert", "braidcert.errors", ".",
+    ]
+
+
+def _free_reductions(source: str) -> list[tuple[int, str]]:
+    """(line, dotted name of the enclosing functions and classes) for
+    each free reduction a module's source defines: a function whose name
+    holds "free_reduce", and a for loop over a word's letters, not over
+    a literal tuple or list, that compares a letter's negation with ==
+    and pops a letter."""
+    found = []
+
+    def cancels(loop):
+        letter = loop.target.id if isinstance(loop.target, ast.Name) else None
+        negated = pops = False
+        for node in ast.walk(loop):
+            if isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.Eq):
+                negated |= any(
+                    isinstance(side, ast.UnaryOp) and isinstance(side.op, ast.USub)
+                    and isinstance(side.operand, ast.Name) and side.operand.id == letter
+                    for side in (node.left, *node.comparators))
+            elif isinstance(node, ast.Call):
+                pops |= getattr(node.func, "id", getattr(node.func, "attr", None)) == "pop"
+        return negated and pops
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = node.name if owner == "<module>" else f"{owner}.{node.name}"
+            if not isinstance(node, ast.ClassDef) and "free_reduce" in node.name:
+                found.append((node.lineno, owner))
+        elif (isinstance(node, ast.For)
+              and not isinstance(node.iter, (ast.Tuple, ast.List)) and cancels(node)):
+            found.append((node.lineno, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_one_free_reduction():
+    # every word is freely reduced by dynnikov.free_reduce: BraidWord on
+    # construction, the pure-Python kernel's intake and the walked floor
+    # probes; the compiled kernel keeps its own, in C, so the parity
+    # tests still check this one against an independent implementation
+    package = Path(braidcert.__file__).parent
+    defined = {path.name: [owner for _, owner in found]
+               for path in sorted(package.glob("*.py"))
+               if (found := _free_reductions(path.read_text()))}
+    assert defined == {"dynnikov.py": ["free_reduce", "free_reduce"]}
+
+
+def test_free_reduction_check_sees_every_form():
+    source = ("def _free_reduce(letters):\n"
+              "    out = []\n"
+              "    pop = out.pop\n"
+              "    for x in letters:\n"
+              "        if out and -x == out[-1]:\n"
+              "            pop()\n"
+              "    return out\n"
+              "class BraidWord:\n"
+              "    def __init__(self, letters):\n"
+              "        reduced = []\n"
+              "        for x in tuple(letters):\n"
+              "            if reduced and reduced[-1] == -x:\n"
+              "                reduced.pop()\n"
+              "def rewrite(w, e, g):\n"
+              "    seg = []\n"
+              "    for q in range(len(w)):\n"
+              "        y = w[q]\n"
+              "        for z in (-e * g, y, e * g):\n"
+              "            if seg and seg[-1] == -z:\n"
+              "                seg.pop()\n"
+              "        if seg and seg[-1] == -y:\n"
+              "            seg.pop()\n"
+              "def cyclic_core(letters):\n"
+              "    for x in letters:\n"
+              "        if x == -letters[0]:\n"
+              "            return x\n")
+    assert _free_reductions(source) == [
+        (1, "_free_reduce"), (4, "_free_reduce"), (11, "BraidWord.__init__"),
     ]
 
 
@@ -266,15 +347,15 @@ def test_cache_and_half_twist_check_sees_every_form():
     ]
 
 
-def _justification_calls(source: str) -> list[tuple[int, str]]:
+def _calls(source: str, callee: str) -> list[tuple[int, str]]:
     """(line, dotted name of the enclosing functions and classes, or
-    "<module>") for each call of Justification in a module's source:
+    "<module>") for each call of the name callee in a module's source:
     bare, under an import alias, or as an attribute such as
     ``certify.Justification``."""
     tree = ast.parse(source)
-    names = {"Justification"} | {
+    names = {callee} | {
         alias.asname for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-        for alias in node.names if alias.name == "Justification" and alias.asname}
+        for alias in node.names if alias.name == callee and alias.asname}
     found = []
 
     def visit(node, owner):
@@ -283,7 +364,7 @@ def _justification_calls(source: str) -> list[tuple[int, str]]:
         if isinstance(node, ast.Call) and (
                 isinstance(node.func, ast.Name) and node.func.id in names
                 or isinstance(node.func, ast.Attribute)
-                and node.func.attr == "Justification"):
+                and node.func.attr == callee):
             found.append((node.lineno, owner))
         for child in ast.iter_child_nodes(node):
             visit(child, owner)
@@ -298,7 +379,7 @@ def test_justifications_are_built_by_the_rule_table_alone():
     package = Path(braidcert.__file__).parent
     calls = {path.name: [owner for _, owner in found]
              for path in sorted(package.glob("*.py"))
-             if (found := _justification_calls(path.read_text()))}
+             if (found := _calls(path.read_text(), "Justification"))}
     assert calls == {"certify.py": ["_rule"]}
 
 
@@ -316,8 +397,36 @@ def test_justification_check_sees_every_form():
               "        return inner\n"
               "def _rule():\n"
               "    return justification('r') or Justification\n")
-    assert _justification_calls(source) == [
+    assert _calls(source, "Justification") == [
         (3, "<module>"), (5, "build"), (10, "Maker.make.inner"),
+    ]
+
+
+def test_budget_refusals_are_built_by_the_reference_kernel_alone():
+    # the budget check in front of every query is _reduction_py.admit,
+    # and the floor probes the pure-Python build walks go through it too;
+    # the compiled kernel raises the same class from C
+    package = Path(braidcert.__file__).parent
+    calls = {path.name: [owner for _, owner in found]
+             for path in sorted(package.glob("*.py"))
+             if (found := _calls(path.read_text(), "ReductionBudgetExceeded"))}
+    assert calls == {"_reduction_py.py": ["admit", "_reduce_core"]}
+
+
+def test_budget_refusal_check_sees_every_form():
+    source = ("from braidcert import errors\n"
+              "from braidcert.errors import ReductionBudgetExceeded as Budget\n"
+              "from braidcert.errors import ReductionBudgetExceeded\n"
+              "class FloorProbe:\n"
+              "    def inside(self, n):\n"
+              "        if n > 5:\n"
+              "            raise ReductionBudgetExceeded(f'word of length {n}')\n"
+              "        raise Budget('over') from None\n"
+              "def sign_of(w):\n"
+              "    error = errors.ReductionBudgetExceeded\n"
+              "    raise errors.ReductionBudgetExceeded(str(len(w)))\n")
+    assert _calls(source, "ReductionBudgetExceeded") == [
+        (7, "FloorProbe.inside"), (8, "FloorProbe.inside"), (11, "sign_of"),
     ]
 
 

@@ -69,6 +69,16 @@ class TestConstruction:
         with pytest.raises(WordLengthExceeded):
             b ** (MAX_WORD_LETTERS // 2 + 1)
 
+    def test_product_is_capped_by_construction(self, monkeypatch):
+        # compose has no cap check of its own: BraidWord refuses the
+        # concatenated letters, and takes a product of exactly the cap
+        monkeypatch.setattr(braid, "MAX_WORD_LETTERS", 20)
+        u = BraidWord(3, (1, -2) * 6)
+        with pytest.raises(WordLengthExceeded) as info:
+            u * u
+        assert str(info.value) == "24 letters exceeds the cap of 20"
+        assert (u * BraidWord(3, (2, -1) * 4)).letters == (1, -2) * 2
+
     def test_power_refusals_share_one_check(self, monkeypatch):
         # b**k, b**-k and a ladder probe on b^k, which is never built,
         # are refused by one check, with one message
