@@ -12,7 +12,8 @@ Definite verdicts
 geometric hypotheses that cannot be checked from the input (fibredness,
 hyperbolicity, irreducibility, pseudo-Anosov type on more than 3
 strands) are consumed as explicit assertions and echoed back in the
-certificate, never inferred silently.
+certificate, never inferred silently; an assertion of pseudo-Anosov
+type that a central root disproves is refused.
 
 Verdict vocabulary: "excellent" means the manifold carries a co-oriented
 taut foliation, has left-orderable fundamental group bundle, and is not
@@ -28,9 +29,9 @@ from enum import Enum
 from fractions import Fraction
 
 from braidcert.braid import BraidWord
-from braidcert.errors import BadParameters, SplitBinding
+from braidcert.errors import BadParameters, SplitBinding, WordLengthExceeded
 from braidcert.fdtc import FdtcValue, fdtc_interval, fdtc_lower_bound
-from braidcert.ordering import OrderSign, sigma_sign
+from braidcert.ordering import OrderSign, central_root, sigma_sign
 from braidcert.threebraid import (
     NTType,
     PeriodicForm,
@@ -327,8 +328,9 @@ def certify_orbifold_cover(c_h: FdtcValue, p: int, q: int, m: int) -> Certificat
 # pseudo-Anosov type of a braid
 
 
-#: Gate wording, (proved note, assertion, refusal on 3 strands, refusal
-#: on other strand counts), for a closed braid and for a satellite pattern.
+#: Gate wording, (proved note, assertion, refusal as not pseudo-Anosov,
+#: refusal on other strand counts), for a closed braid and for a
+#: satellite pattern.
 _TWO_STRANDS_PERIODIC = (
     "no 2-braid is pseudo-Anosov: B_2 is generated by sigma_1, and"
     " sigma_1^2 = Delta^2 is central, so every 2-braid is periodic"
@@ -336,14 +338,14 @@ _TWO_STRANDS_PERIODIC = (
 _BRAID_PA_GATE = (
     "pseudo-Anosov type proved by the 3-braid classification",
     "braid asserted pseudo-Anosov",
-    "braid is not pseudo-Anosov by the 3-braid classification",
+    "braid is not pseudo-Anosov",
     "pseudo-Anosov type is only provable on 3 strands; assert it"
     " explicitly for other strand counts",
 )
 _PATTERN_PA_GATE = (
     "pattern pseudo-Anosov type proved by the 3-braid classification",
     "pattern braid asserted pseudo-Anosov",
-    "pattern is not pseudo-Anosov by the 3-braid classification",
+    "pattern is not pseudo-Anosov",
     "pattern pseudo-Anosov type must be asserted on more than 3 strands",
 )
 
@@ -360,23 +362,40 @@ def _pa_gate(
     No 2-braid is pseudo-Anosov, so on 2 strands the gate refuses even
     an assertion.  On 3 strands the classification proves it; failing
     that, and on 4 or more strands, only an assertion lets the certifier
-    proceed.  Records the proof or assertion in notes / assumptions and
-    returns None, or returns the Unknown certificate that refuses."""
+    proceed.  On 4 or more strands the gate first asks
+    :func:`~braidcert.ordering.central_root` for a root b^q = delta^(2p):
+    every periodic braid has one with q = m or m - 1, so a root found
+    refutes the assertion and the gate refuses.  When that test would
+    build a power past the letter cap the gate proceeds on the assertion
+    and notes that periodicity went untested.  Records the proof or
+    assertion in notes / assumptions and returns None, or returns the
+    Unknown certificate that refuses."""
     proved, asserted, not_pa, must_assert = wording
-    if b.strands == 2:
+    m = b.strands
+    if m == 2:
         return _verdict((), assumptions, (), _TWO_STRANDS_PERIODIC)
-    if b.strands == 3 and nt_type(normal_form(b)) is NTType.PSEUDO_ANOSOV:
+    if m == 3 and nt_type(normal_form(b)) is NTType.PSEUDO_ANOSOV:
         notes.append(proved)
         return None
-    if pa_asserted:
-        assumptions.append(asserted)
-        if b.strands == 3:
-            notes.append(
-                "3-braid classification does not find pseudo-Anosov type;"
-                " proceeding on the assertion"
-            )
-        return None
-    return _verdict((), assumptions, (), not_pa if b.strands == 3 else must_assert)
+    if not pa_asserted:
+        return _verdict((), assumptions, (), f"{not_pa} by the 3-braid classification"
+                        if m == 3 else must_assert)
+    if m == 3:
+        notes.append("3-braid classification does not find pseudo-Anosov type;"
+                     " proceeding on the assertion")
+    else:
+        try:
+            root = central_root(b, m)
+        except WordLengthExceeded as exc:
+            notes.append(f"periodicity not tested ({exc}); proceeding on the"
+                         " assertion")
+        else:
+            if root is not None:
+                q, p = root
+                return _verdict((), assumptions, (), f"{not_pa}, though asserted:"
+                                f" it is periodic, b^{q} = Delta^{2 * p}")
+    assumptions.append(asserted)
+    return None
 
 
 # ---------------------------------------------------------------------------

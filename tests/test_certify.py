@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import three_braids
+from conftest import letter_lists, three_braids
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -37,6 +37,7 @@ from braidcert import (
     slope_distance,
     verify_certificate,
 )
+from braidcert import braid
 from braidcert.braid import parse_decimal
 from braidcert.certify import _RULES
 from braidcert.cli import _json_line
@@ -44,6 +45,10 @@ from braidcert.replay import MAX_INEQUALITY_CHARS
 
 C = full_twist(3)
 PA = BraidWord(3, (1, -2))
+#: sigma_1 sigma_2 sigma_3^-1 Delta^6, pseudo-Anosov (sigma_1 sigma_2
+#: sigma_3^-1 is, and Delta^2 is central) with twist in [3, 37/12]: no
+#: root b^q = Delta^(2p) refutes an assertion on it.
+PA4 = BraidWord(4, (1, 2, -3)) * full_twist(4) ** 3
 
 small_rationals = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4), max_denominator=8
@@ -230,7 +235,7 @@ class TestClosedBraidCover:
         assert any("does not find pseudo-Anosov" in n for n in cert.notes)
 
     def test_wide_braid_requires_assertion(self):
-        b = full_twist(4) ** 3
+        b = PA4
         assert certify_closed_braid_cover(b, 2).verdict is Verdict.UNKNOWN
         cert = certify_closed_braid_cover(b, 3, pa_asserted=True)
         assert cert.verdict is Verdict.EXCELLENT  # n = 3 coprime to m = 4
@@ -271,13 +276,16 @@ class TestPseudoAnosovGate:
          ("braid asserted pseudo-Anosov",), (_NO_PA_FOUND,)),
         (C ** 3 * BraidWord(3, (2, 2)), 2, False, Verdict.UNKNOWN, (),
          ("braid is not pseudo-Anosov by the 3-braid classification",)),
-        (full_twist(4) ** 3, 3, True, Verdict.EXCELLENT,
+        (PA4, 3, True, Verdict.EXCELLENT,
          ("braid asserted pseudo-Anosov",), ()),
         (full_twist(4) ** 3, 3, False, Verdict.UNKNOWN, (),
          ("pseudo-Anosov type is only provable on 3 strands; assert it"
           " explicitly for other strand counts",)),
         (BraidWord(2, (1,) * 6), 3, True, Verdict.UNKNOWN, (), (_PERIODIC_2,)),
         (BraidWord(2, (1,) * 6), 3, False, Verdict.UNKNOWN, (), (_PERIODIC_2,)),
+        (full_twist(4) ** 3, 3, True, Verdict.UNKNOWN, (),
+         ("braid is not pseudo-Anosov, though asserted: it is periodic,"
+          " b^4 = Delta^24",)),
     ])
     def test_closed_braid_cover(self, b, t, asserted, verdict, assumptions,
                                 notes):
@@ -301,12 +309,48 @@ class TestPseudoAnosovGate:
          (_PERIODIC_2,)),
         (BraidWord(2, (1,)), 3, False, Verdict.UNKNOWN, (_COMPANION,),
          (_PERIODIC_2,)),
+        (BraidWord(4, (1, 2, 3)), 3, True, Verdict.UNKNOWN, (_COMPANION,),
+         ("pattern is not pseudo-Anosov, though asserted: it is periodic,"
+          " b^4 = Delta^2",)),
     ])
     def test_satellite(self, pattern, n, asserted, verdict, assumptions, notes):
         cert = certify_satellite(pattern, n, FdtcValue.exact(Fraction(0), "t"),
                                  pa_asserted=asserted)
         assert (cert.verdict, cert.assumptions, cert.notes) == (
             verdict, assumptions, notes)
+
+    @given(st.integers(4, 6), st.booleans(), st.integers(-4, 4),
+           st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_periodic_braids_refute_the_assertion(self, m, rotation, d, data):
+        # every periodic braid is conjugate to a power of delta_1 =
+        # sigma_1 ... sigma_(m-1) or of epsilon = delta_1 sigma_1, and
+        # delta_1^m = epsilon^(m-1) = Delta^2
+        root = tuple(range(1, m)) + ((1,) if rotation else ())
+        w = BraidWord(m, tuple(data.draw(letter_lists(m, 8))))
+        b = BraidWord(m, root * d if d >= 0 else
+                      tuple(-x for x in reversed(root)) * -d).conjugated_by(w)
+        # the root tried first, q = m, holds unless b is a power of
+        # epsilon that is not central
+        q, p = (m - 1, d) if rotation and d % (m - 1) else (m, d * len(root) // (m - 1))
+        note = f"is not pseudo-Anosov, though asserted: it is periodic, b^{q} = Delta^{2 * p}"
+        cover = certify_closed_braid_cover(b, 3, pa_asserted=True)
+        satellite = certify_satellite(b, 5, FdtcValue.exact(Fraction(1), "t"),
+                                      pa_asserted=True)
+        assert (cover.verdict, cover.assumptions, cover.notes) == (
+            Verdict.UNKNOWN, (), (f"braid {note}",))
+        assert (satellite.verdict, satellite.assumptions, satellite.notes) == (
+            Verdict.UNKNOWN, (_COMPANION,), (f"pattern {note}",))
+
+    def test_root_past_the_letter_cap_proceeds_on_the_assertion(self, monkeypatch):
+        # delta_1^3: the root test would build b^4, 36 letters
+        monkeypatch.setattr(braid, "MAX_WORD_LETTERS", 20)
+        cert = certify_satellite(BraidWord(4, (1, 2, 3) * 3), 3,
+                                 FdtcValue.exact(Fraction(0), "t"), pa_asserted=True)
+        assert cert.verdict is Verdict.EXCELLENT
+        assert cert.assumptions == (_COMPANION, "pattern braid asserted pseudo-Anosov")
+        assert cert.notes == ("periodicity not tested (power would have 36 letters,"
+                              " cap is 20); proceeding on the assertion",)
 
 
 class TestGenus1Cover:

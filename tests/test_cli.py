@@ -207,7 +207,7 @@ class TestErrors:
         pa_twisted = "3: 1 2 1 1 2 1 1 2 1 1 2 1 1 -2"
         for argv in (["fdtc", "4: 1"], ["fdtc", "3: 1 2"],
                      ["certify-cover", "--word", pa_twisted, "--t", "2"],
-                     ["certify-cover", "--word", "4: 1 2 3", "--t", "2",
+                     ["certify-cover", "--word", "4: 1 2 -3", "--t", "2",
                       "--assert-pa"]):
             code, _, err = run(capsys, *argv, "--tol", "0")
             assert code == 1, argv
@@ -434,7 +434,8 @@ class TestCorpus:
         assert "error" in out
 
     def test_cover_certify_takes_tol_per_entry(self, tmp_path, capsys):
-        word = "4: " + " ".join(["1 2 3"] * 9)
+        # sigma_1 sigma_2 sigma_3^-1 Delta^4, pseudo-Anosov, twist in [2, 25/12]
+        word = "4: 1 2 -3 " + " ".join(["1 2 3 1 2 1"] * 4)
         p = tmp_path / "corpus.tsv"
         p.write_text(f"wide\tCoverCertify\tt=2 pa tol=1\t{word}\n"
                      f"zero\tCoverCertify\tt=2 pa tol=0\t{word}\n")

@@ -35,6 +35,11 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 PA_TWISTED = "3: 1 2 1 1 2 1 1 2 1 1 2 1 1 -2"
 DELTA4_9 = "4: " + " ".join(["1 2 3"] * 9)
+#: (sigma_1 sigma_2 sigma_3^-1)^3, pseudo-Anosov, and no root b^q =
+#: Delta^(2p) refutes an assertion on it, though its exponent sum lets
+#: q = 4 be tried; with Delta^6 after it, its twist is about 3.
+PA4_3 = "4: " + " ".join(["1 2 -3"] * 3)
+PA4_3_TWISTED = PA4_3 + " " + " ".join(["1 2 3 1 2 1"] * 6)
 
 #: name -> (argv without --report, extra environment)
 CASES: dict[str, tuple[list[str], dict[str, str]]] = {
@@ -57,6 +62,8 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
     "cover-4": (["certify-cover", "--word", DELTA4_9, "--t", "2"], {}),
     "cover-4-assert-pa": (["certify-cover", "--word", DELTA4_9, "--t", "3",
                            "--assert-pa", "--tol", "1/2"], {}),
+    "cover-4-assert-pa-aperiodic": (["certify-cover", "--word", PA4_3_TWISTED,
+                                     "--t", "3", "--assert-pa"], {}),
     "genus1": (["certify-genus1", "--word", "3: -1 -2", "--n", "6"], {}),
     "genus1-assert": (["certify-genus1", "--word", "3: -1 -2", "--n", "5",
                        "--assert-irreducible"], {}),
@@ -72,6 +79,9 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
                    "--c", "0/1", "--zero-companion"], {}),
     "satellite-assert": (["certify-satellite", "--pattern", "4: 1 2 3", "--n", "3",
                           "--c", "1/4,1/3", "--assert-pa", "--assert-hyperbolic"], {}),
+    "satellite-assert-aperiodic": (["certify-satellite", "--pattern", PA4_3, "--n", "3",
+                                    "--c", "1/4,1/3", "--assert-pa",
+                                    "--assert-hyperbolic"], {}),
     "satellite-unknown": (["certify-satellite", "--pattern", "3: 1 -2", "--n", "3",
                            "--c", "0/1"], {}),
     "error-parse": (["floor", "3: 1 y"], {}),
