@@ -336,23 +336,26 @@ def _corpus_value(param: Param, raw: str, line_no: int):
 
 def _parse_params(task: Task, text: str, tol: Fraction, line_no: int) -> dict:
     """The task's parameter values from a corpus params field: k=v pairs
-    and bare flags the task declares, separated by spaces, or - for
-    none.  The tolerance defaults to the corpus command's --tol."""
+    and bare flags the task declares, each at most once, separated by
+    spaces, or - for none.  The tolerance defaults to the corpus
+    command's --tol."""
     values = {p.dest: tol if p is _TOL else p.default for p in task.params}
     declared = {p.corpus: p for p in task.params if p.corpus}
+    given: set[str] = set()
     for token in [] if text == "-" else filter(None, text.split(" ")):
         key, eq, raw = token.partition("=")
         param = declared.get(key)
         if not eq:
             if param is None or param.type is not None:
                 raise ParseError(f"unknown parameter flag {token!r}", line=line_no)
-            values[param.dest] = True
         elif not key or not raw:
             raise ParseError(f"malformed parameter {token!r}", line=line_no)
         elif param is None or param.type is None:
             raise ParseError(f"unknown parameter {key!r}", line=line_no)
-        else:
-            values[param.dest] = _corpus_value(param, raw, line_no)
+        if key in given:
+            raise ParseError(f"duplicate parameter {key!r}", line=line_no)
+        given.add(key)
+        values[param.dest] = _corpus_value(param, raw, line_no) if eq else True
     for param in declared.values():
         if param.required and values[param.dest] is None:
             raise ParseError(f"task needs parameter {param.corpus}="

@@ -446,6 +446,23 @@ class TestCorpus:
                                  " qualifying cover order dividing 2"]
         assert zero["error"] == "BadParameters"
 
+    def test_repeated_parameters_rejected(self, tmp_path, capsys):
+        # the last value would win silently: t=3 here, pa given twice
+        p = tmp_path / "corpus.tsv"
+        p.write_text("twice\tCoverCertify\tt=2 t=3\t3: 1 -2\n"
+                     "same\tFdtc\ttol=1/4 tol=1/4\t4: 1 2\n"
+                     "flag\tCoverCertify\tt=2 pa pa\t4: 1 2 -3\n"
+                     "ok\tCoverCertify\tt=2 pa tol=1/4\t4: 1 2 -3\n")
+        code, out, _ = run(capsys, "corpus", str(p), "--report", "json")
+        assert code == 1
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [(r["id"], r.get("message")) for r in records] == [
+            ("twice", "line 1, column 1: duplicate parameter 't'"),
+            ("same", "line 2, column 1: duplicate parameter 'tol'"),
+            ("flag", "line 3, column 1: duplicate parameter 'pa'"),
+            ("ok", None),
+        ]
+
     def test_undeclared_parameters_rejected(self, tmp_path, capsys):
         p = tmp_path / "corpus.tsv"
         p.write_text("irr\tFloor\tirr\t3: 1\n"
