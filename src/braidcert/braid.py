@@ -253,8 +253,10 @@ def parse_braid(text: str, line: int = 1) -> BraidWord:
 
     Numbers are read by :func:`parse_decimal`, and only ASCII spaces and
     tabs separate them.  Raises ParseError with 1-based line/column on
-    malformed input; the resulting word is validated and freely reduced
-    by construction.
+    malformed input, at the first bad token; the resulting word is
+    validated and freely reduced by construction.  :class:`BraidWord`
+    checks the letters; the tokens' columns are worked out only when it
+    or :func:`parse_decimal` refuses.
     """
     head, sep, tail = text.partition(":")
     if not sep:
@@ -275,9 +277,13 @@ def parse_braid(text: str, line: int = 1) -> BraidWord:
             1 + _leading_ws(head),
         )
 
-    letters: list[int] = []
+    tokens = tail.replace("\t", " ").split(" ")
+    try:
+        return BraidWord(strands, [parse_decimal(t) for t in tokens if t])
+    except (ValueError, GeneratorOutOfRange, WordLengthExceeded) as exc:
+        fault = exc
     col = len(head) + len(sep) + 1  # 1-based column of the next token
-    for token in tail.replace("\t", " ").split(" "):
+    for token in tokens:
         at, col = col, col + len(token) + 1
         if not token:
             continue
@@ -290,8 +296,7 @@ def parse_braid(text: str, line: int = 1) -> BraidWord:
             raise ParseError(
                 f"letter {x} is out of range for {strands} strands", line, at
             )
-        letters.append(x)
-    return BraidWord(strands, tuple(letters))
+    raise fault
 
 
 def parse_decimal(text: str, number: Callable[[str], _N] = int) -> _N:

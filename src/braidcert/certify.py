@@ -30,13 +30,14 @@ from fractions import Fraction
 
 from braidcert.braid import BraidWord
 from braidcert.errors import BadParameters, SplitBinding, WordLengthExceeded
-from braidcert.fdtc import FdtcValue, fdtc_interval, fdtc_lower_bound
+from braidcert.fdtc import FdtcValue, check_tolerance, fdtc_interval, fdtc_lower_bound
 from braidcert.ordering import OrderSign, central_root, sigma_sign
 from braidcert.threebraid import (
     NTType,
     PeriodicForm,
     PseudoAnosovForm,
     ReducibleForm,
+    ThreeBraidNormalForm,
     normal_form,
     nt_type,
 )
@@ -352,12 +353,14 @@ _PATTERN_PA_GATE = (
 
 def _pa_gate(
     b: BraidWord,
+    nf: ThreeBraidNormalForm | None,
     pa_asserted: bool,
     wording: tuple[str, str, str, str],
     assumptions: list[str],
     notes: list[str],
 ) -> Certificate | None:
-    """Establish pseudo-Anosov type of b, or refuse.
+    """Establish pseudo-Anosov type of b, or refuse; nf is b's normal
+    form on 3 strands, and None on others.
 
     No 2-braid is pseudo-Anosov, so on 2 strands the gate refuses even
     an assertion.  On 3 strands the classification proves it; failing
@@ -374,7 +377,7 @@ def _pa_gate(
     m = b.strands
     if m == 2:
         return _verdict((), assumptions, (), _TWO_STRANDS_PERIODIC)
-    if m == 3 and nt_type(normal_form(b)) is NTType.PSEUDO_ANOSOV:
+    if m == 3 and nt_type(nf) is NTType.PSEUDO_ANOSOV:
         notes.append(proved)
         return None
     if not pa_asserted:
@@ -414,19 +417,23 @@ def certify_closed_braid_cover(
     factorisations t = n k with 2 <= n <= |c| and n coprime to the
     strand count.  Pseudo-Anosov type is proved by the classification on
     3 strands and must be asserted on more; a 2-braid is never
-    pseudo-Anosov.
+    pseudo-Anosov.  A bad tol is refused up front, as the twist of b
+    would refuse it, even where the gate then computes no twist.  On 3
+    strands the normal form the gate computes also gives the twist.
     """
     if t < 2:
         raise BadParameters(f"cover order must be >= 2, got {t}")
     m = b.strands
+    check_tolerance(m, tol)
 
     assumptions: list[str] = []
     notes: list[str] = []
-    refusal = _pa_gate(b, pa_asserted, _BRAID_PA_GATE, assumptions, notes)
+    nf = normal_form(b) if m == 3 else None
+    refusal = _pa_gate(b, nf, pa_asserted, _BRAID_PA_GATE, assumptions, notes)
     if refusal is not None:
         return refusal
 
-    c = fdtc_interval(b, tol)
+    c = fdtc_interval(b, tol, nf)
     cmin = c.abs_lower_bound()
 
     justifications = []
@@ -547,7 +554,9 @@ def certify_satellite(
         " (asserted)",
     ]
     notes: list[str] = []
-    refusal = _pa_gate(pattern, pa_asserted, _PATTERN_PA_GATE, assumptions, notes)
+    nf = normal_form(pattern) if m == 3 else None
+    refusal = _pa_gate(pattern, nf, pa_asserted, _PATTERN_PA_GATE, assumptions,
+                       notes)
     if refusal is not None:
         return refusal
 

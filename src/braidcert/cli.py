@@ -271,18 +271,50 @@ TASKS = (
          _certify_satellite),
 )
 
-_CORPUS_TASKS = {task.corpus: task for task in TASKS if task.corpus}
+
+@dataclass(frozen=True)
+class _CorpusTask:
+    """A corpus task and its tables, built once with :data:`TASKS`: the
+    parameters and flags it declares for the corpus, by their corpus
+    spelling, each with the dest it sets; the values of an empty params
+    field; the dest that takes the corpus command's tolerance, if any;
+    and each required parameter's dest with the error for its absence."""
+
+    task: Task
+    declared: dict[str, tuple[Param, str]]
+    defaults: dict
+    tol_dest: str | None
+    required: tuple[tuple[str, str], ...]
+
+    @classmethod
+    def of(cls, task: Task) -> "_CorpusTask":
+        declared = {p.corpus: (p, p.dest) for p in task.params if p.corpus}
+        return cls(
+            task, declared, {p.dest: p.default for p in task.params},
+            _TOL.dest if any(p is _TOL for p in task.params) else None,
+            tuple((dest, f"task needs parameter {p.corpus}=<{_TYPE_NAMES[p.type]}>")
+                  for p, dest in declared.values() if p.required))
+
+
+_CORPUS_TASKS = {task.corpus: _CorpusTask.of(task) for task in TASKS if task.corpus}
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _json_line(record: dict) -> str:
-    """One JSON report line, in the stable separators of the goldens."""
+@lru_cache(maxsize=1)
+def _json_encoder():
+    """The encoder of every report line, built on the first one, so that
+    a command that prints no JSON does not load json."""
     import json
 
-    return json.dumps(record, separators=(", ", ": "))
+    return json.JSONEncoder(separators=(", ", ": "))
+
+
+def _json_line(record: dict) -> str:
+    """One JSON report line, in the stable separators of the goldens."""
+    return _json_encoder().encode(record)
 
 
 def _emit(args, record: dict, text: str) -> None:
@@ -334,17 +366,18 @@ def _corpus_value(param: Param, raw: str, line_no: int):
                          f" {number_repr(raw)}", line=line_no)
 
 
-def _parse_params(task: Task, text: str, tol: Fraction, line_no: int) -> dict:
+def _parse_params(entry: _CorpusTask, text: str, tol: Fraction, line_no: int) -> dict:
     """The task's parameter values from a corpus params field: k=v pairs
     and bare flags the task declares, each at most once, separated by
     spaces, or - for none.  The tolerance defaults to the corpus
     command's --tol."""
-    values = {p.dest: tol if p is _TOL else p.default for p in task.params}
-    declared = {p.corpus: p for p in task.params if p.corpus}
+    values = dict(entry.defaults)
+    if entry.tol_dest:
+        values[entry.tol_dest] = tol
     given: set[str] = set()
     for token in [] if text == "-" else filter(None, text.split(" ")):
         key, eq, raw = token.partition("=")
-        param = declared.get(key)
+        param, dest = entry.declared.get(key, (None, None))
         if not eq:
             if param is None or param.type is not None:
                 raise ParseError(f"unknown parameter flag {token!r}", line=line_no)
@@ -355,22 +388,21 @@ def _parse_params(task: Task, text: str, tol: Fraction, line_no: int) -> dict:
         if key in given:
             raise ParseError(f"duplicate parameter {key!r}", line=line_no)
         given.add(key)
-        values[param.dest] = _corpus_value(param, raw, line_no) if eq else True
-    for param in declared.values():
-        if param.required and values[param.dest] is None:
-            raise ParseError(f"task needs parameter {param.corpus}="
-                             f"<{_TYPE_NAMES[param.type]}>", line=line_no)
+        values[dest] = _corpus_value(param, raw, line_no) if eq else True
+    for dest, missing in entry.required:
+        if values[dest] is None:
+            raise ParseError(missing, line=line_no)
     return values
 
 
 def _run_corpus_entry(name: str, params: str, braid_text: str, tol: Fraction,
                       line_no: int) -> Result:
-    task = _CORPUS_TASKS.get(name)
-    if task is None:
+    entry = _CORPUS_TASKS.get(name)
+    if entry is None:
         raise ParseError(f"unknown task {name!r}; expected one of"
                          f" {', '.join(_CORPUS_TASKS)}", line=line_no)
-    values = _parse_params(task, params, tol, line_no)
-    return task.run(parse_braid(braid_text, line=line_no), values)
+    values = _parse_params(entry, params, tol, line_no)
+    return entry.task.run(parse_braid(braid_text, line=line_no), values)
 
 
 def _cmd_corpus(args) -> int:

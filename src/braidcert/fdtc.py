@@ -34,7 +34,7 @@ from braidcert.ordering import (  # noqa: F401
     dehornoy_floor,
     power_floor,
 )
-from braidcert.threebraid import PeriodicForm, normal_form
+from braidcert.threebraid import PeriodicForm, ThreeBraidNormalForm, normal_form
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,9 @@ class FdtcValue:
         return f"[{self.lo}, {self.hi}]"
 
 
-def fdtc_exact_b3(b: BraidWord) -> Fraction:
-    """Exact FDTC of a 3-braid via its conjugacy normal form.
+def fdtc_exact_b3(b: BraidWord, nf: ThreeBraidNormalForm | None = None) -> Fraction:
+    """Exact FDTC of a 3-braid via its conjugacy normal form ``nf``,
+    which is computed when not given.
 
     With C = delta^2 the full twist and d its exponent in the normal
     form, the pseudo-Anosov and reducible families have c = d.  A
@@ -107,10 +108,29 @@ def fdtc_exact_b3(b: BraidWord) -> Fraction:
     """
     if b.strands != 3:
         raise NotThreeBraid(f"exact FDTC needs 3 strands, got {b.strands}")
-    nf = normal_form(b)
+    if nf is None:
+        nf = normal_form(b)
     if isinstance(nf, PeriodicForm):
         return Fraction(b.exponent_sum, 6)
     return Fraction(nf.central_power)
+
+
+def _positive(tol: Fraction | int) -> Fraction:
+    t = Fraction(tol)
+    if t <= 0:
+        raise BadParameters(f"tolerance must be positive, got {t}")
+    return t
+
+
+def _floor_power(tol: Fraction | int) -> int:
+    """The power k = ceil(1/tol) of a floor-based interval, for a tol
+    that keeps k within the letter cap."""
+    k = math.ceil(1 / _positive(tol))
+    if k > MAX_WORD_LETTERS:
+        raise BadParameters(f"tolerance must be at least 1/{MAX_WORD_LETTERS}, so"
+                            f" that the power k = ceil(1/tol) stays within the"
+                            f" letter cap")
+    return k
 
 
 def fdtc_interval_by_floor(b: BraidWord, tol: Fraction | int) -> FdtcValue:
@@ -140,14 +160,7 @@ def fdtc_interval_by_floor(b: BraidWord, tol: Fraction | int) -> FdtcValue:
     A tolerance below 1/MAX_WORD_LETTERS is refused: the power of any
     nonempty word would pass the letter cap, and k itself could be too
     long to print."""
-    t = Fraction(tol)
-    if t <= 0:
-        raise BadParameters(f"tolerance must be positive, got {t}")
-    k = math.ceil(1 / t)
-    if k > MAX_WORD_LETTERS:
-        raise BadParameters(f"tolerance must be at least 1/{MAX_WORD_LETTERS}, so"
-                            f" that the power k = ceil(1/tol) stays within the"
-                            f" letter cap")
+    k = _floor_power(tol)
     sign, floor = power_floor(b, k)
     if sign is OrderSign.TRIVIAL:
         return FdtcValue.exact(0, "trivial braid")
@@ -157,16 +170,27 @@ def fdtc_interval_by_floor(b: BraidWord, tol: Fraction | int) -> FdtcValue:
     return FdtcValue.interval(Fraction(-(floor + 1), k), Fraction(-floor, k), prov)
 
 
-def fdtc_interval(b: BraidWord, tol: Fraction | int) -> FdtcValue:
+def check_tolerance(strands: int, tol: Fraction | int) -> None:
+    """Refuse tol as :func:`fdtc_interval` refuses it for a braid on
+    this many strands: it must be positive, and where the twist comes
+    from a floor, at least 1/MAX_WORD_LETTERS."""
+    if strands == 3:
+        _positive(tol)
+    else:
+        _floor_power(tol)
+
+
+def fdtc_interval(
+    b: BraidWord, tol: Fraction | int, nf: ThreeBraidNormalForm | None = None
+) -> FdtcValue:
     """Certified enclosure of c(b): exact on 3 strands (delegating to
-    the conjugacy classification), floor-based interval otherwise, where
+    the conjugacy classification, or to b's normal form ``nf`` when the
+    caller has it), floor-based interval otherwise, where
     :func:`fdtc_interval_by_floor` checks the tolerance."""
     if b.strands != 3:
         return fdtc_interval_by_floor(b, tol)
-    t = Fraction(tol)
-    if t <= 0:
-        raise BadParameters(f"tolerance must be positive, got {t}")
-    return FdtcValue.exact(fdtc_exact_b3(b), "conjugacy classification of 3-braids")
+    _positive(tol)
+    return FdtcValue.exact(fdtc_exact_b3(b, nf), "conjugacy classification of 3-braids")
 
 
 def fdtc_lift(c_b: Fraction | int, m: int, n: int) -> Fraction:

@@ -3,10 +3,11 @@
 Certificates carry their justifying inequalities as strings over a tiny
 arithmetic grammar: integer literals, + - * / %, unary minus, abs() and
 gcd(), chained comparisons, `and` / `or` / `not`, parentheses.  This
-module re-parses and re-evaluates those strings with exact rational
-arithmetic (every division is a Fraction), sharing no code with the
-certifiers that emitted them, so a bug in a certifier's decision logic
-cannot silently vouch for itself.
+module re-parses and re-evaluates those strings exactly, sharing no code
+with the certifiers that emitted them, so a bug in a certifier's
+decision logic cannot silently vouch for itself.  Literals and the
+results of + - * %, abs() and gcd() on integers stay Python ints; only
+/ makes a Fraction, and every later operation on it stays exact.
 
 The checker fails closed: on any input it returns a bool or raises
 :class:`ReplayError`.  Inputs longer than ``MAX_INEQUALITY_CHARS``,
@@ -42,8 +43,8 @@ _BIN_OPS = {
     ast.Add: lambda a, b: a + b,
     ast.Sub: lambda a, b: a - b,
     ast.Mult: lambda a, b: a * b,
-    ast.Div: lambda a, b: a / b,
-    ast.Mod: lambda a, b: Fraction(_as_int(a, "%") % _as_int(b, "%")),
+    ast.Div: Fraction,  # Fraction(a, b) is a / b, exactly
+    ast.Mod: lambda a, b: _as_int(a, "%") % _as_int(b, "%"),
 }
 
 _CMP_OPS = {
@@ -56,18 +57,19 @@ _CMP_OPS = {
 }
 
 
-def _as_int(value, context: str) -> int:
-    value = Fraction(value)
+def _as_int(value: int | Fraction, context: str) -> int:
+    if type(value) is int:
+        return value
     if value.denominator != 1:
         raise ReplayError(f"{context} needs an integer, got {value}")
-    return int(value)
+    return value.numerator
 
 
-def _number(node) -> Fraction:
+def _number(node) -> int | Fraction:
     """The value of an operand that must be a number, not a comparison:
     a Python bool is an int, so True would otherwise count as 1."""
     value = _eval(node)
-    if not isinstance(value, Fraction):
+    if type(value) is bool:
         raise ReplayError("a comparison is used as a number")
     return value
 
@@ -76,9 +78,9 @@ def _eval(node):
     if isinstance(node, ast.Expression):
         return _eval(node.body)
     if isinstance(node, ast.Constant):
-        if isinstance(node.value, bool) or not isinstance(node.value, int):
+        if type(node.value) is not int:
             raise ReplayError(f"literal {node.value!r} is not an integer")
-        return Fraction(node.value)
+        return node.value
     if isinstance(node, ast.UnaryOp):
         if isinstance(node.op, ast.USub):
             return -_number(node.operand)
@@ -117,7 +119,7 @@ def _eval(node):
         if name == "abs" and len(args) == 1:
             return abs(args[0])
         if name == "gcd" and len(args) == 2:
-            return Fraction(math.gcd(_as_int(args[0], "gcd"), _as_int(args[1], "gcd")))
+            return math.gcd(_as_int(args[0], "gcd"), _as_int(args[1], "gcd"))
         raise ReplayError(f"call to {name}/{len(args)} not allowed")
     raise ReplayError(f"syntax {type(node).__name__} not allowed")
 

@@ -34,11 +34,12 @@ from braidcert.errors import NotThreeBraid
 _X = 0  # image of the half twist, order 2
 # y-letters are stored as their exponent, 1 or 2 (y has order 3)
 
+#: Each letter's image as (e, x first): y^e x, or x y^e.
 _LETTER_IMAGES = {
-    1: (2, _X),   # sigma_1      -> y^2 x
-    -1: (_X, 1),  # sigma_1^-1   -> x y
-    2: (_X, 2),   # sigma_2      -> x y^2
-    -2: (1, _X),  # sigma_2^-1   -> y x
+    1: (2, False),   # sigma_1      -> y^2 x
+    -1: (1, True),   # sigma_1^-1   -> x y
+    2: (2, True),    # sigma_2      -> x y^2
+    -2: (1, False),  # sigma_2^-1   -> y x
 }
 
 
@@ -86,23 +87,39 @@ ThreeBraidNormalForm = PseudoAnosovForm | ReducibleForm | PeriodicForm
 
 
 def _quotient_word(letters: tuple[int, ...]) -> list[int]:
-    # Image in Z/2 * Z/3, freely reduced (x x cancels, y-exponents add mod 3).
-    out: list[int] = []
+    # Image in Z/2 * Z/3, freely reduced: x x cancels and y-exponents
+    # add mod 3.  The word alternates x with y-powers, so each letter's
+    # image, y^e x or x y^e, meets only its last entries.  A -1 under
+    # the word stands for its start, so no step tests for an empty word.
+    out = [-1]
     for letter in letters:
-        for v in _LETTER_IMAGES[letter]:
-            if v == _X:
-                if out and out[-1] == _X:
+        e, x_first = _LETTER_IMAGES[letter]
+        last = out[-1]
+        if x_first:
+            if last:  # a y-power or the start: no cancellation
+                out += (_X, e)
+                continue
+            out.pop()  # x x
+            last = out[-1]
+            if last < 0:
+                out.append(e)
+            elif (last + e) % 3:
+                out[-1] = (last + e) % 3
+            else:
+                out.pop()
+        elif last > 0:  # y^last y^e
+            if (last + e) % 3:
+                out[-1] = (last + e) % 3
+                out.append(_X)
+            else:
+                out.pop()
+                if out[-1] == _X:  # x x
                     out.pop()
                 else:
                     out.append(_X)
-            elif out and out[-1] != _X:
-                e = (out[-1] + v) % 3
-                out.pop()
-                if e:
-                    out.append(e)
-            else:
-                out.append(v)
-    return out
+        else:  # after an x or at the start: no merge
+            out += (e, _X)
+    return out[1:]
 
 
 def _cyclic_reduce(word: list[int]) -> list[int]:

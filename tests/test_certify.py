@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -32,12 +34,13 @@ from braidcert import (
     certify_satellite,
     evaluate_inequality,
     excluded_q,
+    fdtc_interval,
     full_twist,
     normal_form,
     slope_distance,
     verify_certificate,
 )
-from braidcert import braid
+from braidcert import braid, threebraid
 from braidcert.braid import parse_decimal
 from braidcert.certify import _RULES
 from braidcert.cli import _json_line
@@ -470,6 +473,64 @@ class TestSatellite:
             certify_satellite(PA, 1, FdtcValue.exact(Fraction(0), "t"))
 
 
+class TestOneClassification:
+    """Each certifier classifies a 3-braid once: the closed-braid cover
+    hands the normal form its pseudo-Anosov gate computed to the twist."""
+
+    @pytest.fixture
+    def classified(self, monkeypatch):
+        """The braids classified, by wrapping normal_form wherever a
+        braidcert module binds it."""
+        original, calls = threebraid.normal_form, []
+
+        def counted(b):
+            calls.append(b)
+            return original(b)
+
+        for name, module in list(sys.modules.items()):
+            if name == "braidcert" or name.startswith("braidcert."):
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, counted)
+        return calls
+
+    @pytest.mark.parametrize("b,t,asserted", [
+        (C ** 2 * PA, 2, False), (C ** 3 * PA, 4, True), (PA, 2, False),
+        (C ** 3 * BraidWord(3, (2, 2)), 2, True),
+        (C ** 3 * BraidWord(3, (2, 2)), 2, False),
+        (BraidWord(3, (1, 2)), 3, True), (BraidWord(3, ()), 2, True),
+    ])
+    def test_closed_braid_cover(self, classified, b, t, asserted):
+        certify_closed_braid_cover(b, t, pa_asserted=asserted)
+        assert classified == [b]
+
+    @pytest.mark.parametrize("pattern,n,asserted", [
+        (PA, 2, False), (BraidWord(3, (1, 2)), 2, True),
+        (BraidWord(3, (1, 2)), 2, False), (C * PA, 3, False),
+    ])
+    def test_satellite(self, classified, pattern, n, asserted):
+        certify_satellite(pattern, n, FdtcValue.exact(Fraction(1, 2), "t"),
+                          pa_asserted=asserted)
+        assert classified == [pattern]
+
+    @pytest.mark.parametrize("h", [PA, C * PA, BraidWord(3, (-1, -2)),
+                                   C * BraidWord(3, (2, 2))])
+    def test_genus1_cover(self, classified, h):
+        certify_genus1_cover(h, 3)
+        assert classified == [h]
+
+    def test_twist_on_three_strands_keeps_its_provenance(self, classified):
+        value = fdtc_interval(C * PA, Fraction(1, 12))
+        assert (value.value, value.provenance) == (
+            1, "conjugacy classification of 3-braids")
+        assert classified == [C * PA]
+
+    def test_other_strand_counts_classify_nothing(self, classified):
+        certify_closed_braid_cover(PA4, 3, pa_asserted=True)
+        certify_closed_braid_cover(BraidWord(2, (1,) * 6), 3, pa_asserted=True)
+        assert classified == []
+
+
 class TestCertificateStructure:
     def test_definite_needs_justification(self):
         with pytest.raises(BadParameters):
@@ -661,3 +722,160 @@ class TestReplayChecker:
         except ReplayError:
             return
         assert isinstance(result, bool)
+
+
+# ---------------------------------------------------------------------------
+# replay against an evaluator that does its arithmetic in Fraction
+#
+# An expression is a tree: ("int", v), ("neg", x), ("bin", op, x, y),
+# ("abs", x), ("gcd", x, y), ("cmp", x, ((op, y), ...)), ("not", x) and
+# ("and" | "or", (x, ...)).  Any node may sit where a number or a
+# comparison is expected, so that misuse is drawn too.
+
+_ARITH = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+          "*": lambda a, b: a * b, "/": lambda a, b: a / b,
+          "%": lambda a, b: a % b}
+_CMP = {"<": lambda a, b: a < b, "<=": lambda a, b: a <= b,
+        ">": lambda a, b: a > b, ">=": lambda a, b: a >= b,
+        "==": lambda a, b: a == b, "!=": lambda a, b: a != b}
+
+
+def _render(node) -> str:
+    kind = node[0]
+    if kind == "int":
+        return str(node[1])
+    if kind == "neg":
+        return f"-({_render(node[1])})"
+    if kind == "bin":
+        return f"({_render(node[2])}) {node[1]} ({_render(node[3])})"
+    if kind in ("abs", "gcd"):
+        return f"{kind}({', '.join(_render(x) for x in node[1:])})"
+    if kind == "cmp":
+        return f"({_render(node[1])})" + "".join(f" {op} ({_render(y)})"
+                                                 for op, y in node[2])
+    if kind == "not":
+        return f"not ({_render(node[1])})"
+    return f" {kind} ".join(f"({_render(x)})" for x in node[1])
+
+
+def _integer(value: Fraction, context: str) -> int:
+    if value.denominator != 1:
+        raise ReplayError(f"{context} needs an integer, got {value}")
+    return value.numerator
+
+
+def _fraction_number(node) -> Fraction:
+    value = _fraction_eval(node)
+    if isinstance(value, bool):
+        raise ReplayError("a comparison is used as a number")
+    return value
+
+
+def _fraction_eval(node):
+    """The value of the tree, every number a Fraction; the same refusals
+    as replay, in the order replay meets them."""
+    kind = node[0]
+    if kind == "int":
+        return Fraction(node[1])
+    if kind == "neg":
+        return -_fraction_number(node[1])
+    if kind == "abs":
+        return abs(_fraction_number(node[1]))
+    if kind == "gcd":
+        a, b = _fraction_number(node[1]), _fraction_number(node[2])
+        return Fraction(math.gcd(_integer(a, "gcd"), _integer(b, "gcd")))
+    if kind == "bin":
+        op, a, b = node[1], _fraction_number(node[2]), _fraction_number(node[3])
+        if op == "%":
+            a, b = Fraction(_integer(a, "%")), Fraction(_integer(b, "%"))
+        if op in "/%" and b == 0:
+            raise ReplayError("division or % by zero")
+        return _ARITH[op](a, b)
+    if kind == "cmp":
+        left = _fraction_number(node[1])
+        for op, y in node[2]:
+            right = _fraction_number(y)
+            if not _CMP[op](left, right):
+                return False
+            left = right
+        return True
+    if kind == "not":
+        value = _fraction_eval(node[1])
+        if not isinstance(value, bool):
+            raise ReplayError("not needs a comparison operand")
+        return not value
+    values = [_fraction_eval(x) for x in node[1]]
+    if not all(isinstance(v, bool) for v in values):
+        raise ReplayError("and/or operands must be comparisons")
+    return all(values) if kind == "and" else any(values)
+
+
+def _fraction_outcome(node):
+    try:
+        value = _fraction_eval(node)
+    except ReplayError as exc:
+        return "refused", str(exc)
+    if not isinstance(value, bool):
+        return "refused", "expression is arithmetic, not a comparison"
+    return "holds", value
+
+
+def _replay_outcome(text: str):
+    try:
+        return "holds", evaluate_inequality(text)
+    except ReplayError as exc:
+        return "refused", str(exc)
+
+
+_LITERALS = st.one_of(st.integers(0, 12), st.integers(0, 10**40)).map(
+    lambda v: ("int", v))
+
+
+def _arithmetic(kids):
+    return st.one_of(
+        st.tuples(st.just("neg"), kids),
+        st.tuples(st.just("bin"), st.sampled_from("+-*/%"), kids, kids),
+        st.tuples(st.just("abs"), kids),
+        st.tuples(st.just("gcd"), kids, kids),
+    )
+
+
+def _comparisons(operands):
+    return st.tuples(st.just("cmp"), operands,
+                     st.lists(st.tuples(st.sampled_from(sorted(_CMP)), operands),
+                              min_size=1, max_size=3).map(tuple))
+
+
+def _logic(kids):
+    return st.one_of(
+        st.tuples(st.just("not"), kids),
+        st.tuples(st.sampled_from(("and", "or")),
+                  st.lists(kids, min_size=2, max_size=3).map(tuple)),
+    )
+
+
+_NUMBERS = st.recursive(_LITERALS, _arithmetic, max_leaves=8)
+#: Well-typed inequalities three times in four; otherwise any node
+#: anywhere, so that a comparison used as a number, and a number used
+#: as a comparison, are drawn too.
+_EXPRESSIONS = st.one_of(
+    st.recursive(_comparisons(_NUMBERS), _logic, max_leaves=4),
+    st.recursive(_comparisons(_NUMBERS), _logic, max_leaves=4),
+    st.recursive(_comparisons(_NUMBERS), _logic, max_leaves=4),
+    st.recursive(_LITERALS, lambda kids: st.one_of(
+        _arithmetic(kids), _comparisons(kids), _logic(kids)), max_leaves=12),
+)
+
+
+class TestReplayAgainstFractions:
+    @given(_EXPRESSIONS)
+    @settings(max_examples=400)
+    @example(("bin", "%", ("bin", "/", ("int", 6), ("int", 3)), ("int", 4)))
+    @example(("cmp", ("int", 1), ((">", ("int", 2)),
+                                  ("<", ("bin", "/", ("int", 1), ("int", 0))))))
+    @example(("gcd", ("bin", "/", ("int", 1), ("int", 2)), ("int", 2)))
+    @example(("cmp", ("bin", "/", ("int", 4), ("int", 2)), (("==", ("int", 2)),)))
+    @example(("cmp", ("bin", "+", ("cmp", ("int", 1), (("<", ("int", 2)),)),
+                      ("int", 1)), ((">", ("int", 0)),)))
+    def test_same_verdict_or_refusal(self, node):
+        assert _replay_outcome(_render(node)) == _fraction_outcome(node)

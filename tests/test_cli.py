@@ -219,6 +219,18 @@ class TestErrors:
             assert code == 1, argv
             assert "tolerance must be positive" in err, argv
 
+    # the tolerance is refused before the pseudo-Anosov gate, whether or
+    # not the gate lets a twist be computed
+    @pytest.mark.parametrize("argv", [
+        ["--word", "3: 1 2", "--t", "2"],  # not pseudo-Anosov
+        ["--word", "4: 1 2 3", "--t", "2", "--assert-pa"],  # proved periodic
+        ["--word", "3: 1 -2", "--t", "2"],  # pseudo-Anosov
+    ], ids=["refused-3", "refused-asserted-4", "proved-3"])
+    def test_cover_refuses_a_bad_tolerance_up_front(self, capsys, argv):
+        code, out, err = run(capsys, "certify-cover", *argv, "--tol", "0")
+        assert (code, out) == (1, "")
+        assert err == "error: BadParameters: tolerance must be positive, got 0\n"
+
     # int() and Fraction() alone would read "1_0" as 10 and an
     # Arabic-Indic three as 3
     @pytest.mark.parametrize("argv, bad", [

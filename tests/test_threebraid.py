@@ -118,7 +118,28 @@ def cyclic_reduce_by_definition(word):
     return w
 
 
+def quotient_word_by_definition(letters):
+    """Append each letter's two syllables in turn: x is 0, y^e is e."""
+    images = {1: (2, 0), -1: (0, 1), 2: (0, 2), -2: (1, 0)}
+    out = []
+    for letter in letters:
+        for v in images[letter]:
+            if out and (out[-1] == 0) == (v == 0):
+                e = (out.pop() + v) % 3  # x x cancels; y-exponents add
+                if e:
+                    out.append(e)
+            else:
+                out.append(v)
+    return out
+
+
 class TestLinearHelpers:
+    # unreduced words too: the quotient map does not need free reduction
+    @given(st.lists(st.sampled_from((1, -1, 2, -2)), max_size=40))
+    @settings(max_examples=300)
+    def test_quotient_word_matches_definition(self, letters):
+        assert _quotient_word(tuple(letters)) == quotient_word_by_definition(letters)
+
     @given(st.one_of(st.lists(st.integers(0, 2), max_size=16),
                      three_braids(max_len=16).map(lambda b: _quotient_word(b.letters))))
     @settings(max_examples=300)

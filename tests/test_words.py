@@ -30,6 +30,8 @@ from braidcert import (
 )
 from braidcert import _kernel, braid
 
+LONG_ONE = "0" * 599 + "1"
+
 
 class TestConstruction:
     def test_strand_bound(self):
@@ -348,3 +350,28 @@ class TestParsing:
         with pytest.raises(ParseError) as info:
             parse_braid("3: 4")
         assert info.value.column == 4
+
+    # Words with two faults: the first in token order is reported, with
+    # its column, although the letters are checked only once the whole
+    # word is read.  LONG_ONE is the letter 1 written in 600 characters,
+    # the longest a number may have.
+    @pytest.mark.parametrize("text, message", [
+        ("3: 1 5 x", "column 6: letter 5 is out of range for 3 strands"),
+        ("3: 1 x 5", "column 6: letter 'x' is not an integer"),
+        ("3: 7 9", "column 4: letter 7 is out of range for 3 strands"),
+        ("3:\t1  0 x", "column 7: letter 0 is out of range for 3 strands"),
+        ("5: 2 4 6 ?", "column 8: letter 6 is out of range for 5 strands"),
+        (f"3: {LONG_ONE} {LONG_ONE} y",
+         "column 1206: letter 'y' is not an integer"),
+        (f"3: {LONG_ONE}\t{LONG_ONE} 3",
+         "column 1206: letter 3 is out of range for 3 strands"),
+        (f"3: {LONG_ONE} {'1' * 601} 5",
+         "column 605: letter '11111111111111111111'... (601 characters, longer"
+         " than the 600 a number may have) is not an integer"),
+    ], ids=["range-then-token", "token-then-range", "two-ranges", "tab-and-zero",
+            "five-strands", "long-then-token", "long-then-range",
+            "long-then-too-long"])
+    def test_first_of_two_faults_is_reported(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_braid(text, line=3)
+        assert str(info.value) == f"line 3, {message}"
