@@ -30,16 +30,20 @@ from fractions import Fraction
 
 from braidcert.braid import BraidWord
 from braidcert.errors import BadParameters, SplitBinding, WordLengthExceeded
-from braidcert.fdtc import FdtcValue, check_tolerance, fdtc_interval, fdtc_lower_bound
+from braidcert.fdtc import (
+    FdtcValue,
+    check_tolerance,
+    fdtc_interval,
+    fdtc_lower_bound,
+    fdtc_of_normal_form,
+)
 from braidcert.ordering import OrderSign, central_root, sigma_sign
 from braidcert.threebraid import (
-    NTType,
     PeriodicForm,
     PseudoAnosovForm,
     ReducibleForm,
     ThreeBraidNormalForm,
     normal_form,
-    nt_type,
 )
 
 
@@ -377,7 +381,7 @@ def _pa_gate(
     m = b.strands
     if m == 2:
         return _verdict((), assumptions, (), _TWO_STRANDS_PERIODIC)
-    if m == 3 and nt_type(nf) is NTType.PSEUDO_ANOSOV:
+    if isinstance(nf, PseudoAnosovForm):
         notes.append(proved)
         return None
     if not pa_asserted:
@@ -433,8 +437,8 @@ def certify_closed_braid_cover(
     if refusal is not None:
         return refusal
 
-    c = fdtc_interval(b, tol, nf)
-    cmin = c.abs_lower_bound()
+    cmin = (abs(fdtc_of_normal_form(nf)) if nf is not None
+            else fdtc_interval(b, tol).abs_lower_bound())
 
     justifications = []
     if m % 2 == 1 and t % 2 == 0 and cmin >= 2:

@@ -164,8 +164,8 @@ def _classify3(braid: BraidWord, v: dict) -> Result:
                 f"PseudoAnosov d={d} a=[{','.join(map(str, a))}]", None)
     if isinstance(nf, ReducibleForm):
         m = nf.sigma2_power
-        central = " central" if m == 0 else ""
-        return ({"type": "Reducible", "d": d, "m": m, "central": m == 0},
+        central = " central" if nf.central else ""
+        return ({"type": "Reducible", "d": d, "m": m, "central": nf.central},
                 f"Reducible d={d} m={m}{central}", None)
     m = nf.sigma1_power
     return {"type": "Periodic", "d": d, "m": m}, f"Periodic d={d} m={m}", None

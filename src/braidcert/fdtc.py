@@ -9,7 +9,9 @@ the boundary twist, and is additive on commuting elements.  For braids
   3-braids (:mod:`braidcert.threebraid`): ``c = d`` for the
   pseudo-Anosov and reducible forms ``delta^(2d) w``, and for a periodic
   braid, a root of ``b^q = delta^(2p)``, homogeneity gives
-  ``c = p/q = e(b)/6`` with ``e`` the exponent sum;
+  ``c = p/q = e(b)/6`` with ``e`` the exponent sum, which the periodic
+  form ``delta^(2d) sigma_1^m sigma_2^-1`` gives as
+  ``c = (6d + m - 1)/6``: the normal form alone decides the twist;
 * to any tolerance on any strand count, through Dehornoy floors of
   powers: ``floor(b^k) <= |c(b^k)| = k |c(b)| <= floor(b^k) + 1`` pins
   ``|c(b)|`` inside an interval of width ``1/k``, and the Dehornoy sign
@@ -96,23 +98,28 @@ class FdtcValue:
         return f"[{self.lo}, {self.hi}]"
 
 
-def fdtc_exact_b3(b: BraidWord, nf: ThreeBraidNormalForm | None = None) -> Fraction:
-    """Exact FDTC of a 3-braid via its conjugacy normal form ``nf``,
-    which is computed when not given.
+def fdtc_of_normal_form(nf: ThreeBraidNormalForm) -> Fraction:
+    """Exact FDTC of a 3-braid from its conjugacy normal form alone.
 
     With C = delta^2 the full twist and d its exponent in the normal
     form, the pseudo-Anosov and reducible families have c = d.  A
     periodic b has a root b^q = delta^(2p), q >= 1, so homogeneity and
     c(delta^2) = 1 give c = p / q; the exponent sum e is a homomorphism
-    with e(delta^2) = 6, so q e(b) = 6 p, and c = e(b) / 6.
+    with e(delta^2) = 6, so q e(b) = 6 p, and c = e(b) / 6.  As e is a
+    conjugacy invariant, it is that of the form C^d sigma_1^m sigma_2^-1,
+    6 d + m - 1.
     """
+    if isinstance(nf, PeriodicForm):
+        return Fraction(6 * nf.central_power + nf.sigma1_power - 1, 6)
+    return Fraction(nf.central_power)
+
+
+def fdtc_exact_b3(b: BraidWord) -> Fraction:
+    """Exact FDTC of a 3-braid, from the normal form of its conjugacy
+    class (:func:`fdtc_of_normal_form`)."""
     if b.strands != 3:
         raise NotThreeBraid(f"exact FDTC needs 3 strands, got {b.strands}")
-    if nf is None:
-        nf = normal_form(b)
-    if isinstance(nf, PeriodicForm):
-        return Fraction(b.exponent_sum, 6)
-    return Fraction(nf.central_power)
+    return fdtc_of_normal_form(normal_form(b))
 
 
 def _positive(tol: Fraction | int) -> Fraction:
@@ -180,17 +187,14 @@ def check_tolerance(strands: int, tol: Fraction | int) -> None:
         _floor_power(tol)
 
 
-def fdtc_interval(
-    b: BraidWord, tol: Fraction | int, nf: ThreeBraidNormalForm | None = None
-) -> FdtcValue:
+def fdtc_interval(b: BraidWord, tol: Fraction | int) -> FdtcValue:
     """Certified enclosure of c(b): exact on 3 strands (delegating to
-    the conjugacy classification, or to b's normal form ``nf`` when the
-    caller has it), floor-based interval otherwise, where
+    the conjugacy classification), floor-based interval otherwise, where
     :func:`fdtc_interval_by_floor` checks the tolerance."""
     if b.strands != 3:
         return fdtc_interval_by_floor(b, tol)
     _positive(tol)
-    return FdtcValue.exact(fdtc_exact_b3(b, nf), "conjugacy classification of 3-braids")
+    return FdtcValue.exact(fdtc_exact_b3(b), "conjugacy classification of 3-braids")
 
 
 def fdtc_lift(c_b: Fraction | int, m: int, n: int) -> Fraction:

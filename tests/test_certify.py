@@ -40,7 +40,7 @@ from braidcert import (
     slope_distance,
     verify_certificate,
 )
-from braidcert import braid, threebraid
+from braidcert import braid, certify, threebraid
 from braidcert.braid import parse_decimal
 from braidcert.certify import _RULES
 from braidcert.cli import _json_line
@@ -475,7 +475,8 @@ class TestSatellite:
 
 class TestOneClassification:
     """Each certifier classifies a 3-braid once: the closed-braid cover
-    hands the normal form its pseudo-Anosov gate computed to the twist."""
+    reads its twist bound off the normal form its pseudo-Anosov gate
+    computed."""
 
     @pytest.fixture
     def classified(self, monkeypatch):
@@ -529,6 +530,38 @@ class TestOneClassification:
         certify_closed_braid_cover(PA4, 3, pa_asserted=True)
         certify_closed_braid_cover(BraidWord(2, (1,) * 6), 3, pa_asserted=True)
         assert classified == []
+
+
+def _cover_reference(b, t, asserted):
+    """certify_closed_braid_cover's record on a 3-braid, with the bound
+    |c| taken from fdtc_interval(b, 1/12): the gate, then the two rules."""
+    assumptions, notes = [], []
+    refusal = certify._pa_gate(b, normal_form(b), asserted, certify._BRAID_PA_GATE,
+                               assumptions, notes)
+    if refusal is not None:
+        return refusal.to_record()
+    cmin = fdtc_interval(b, Fraction(1, 12)).abs_lower_bound()
+    rules = []
+    if t % 2 == 0 and cmin >= 2:
+        rules.append(certify._rule("even-cover", cmin=cmin, t=t, m=3))
+    n = next((n for n in range(2, int(cmin) + 1) if t % n == 0 and n % 3), None)
+    if n is not None:
+        rules.append(certify._rule("coprime-divisor-cover", t=t, n=n, k=t // n,
+                                   cmin=cmin, m=3))
+    return certify._verdict(rules, assumptions, notes,
+                            f"certified twist bound |c| >= {cmin} admits no"
+                            f" qualifying cover order dividing {t}").to_record()
+
+
+@given(three_braids(max_len=16), st.integers(-3, 3), st.integers(2, 12), st.booleans())
+@example(BraidWord(3, (1, 2)), 2, 2, True)
+@example(BraidWord(3, (-1, -2)), -2, 6, True)
+@example(PA, -3, 6, False)
+@settings(max_examples=200, deadline=None)
+def test_cover_bound_is_the_braids_twist(b, d, t, asserted):
+    b = C ** d * b
+    record = certify_closed_braid_cover(b, t, pa_asserted=asserted).to_record()
+    assert record == _cover_reference(b, t, asserted)
 
 
 class TestCertificateStructure:

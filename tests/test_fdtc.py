@@ -34,10 +34,12 @@ from braidcert import (
     fdtc_lower_bound,
     full_twist,
     normal_form,
+    parse_braid,
     power_floor,
     sigma_sign,
 )
 from braidcert import _kernel, _reduction_py, braid, ordering
+from braidcert.fdtc import fdtc_of_normal_form
 
 C = full_twist(3)
 
@@ -141,6 +143,54 @@ class TestExactB3:
     def test_wrong_strands(self):
         with pytest.raises(NotThreeBraid):
             fdtc_exact_b3(BraidWord(4, (1, 2, 3)))
+
+
+@st.composite
+def conjugated_families(draw):
+    """A braid w F w^-1 with F a representative C^d X of one of the three
+    families: pseudo-Anosov X = prod_i sigma_1 sigma_2^-a_i (all a_i >= 0,
+    one positive), reducible X = sigma_2^m, periodic X = sigma_1^m
+    sigma_2^-1 with m in {-1, -2, -3}; d in -5..5, w random."""
+    family = draw(st.sampled_from(["pseudo-Anosov", "reducible", "periodic"]))
+    if family == "pseudo-Anosov":
+        a = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4)
+                 .filter(lambda a: any(a)))
+        x = tuple(y for ai in a for y in (1,) + (-2,) * ai)
+    elif family == "reducible":
+        m = draw(st.integers(-4, 4))
+        x = (2 if m > 0 else -2,) * abs(m)
+    else:
+        x = (-1,) * -draw(st.sampled_from([-1, -2, -3])) + (-2,)
+    w = draw(three_braids(max_len=6))
+    return (C ** draw(st.integers(-5, 5)) * BraidWord(3, x)).conjugated_by(w)
+
+
+class TestTwistFromNormalForm:
+    """The 3-braid twist is read off the normal form alone, and a braid's
+    twist takes no form from the caller."""
+
+    @given(conjugated_families())
+    @example(BraidWord(3, (1, 2)))
+    @settings(max_examples=120, deadline=None)
+    def test_form_gives_the_braids_twist(self, b):
+        nf = normal_form(b)
+        c = fdtc_of_normal_form(nf)
+        assert c == fdtc_exact_b3(b)
+        if isinstance(nf, PeriodicForm):
+            assert c == Fraction(b.exponent_sum, 6)
+        assert fdtc_interval_by_floor(b, Fraction(1, 24)).contains(c)
+
+    def test_twist_functions_take_no_form(self):
+        # a form handed in beside the braid could be another braid's: here
+        # that of C^2 sigma_1 sigma_2^-1, whose twist is 2, not 1/3
+        b = parse_braid("3: 1 2")
+        nf = normal_form(parse_braid("3: 1 2 1 1 2 1 1 2 1 1 2 1 1 -2"))
+        for nf in (nf, normal_form(b), None):
+            with pytest.raises(TypeError):
+                fdtc_interval(b, 1, nf)
+            with pytest.raises(TypeError):
+                fdtc_exact_b3(b, nf)
+        assert fdtc_interval(b, 1).value == Fraction(1, 3)
 
 
 class TestIntervalByFloor:

@@ -531,3 +531,107 @@ def test_refusal_check_sees_every_form():
         (6, "WordLengthExceeded"), (8, "ReductionBudgetExceeded"),
         (10, "WordLengthExceeded"), (12, "ReductionBudgetExceeded"),
     ]
+
+
+def _repeated_exports(source: str) -> list[str]:
+    """Each module or name that the ``_EXPORTS`` table in a package's
+    source states again after its first time, in source order: a dict
+    literal would keep one module's entry and the map from names to
+    modules one home of a name, silently."""
+    for node in ast.walk(ast.parse(source)):
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        if any(isinstance(t, ast.Name) and t.id == "_EXPORTS" for t in targets):
+            seen: set[str] = set()
+            repeated = []
+            for key, names in zip(node.value.keys, node.value.values):
+                for text in [key, *ast.walk(names)]:
+                    if isinstance(text, ast.Constant) and isinstance(text.value, str):
+                        if text.value in seen:
+                            repeated.append(text.value)
+                        seen.add(text.value)
+            return repeated
+    raise AssertionError("no _EXPORTS table")
+
+
+def test_export_table_states_each_name_once():
+    source = Path(braidcert.__file__).read_text()
+    assert _repeated_exports(source) == []
+    assert sorted(braidcert._EXPORTS) == [
+        "_kernel", "braid", "certify", "errors", "fdtc", "ordering", "replay",
+        "threebraid",
+    ]
+    assert sum(map(len, braidcert._EXPORTS.values())) == len(braidcert.__all__) == 62
+
+
+def test_repeated_export_check_sees_names_and_modules():
+    source = ("_HOME = {'braid': ('delta', 'delta')}\n"
+              "_EXPORTS: dict = {\n"
+              "    'braid': ('BraidWord', 'delta'),\n"
+              "    'ordering': ('compare', 'delta'),\n"
+              "    'braid': ('identity', 'compare'),\n"
+              "}\n")
+    assert _repeated_exports(source) == ["delta", "braid", "compare"]
+    with pytest.raises(AssertionError, match="no _EXPORTS"):
+        _repeated_exports("__all__ = ['delta', 'delta']\n")
+
+
+#: The annotations that name a 3-braid normal form.
+_FORMS = {"ThreeBraidNormalForm", "PseudoAnosovForm", "ReducibleForm", "PeriodicForm"}
+
+
+def _braid_and_form_parameters(source: str) -> list[str]:
+    """Each public function or method in a module's source that takes a
+    parameter annotated with BraidWord and another annotated with a
+    normal form: a form given beside its braid could be another braid's.
+    An annotation counts by any name or attribute in it, string
+    annotations included."""
+
+    def named(annotation) -> set[str]:
+        if annotation is None:
+            return set()
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            annotation = ast.parse(annotation.value, mode="eval")
+        return {node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(annotation)
+                if isinstance(node, (ast.Name, ast.Attribute))}
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                or node.name.startswith("_")):
+            continue
+        args = node.args
+        params = [named(arg.annotation) for arg in
+                  args.posonlyargs + args.args + args.kwonlyargs
+                  + [arg for arg in (args.vararg, args.kwarg) if arg]]
+        if (any("BraidWord" in names for names in params)
+                and any(names & _FORMS for names in params)):
+            found.append((node.lineno, node.name))
+    return [name for _, name in sorted(found)]
+
+
+def test_no_public_function_takes_a_braid_and_its_form():
+    # a 3-braid's twist, type and certificates come from the braid alone;
+    # a function given its normal form takes that form only
+    package = Path(braidcert.__file__).parent
+    offenders = {path.name: found for path in sorted(package.glob("*.py"))
+                 if (found := _braid_and_form_parameters(path.read_text()))}
+    assert offenders == {}
+
+
+def test_braid_and_form_check_sees_every_form():
+    source = ("def fdtc_interval(b: BraidWord, tol, nf: ThreeBraidNormalForm | None = None):\n"
+              "    pass\n"
+              "def _pa_gate(b: BraidWord, nf: ThreeBraidNormalForm | None):\n"
+              "    pass\n"
+              "def fdtc_of_normal_form(nf: ThreeBraidNormalForm) -> BraidWord:\n"
+              "    pass\n"
+              "class Classifier:\n"
+              "    def twist(self, b: 'BraidWord', *, nf: 'Optional[PeriodicForm]'):\n"
+              "        pass\n"
+              "def lspace(b: braid.BraidWord, *forms: threebraid.ReducibleForm):\n"
+              "    pass\n"
+              "def word(b: BraidWord, tol: Fraction):\n"
+              "    pass\n")
+    assert _braid_and_form_parameters(source) == ["fdtc_interval", "twist", "lspace"]
