@@ -184,8 +184,8 @@ class TestTwistFromNormalForm:
         # a form handed in beside the braid could be another braid's: here
         # that of C^2 sigma_1 sigma_2^-1, whose twist is 2, not 1/3
         b = parse_braid("3: 1 2")
-        nf = normal_form(parse_braid("3: 1 2 1 1 2 1 1 2 1 1 2 1 1 -2"))
-        for nf in (nf, normal_form(b), None):
+        other = normal_form(parse_braid("3: 1 2 1 1 2 1 1 2 1 1 2 1 1 -2"))
+        for nf in (other, normal_form(b), None):
             with pytest.raises(TypeError):
                 fdtc_interval(b, 1, nf)
             with pytest.raises(TypeError):

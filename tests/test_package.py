@@ -581,9 +581,10 @@ _FORMS = {"ThreeBraidNormalForm", "PseudoAnosovForm", "ReducibleForm", "Periodic
 
 
 def _braid_and_form_parameters(source: str) -> list[str]:
-    """Each public function or method in a module's source that takes a
-    parameter annotated with BraidWord and another annotated with a
-    normal form: a form given beside its braid could be another braid's.
+    """Each public function or method in a module's source, in source
+    order, that takes a parameter annotated with BraidWord and another
+    annotated with a normal form: a form given beside its braid could be
+    another braid's.
     An annotation counts by any name or attribute in it, string
     annotations included."""
 
