@@ -43,10 +43,9 @@ _EXPORTS = {
         "reduced_word", "sigma_sign",
     ),
     "certify": (
-        "Certificate", "DegeneracySlope", "Justification", "SurgerySlope",
-        "Verdict", "certify_closed_braid_cover", "certify_fibred_cover",
-        "certify_genus1_cover", "certify_orbifold_cover", "certify_satellite",
-        "excluded_q", "slope_distance",
+        "Certificate", "Justification", "Verdict", "certify_closed_braid_cover",
+        "certify_fibred_cover", "certify_genus1_cover", "certify_orbifold_cover",
+        "certify_satellite",
     ),
     "fdtc": (
         "FdtcValue", "fdtc_exact_b3", "fdtc_interval", "fdtc_interval_by_floor",
@@ -54,9 +53,8 @@ _EXPORTS = {
     ),
     "replay": ("ReplayError", "evaluate_inequality", "verify_certificate"),
     "threebraid": (
-        "LSpaceStatus", "NTType", "PeriodicForm", "PseudoAnosovForm",
-        "ReducibleForm", "baldwin_lspace_double_cover", "normal_form", "nt_type",
-        "representative", "sl2_image",
+        "LSpaceStatus", "PeriodicForm", "PseudoAnosovForm", "ReducibleForm",
+        "baldwin_lspace_double_cover", "normal_form", "representative", "sl2_image",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

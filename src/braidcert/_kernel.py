@@ -1,28 +1,42 @@
-"""Kernel selection: compiled handle reduction when available.
+"""The one gateway to the engines: every braid question the library
+asks of handle reduction or of a Dynnikov walk is asked here.
+
+Two engines answer five questions (Dehornoy, Dynnikov, Rolfsen and
+Wiest, *Ordering Braids*, 2008, ch. XII):
+
+- :func:`sign_of`, the Dehornoy sign of a word, and :func:`reduce_word`,
+  a fully handle-reduced word: handle reduction under either build;
+- :meth:`FloorProbe.inside`, one probe of a floor search or ladder:
+  under the compiled kernel, handle reduction of the probe's word;
+  under the pure-Python one, a Dynnikov walk that continues from the
+  last probe's point, so that a floor search walks each letter once;
+- :func:`is_twist_power`, the root test "is this word on m strands
+  delta^(2p)?", and :func:`is_trivial`, the word problem: a Dynnikov
+  walk under either build.
 
 The compiled extension and the pure-Python module implement the same
 reduction, letter for letter.  Import-time selection prefers the
-extension; set BRAIDCERT_KERNEL=python (or =c) to force a choice.
+extension; set BRAIDCERT_KERNEL=python (or =c) to force a choice.  The
+walks are :mod:`braidcert.dynnikov`'s under either build, and are
+called through that module's attributes.
 
-Every entry point takes letters alone: the callers pass the letters of
-a BraidWord, which has already checked them against its strand count
-(:mod:`braidcert.braid`), and no engine needs more.
-
-This module also holds the one engine for every floor probe, one
-:class:`FloorProbe` per search, on a core with its whole full twists
-peeled off: under the compiled kernel, handle reduction of each probe's
-word; under the pure-Python one, a Dynnikov-coordinate walk that
-continues from the last probe's point, so that a floor search walks
-each letter once.
+The callers pass the letters of a BraidWord, which has already checked
+them against its strand count (:mod:`braidcert.braid`).  A strand count
+goes with them only where the question holds full twists: a floor
+probe's and the root test's delta^(2p).
 
 This module is the one place that resolves the reduction budget: every
 kernel call reads BRAIDCERT_REDUCTION_BUDGET afresh, so a program can
-change it between calls.
+change it between calls.  The budget bounds handle reduction and the
+walked floor probes; the root test and the triviality test walk
+without it.
 """
 
 from __future__ import annotations
 
 import os
+import sys
+from functools import lru_cache
 
 from braidcert import _reduction_py, dynnikov
 from braidcert.braid import BLANKS, full_twist_letters, number_repr, parse_decimal
@@ -54,8 +68,10 @@ DEFAULT_REDUCTION_BUDGET = 10**6
 
 
 def default_budget() -> int:
-    """Reduction budget: BRAIDCERT_REDUCTION_BUDGET env var, else 10^6.
-    Raises BadParameters when the setting is not a positive integer."""
+    """Reduction budget: BRAIDCERT_REDUCTION_BUDGET env var, else 10^6,
+    capped at sys.maxsize, the most a list can hold, which the compiled
+    kernel takes as a C ssize_t.  Raises BadParameters when the setting
+    is not a positive integer."""
     raw = os.environ.get("BRAIDCERT_REDUCTION_BUDGET", "").strip(BLANKS)
     if raw:
         try:
@@ -66,7 +82,7 @@ def default_budget() -> int:
             ) from None
         if value <= 0:
             raise BadParameters("BRAIDCERT_REDUCTION_BUDGET must be positive")
-        return value
+        return min(value, sys.maxsize)
     return DEFAULT_REDUCTION_BUDGET
 
 
@@ -178,6 +194,27 @@ def reduce_word(letters) -> list[int]:
     """A fully handle-reduced word equal to the given one, under the
     process budget."""
     return _impl.reduce_word(letters, default_budget())
+
+
+@lru_cache(maxsize=1024)
+def twist_point(m: int, p: int) -> tuple[int, ...]:
+    """The image of the start point (0, 1, ..., 0, 1), with m pairs,
+    under delta^(2p) on m strands: one walk of those letters the first
+    time, kept as an immutable tuple for later calls."""
+    return tuple(dynnikov.act((0, 1) * m, full_twist_letters(m, p)))
+
+
+def is_twist_power(letters, m: int, p: int) -> bool:
+    """Whether a word on m strands is delta^(2p): whether its walk moves
+    the start point where :func:`twist_point` says delta^(2p) does.  The
+    action is faithful, so the images agree exactly when the braids do."""
+    return tuple(dynnikov.act((0, 1) * m, letters)) == twist_point(m, p)
+
+
+def is_trivial(letters) -> bool:
+    """Whether a word is the identity braid, by a Dynnikov walk
+    (:func:`braidcert.dynnikov.is_trivial`)."""
+    return dynnikov.is_trivial(letters)
 
 
 def kernel_name() -> str:

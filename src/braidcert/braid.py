@@ -10,8 +10,8 @@ composing maps left to right.
 Words are freely reduced on construction (adjacent ``+i, -i`` pairs are
 cancelled until none remain), so equality of ``BraidWord`` values is
 equality of freely reduced words.  Equality in the braid group is a
-different, decidable question: use :func:`is_trivial` on ``u * v.inverse()``,
-which Dynnikov coordinates decide (:mod:`braidcert.dynnikov`).
+different, decidable question: use :func:`is_trivial` on
+``u * v.inverse()``, which :mod:`braidcert._kernel` answers.
 """
 
 from __future__ import annotations
@@ -120,9 +120,12 @@ class BraidWord:
 
     def is_trivial(self) -> bool:
         """Word problem: does this word represent the identity braid?
-        Dynnikov coordinates decide it (:func:`braidcert.dynnikov.is_trivial`);
-        handle reduction and its budget are not involved."""
-        return dynnikov.is_trivial(self.letters)
+        Asked of :func:`braidcert._kernel.is_trivial`, without the
+        reduction budget."""
+        # imported here, as _kernel imports from this module
+        from braidcert import _kernel
+
+        return _kernel.is_trivial(self.letters)
 
     def __str__(self) -> str:
         return format_braid(self)

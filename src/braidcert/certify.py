@@ -100,45 +100,6 @@ class Certificate:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class SurgerySlope:
-    """Slope n mu + q lambda on a knot boundary, n >= 1."""
-
-    n: int
-    q: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise BadParameters(f"slope needs n >= 1, got n = {self.n}")
-
-
-@dataclass(frozen=True)
-class DegeneracySlope:
-    """Slope b mu + a lambda, b > 0, gcd(|a|, b) = 1; the boundary slope
-    pinned by a fractional twist c = a / b."""
-
-    b: int
-    a: int
-
-    def __post_init__(self):
-        if self.b <= 0:
-            raise BadParameters(f"degeneracy slope needs b > 0, got {self.b}")
-        if math.gcd(abs(self.a), self.b) != 1:
-            raise BadParameters(
-                f"degeneracy slope ({self.b}, {self.a}) is not in lowest terms"
-            )
-
-    @classmethod
-    def from_twist(cls, c: Fraction | int) -> "DegeneracySlope":
-        r = Fraction(c)
-        return cls(r.denominator, r.numerator)
-
-
-def slope_distance(s: SurgerySlope, d: DegeneracySlope) -> int:
-    """Geometric intersection number of the two slopes: |n a - q b|."""
-    return abs(s.n * d.a - s.q * d.b)
-
-
 # ---------------------------------------------------------------------------
 # the rules and shared builders
 
@@ -300,17 +261,6 @@ def certify_fibred_cover(
         justifications, _FIBRED_ASSUMPTIONS, (),
         f"certified twist data allows |{n} c - {q}| < 1; no rule applies",
     )
-
-
-def excluded_q(c_h: Fraction | int, n: int) -> frozenset[int]:
-    """The q values the twist-gap rule can never certify for this exact
-    twist: {n c} when n c is an integer, else the two integers around it."""
-    if n < 1:
-        raise BadParameters(f"cover order must be >= 1, got {n}")
-    nc = n * Fraction(c_h)
-    if nc.denominator == 1:
-        return frozenset({int(nc)})
-    return frozenset({math.floor(nc), math.floor(nc) + 1})
 
 
 def certify_orbifold_cover(c_h: FdtcValue, p: int, q: int, m: int) -> Certificate:

@@ -6,22 +6,17 @@ positively (a sigma-positive word).  Every nontrivial braid is either
 positive or negative, and the order ``u < v  iff  u^-1 v`` is positive
 is a left-invariant strict total order.
 
-The sign is decided by the handle-reduction kernel: fully
-handle-reduce the word; the empty word is the identity, otherwise the
-lowest generator of the reduced word occurs with one sign only and that
-sign is the answer.  Whether a word is trivial, a question that needs no
-sign, is decided apart from the kernel, by Dynnikov coordinates
-(:mod:`braidcert.dynnikov`).  Every probe of a floor search or ladder
-goes to one probe object per search (:class:`braidcert._kernel.FloorProbe`),
-built once on a twist-free rotation of the braid's cyclic core: the
-longest run of whole full twists is peeled off the core
-(:func:`_peel_twists`), and as delta^2 is central each probe carries
-them as a shift of its twist count, which may then be negative.  The
-compiled kernel answers each probe by handle reduction and the
-pure-Python build by a coordinate walk that continues from the last
-probe's point.  A root test compares the walked image of a power of the
-twist-free core with the image of a whole number of full twists, cached
-per strand count and power (:func:`twist_point`).
+Every question this module asks of a braid, its sign, a reduced word,
+a floor probe, a root test or the word problem, goes to
+:mod:`braidcert._kernel`, which says which engine answers it.  The
+probes of a floor search or ladder go to one probe object per search
+(:class:`braidcert._kernel.FloorProbe`), built once on a twist-free
+rotation of the braid's cyclic core: the longest run of whole full
+twists is peeled off the core (:func:`_peel_twists`), and as delta^2 is
+central each probe carries them as a shift of its twist count, which
+may then be negative.  A root test asks whether a power of the
+twist-free core is a whole number of full twists
+(:func:`braidcert._kernel.is_twist_power`).
 
 The *floor* of a braid ``b`` counts full twists, using the Garside half
 twist ``delta``:
@@ -40,9 +35,8 @@ above are stated for, and the two differ on braids between powers of
 from __future__ import annotations
 
 from enum import Enum
-from functools import lru_cache
 
-from braidcert import _kernel, dynnikov
+from braidcert import _kernel
 from braidcert.braid import BraidWord, check_power, full_twist_letters
 from braidcert.errors import BadParameters, StrandMismatch
 
@@ -144,9 +138,7 @@ def dehornoy_floor(u: BraidWord) -> int:
     result does not depend on the start, only the number of probes
     does.  The probes go to one :class:`braidcert._kernel.FloorProbe`
     on the twist-free rotation of u's cyclic core (:func:`_peel_twists`),
-    so no probe holds the core's own run of full twists; in the
-    pure-Python build, each one after the first walks only the full
-    twists by which it differs from the last.
+    so no probe holds the core's own run of full twists.
     """
     probe = _floor_probe(u)
     return 0 if probe is None else _search_floor(u, probe)
@@ -164,14 +156,6 @@ def _floor_probe(b: BraidWord) -> _kernel.FloorProbe | None:
     return _kernel.FloorProbe(w, y, b.strands, sign is OrderSign.POSITIVE, e)
 
 
-@lru_cache(maxsize=1024)
-def twist_point(m: int, p: int) -> tuple[int, ...]:
-    """The image of the start point (0, 1, ..., 0, 1), with m pairs,
-    under delta^(2p) on m strands: one walk of those letters the first
-    time, kept as an immutable tuple for later calls."""
-    return tuple(dynnikov.act((0, 1) * m, full_twist_letters(m, p)))
-
-
 def central_root(b: BraidWord, max_power: int) -> tuple[int, int] | None:
     """(q, p) with b^q = delta^(2p), trying q = m, then q = m - 1, and
     skipping any q above max_power; None if neither holds.
@@ -184,9 +168,10 @@ def central_root(b: BraidWord, max_power: int) -> tuple[int, int] | None:
     query, and none when p is not an integer.
 
     An exponent sum of 0 forces p = 0, and as braid groups are
-    torsion-free, b^q = 1 only for b = 1: one walk of b decides it, and
-    the answer is (m, 0) for the identity, whatever max_power is, or None.
-    No power is built or checked against the letter cap for it.
+    torsion-free, b^q = 1 only for b = 1: one triviality test of b
+    decides it, and the answer is (m, 0) for the identity, whatever
+    max_power is, or None.  No power is built or checked against the
+    letter cap for it.
 
     The query is on the twist-free core.  Write b = delta^(2e) w Y w^-1,
     with the longest run of whole full twists of the exponent sum's sign
@@ -194,15 +179,10 @@ def central_root(b: BraidWord, max_power: int) -> tuple[int, int] | None:
     b^q = delta^(2qe) w Y^q w^-1, and as delta^2 is central,
     b^q = delta^(2p) exactly when Y^q = delta^(2(p - qe)), a question
     without the conjugator's 2 |w| letters or the q |e| peeled twists.
-    Dynnikov coordinates decide it: the action is faithful and each word
-    acts by a bijection, so Y^q = delta^(2(p - qe)) exactly when both
-    move the start point s to the same image, and the test compares the
-    walk of Y^q from s with :func:`twist_point`, the image under
-    delta^(2(p - qe)), which is walked once per (m, p - qe).  No root
-    query reaches the handle-reduction kernel or its budget.  The peel
-    waits for a candidate root: it runs once, for the first q that passes
-    both the exponent-sum test and max_power, and not at all when
-    neither does.
+    :func:`braidcert._kernel.is_twist_power` decides it, and no root
+    query reaches the reduction budget.  The peel waits for a candidate
+    root: it runs once, for the first q that passes both the exponent-sum
+    test and max_power, and not at all when neither does.
 
     Raises WordLengthExceeded where b**q would, when |b| q passes
     MAX_WORD_LETTERS and the exponent sum is not 0.
@@ -219,7 +199,7 @@ def central_root(b: BraidWord, max_power: int) -> tuple[int, int] | None:
         if core is None:  # peeled once, for the first candidate root
             _, y, e = _peel_twists(b, -1 if total < 0 else 1)
             core = BraidWord(m, y)
-        if tuple(dynnikov.act((0, 1) * m, (core**q).letters)) == twist_point(m, p - q * e):
+        if _kernel.is_twist_power((core**q).letters, m, p - q * e):
             return q, p
     return None
 
@@ -351,13 +331,8 @@ def power_floor(b: BraidWord, k: int) -> tuple[OrderSign, int]:
 
     One probe object (:class:`braidcert._kernel.FloorProbe`), built once
     on (w, X) and e, answers the search for the floor of b and then every
-    ladder step.  The compiled kernel handle-reduces each probe's word.
-    The pure-Python build walks Dynnikov coordinates and continues each
-    probe from the last one's point: the probe b^-n delta^(2J) is the
-    last one, b^-n0 delta^(2J0), times b^-(n - n0) delta^(2(J - J0)), so
-    only n - n0 more spread copies of X and the difference in twist
-    counts are walked,
-    and the first step continues from the search's last probe.
+    ladder step; :mod:`braidcert._kernel` says which engine answers each
+    probe.
 
     The ladder reads the bits of k after the leading one: each bit
     doubles n -> 2n, and a set bit then steps n -> n + 1.  So k costs

@@ -43,12 +43,6 @@ _LETTER_IMAGES = {
 }
 
 
-class NTType(Enum):
-    PSEUDO_ANOSOV = "pseudo-Anosov"
-    REDUCIBLE = "reducible"
-    PERIODIC = "periodic"
-
-
 class LSpaceStatus(Enum):
     L_SPACE = "LSpace"
     NOT_L_SPACE = "NotLSpace"
@@ -206,17 +200,6 @@ def _central_power(e: int, e_rep: int) -> int:
             f"internal: exponent sum {e} not congruent to {e_rep} mod 6"
         )
     return d
-
-
-def nt_type(nf: ThreeBraidNormalForm) -> NTType:
-    """Nielsen-Thurston type of a normal form.  Central braids report
-    REDUCIBLE with the normal form's ``central`` flag left to the caller;
-    no geometric label is asserted for them."""
-    if isinstance(nf, PseudoAnosovForm):
-        return NTType.PSEUDO_ANOSOV
-    if isinstance(nf, ReducibleForm):
-        return NTType.REDUCIBLE
-    return NTType.PERIODIC
 
 
 def representative(nf: ThreeBraidNormalForm) -> BraidWord:

@@ -179,7 +179,7 @@ def recorded_walks():
     letters walked: one for each triviality test; one for each sign, on
     its freely reduced word; one for each root test, on the power of the
     cyclic core, and one more, on the full twists, where
-    ``ordering.twist_point`` has not yet cached their image; and, in the
+    ``_kernel.twist_point`` has not yet cached their image; and, in the
     pure-Python build, one for each floor probe, on the freely reduced
     difference from the last probe of its search."""
     return recorded_queries(dynnikov, "act", at=1)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import re
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,13 +19,11 @@ from braidcert import (
     BadParameters,
     BraidWord,
     Certificate,
-    DegeneracySlope,
     FdtcValue,
     Justification,
     LSpaceStatus,
     ReplayError,
     SplitBinding,
-    SurgerySlope,
     Verdict,
     baldwin_lspace_double_cover,
     certify_closed_braid_cover,
@@ -33,11 +32,9 @@ from braidcert import (
     certify_orbifold_cover,
     certify_satellite,
     evaluate_inequality,
-    excluded_q,
     fdtc_interval,
     full_twist,
     normal_form,
-    slope_distance,
     verify_certificate,
 )
 from braidcert import braid, certify, threebraid
@@ -48,6 +45,60 @@ from braidcert.replay import MAX_INEQUALITY_CHARS
 
 C = full_twist(3)
 PA = BraidWord(3, (1, -2))
+
+
+# Slopes on a knot boundary, the second statement of the twist-gap rule
+# that the fibred-cover certifier is checked against.
+
+
+@dataclass(frozen=True)
+class SurgerySlope:
+    """Slope n mu + q lambda on a knot boundary, n >= 1."""
+
+    n: int
+    q: int
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise BadParameters(f"slope needs n >= 1, got n = {self.n}")
+
+
+@dataclass(frozen=True)
+class DegeneracySlope:
+    """Slope b mu + a lambda, b > 0, gcd(|a|, b) = 1; the boundary slope
+    pinned by a fractional twist c = a / b."""
+
+    b: int
+    a: int
+
+    def __post_init__(self):
+        if self.b <= 0:
+            raise BadParameters(f"degeneracy slope needs b > 0, got {self.b}")
+        if math.gcd(abs(self.a), self.b) != 1:
+            raise BadParameters(
+                f"degeneracy slope ({self.b}, {self.a}) is not in lowest terms"
+            )
+
+    @classmethod
+    def from_twist(cls, c: Fraction | int) -> "DegeneracySlope":
+        r = Fraction(c)
+        return cls(r.denominator, r.numerator)
+
+
+def slope_distance(s: SurgerySlope, d: DegeneracySlope) -> int:
+    """Geometric intersection number of the two slopes: |n a - q b|."""
+    return abs(s.n * d.a - s.q * d.b)
+
+
+def excluded_q(c_h: Fraction | int, n: int) -> frozenset[int]:
+    """The q values the twist-gap rule can never certify for this exact
+    twist: {n c} when n c is an integer, else the two integers around it."""
+    if n < 1:
+        raise BadParameters(f"cover order must be >= 1, got {n}")
+    nc = n * Fraction(c_h)
+    if nc.denominator == 1:
+        return frozenset({int(nc)})
+    return frozenset({math.floor(nc), math.floor(nc) + 1})
 #: sigma_1 sigma_2 sigma_3^-1 Delta^6, pseudo-Anosov (sigma_1 sigma_2
 #: sigma_3^-1 is, and Delta^2 is central) with twist in [3, 37/12]: no
 #: root b^q = Delta^(2p) refutes an assertion on it.

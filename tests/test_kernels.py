@@ -19,8 +19,8 @@ from conftest import _letters, letter_lists, probe_words, traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidcert import (BraidWord, OrderSign, _kernel, _reduction_py, dynnikov, reduced_word,
-                       sigma_sign)
+from braidcert import (BraidWord, OrderSign, _kernel, _reduction_py, dehornoy_floor, dynnikov,
+                       reduced_word, sigma_sign)
 from braidcert.errors import BadParameters, ReductionBudgetExceeded
 
 BUDGET = 10**6
@@ -429,3 +429,25 @@ class TestKernelSelection:
             monkeypatch.setenv("BRAIDCERT_REDUCTION_BUDGET", setting)
             with pytest.raises(BadParameters):
                 _kernel.default_budget()
+
+    def _answers_past_a_c_size(self, monkeypatch):
+        # budgets of 2^63 and more, past a C ssize_t, reach either kernel
+        # as sys.maxsize and answer every sign, reduction and floor probe
+        # as the default budget does
+        words = [(1, 2, -1), (1, 2, 3, -1, 2), (-2, 1, 1, -2, 3, -1, -3),
+                 (1, -2) * 5 + (2, -1) * 5, (1, 2, 3) * 9 + (-1,)]
+        braids = [BraidWord(4, word) for word in words]
+        monkeypatch.delenv("BRAIDCERT_REDUCTION_BUDGET", raising=False)
+        default = [(_kernel.sign_of(w), _kernel.reduce_word(w), dehornoy_floor(b))
+                   for w, b in zip(words, braids)]
+        for budget in (2**63, 10**30):
+            monkeypatch.setenv("BRAIDCERT_REDUCTION_BUDGET", str(budget))
+            assert _kernel.default_budget() == sys.maxsize
+            assert [(_kernel.sign_of(w), _kernel.reduce_word(w), dehornoy_floor(b))
+                    for w, b in zip(words, braids)] == default
+
+    def test_budget_past_a_c_size_answers_as_the_default(self, monkeypatch):
+        self._answers_past_a_c_size(monkeypatch)
+
+    def test_budget_past_a_c_size_under_the_other_kernel(self, other_kernel, monkeypatch):
+        self._answers_past_a_c_size(monkeypatch)

@@ -44,7 +44,8 @@ from braidcert import (
     sigma_sign,
 )
 from braidcert import _kernel, _reduction_py, braid, dynnikov, ordering
-from braidcert.ordering import _cyclic_core, central_root, twist_point
+from braidcert._kernel import twist_point
+from braidcert.ordering import _cyclic_core, central_root
 
 
 def delta_power(m: int, n: int) -> tuple[int, ...]:
@@ -1031,12 +1032,13 @@ def test_budget_env_caps_every_entry_point(monkeypatch, call):
         call()
 
 
-#: The public entry points that only ask whether a word is trivial, with
-#: their answers.  Dynnikov walks decide that, so the kernel's budget
-#: never reaches them.  The words are long: delta^2 _LONG
-#: delta^-2 _LONG^-1 is trivial, and _LONG [sigma_1^2, sigma_2^2]
-#: _LONG^-1 is not.  (sigma_1 sigma_2 sigma_3)^12 = delta^6 passes the
-#: exponent-sum test of central_root at q = 4, where b^4 = delta^24.
+#: The entry points that only ask whether a word is trivial, the public
+#: ones and the gateway's own two, with their answers.  Dynnikov walks
+#: decide that, so the kernel's budget never reaches them.  The words are
+#: long: delta^2 _LONG delta^-2 _LONG^-1 is trivial, and
+#: _LONG [sigma_1^2, sigma_2^2] _LONG^-1 is not.
+#: (sigma_1 sigma_2 sigma_3)^12 = delta^6 passes the exponent-sum test of
+#: central_root at q = 4, where b^4 = (sigma_1 sigma_2 sigma_3)^48 = delta^24.
 _TRIVIALITY_ENTRY_POINTS = {
     "BraidWord.is_trivial": (
         lambda: (full_twist(4) * _LONG * full_twist(4).inverse() * _LONG.inverse()
@@ -1044,6 +1046,11 @@ _TRIVIALITY_ENTRY_POINTS = {
     "braid.is_trivial": (lambda: braid.is_trivial(
         BraidWord(4, (1, 1, 2, 2, -1, -1, -2, -2)).conjugated_by(_LONG)), False),
     "central_root": (lambda: central_root(BraidWord(4, (1, 2, 3) * 12), 4), (4, 12)),
+    "_kernel.is_trivial": (lambda: _kernel.is_trivial(
+        (full_twist(4) * _LONG * full_twist(4).inverse() * _LONG.inverse()).letters),
+        True),
+    "_kernel.is_twist_power": (lambda: _kernel.is_twist_power(
+        (1, 2, 3) * 48, 4, 12), True),
 }
 
 

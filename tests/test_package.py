@@ -163,6 +163,89 @@ def test_import_check_sees_every_form():
     ]
 
 
+#: The kernel modules, and the one dynnikov name that asks no engine
+#: question: the library's free reduction.
+_KERNELS = {"_reduction_py", "_reduction_c"}
+_FREE_REDUCTION = "free_reduce"
+
+
+def _engine_uses(source: str) -> list[str]:
+    """Where a module's source reaches an engine other than through
+    ``_kernel``, in line order: an import of a kernel module, an import
+    of a dynnikov name other than free_reduce, or such a name reached as
+    an attribute of a name bound to the dynnikov module, in any import
+    form, relative ones included."""
+    tree = ast.parse(source)
+    found = []
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = "braidcert" + (f".{module}" if module else "")
+            for alias in node.names:
+                if module == "braidcert" and alias.name == "dynnikov":
+                    bound.add(alias.asname or alias.name)
+                elif (module == "braidcert" and alias.name in _KERNELS
+                      or module.removeprefix("braidcert.") in _KERNELS
+                      or module == "braidcert.dynnikov" and alias.name != _FREE_REDUCTION):
+                    found.append((node.lineno, f"from {module} import {alias.name}"))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "braidcert.dynnikov":
+                    bound.add(alias.asname or alias.name)
+                elif alias.name.removeprefix("braidcert.") in _KERNELS:
+                    found.append((node.lineno, f"import {alias.name}"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr != _FREE_REDUCTION:
+            owner = ast.unparse(node.value)
+            if owner in bound:
+                found.append((node.lineno, f"{owner}.{node.attr}"))
+    return [f"line {line}: {use}" for line, use in sorted(found)]
+
+
+def test_engine_queries_go_through_the_kernel():
+    # _kernel alone decides which engine answers a question: no other
+    # module walks Dynnikov coordinates or imports a reduction kernel.
+    # Every module may freely reduce with dynnikov.free_reduce, and
+    # dynnikov.py calls its own walk by bare names.
+    package = Path(braidcert.__file__).parent
+    offenders = {path.name: uses for path in sorted(package.glob("*.py"))
+                 if path.name != "_kernel.py"
+                 and (uses := _engine_uses(path.read_text()))}
+    assert offenders == {}
+
+
+def test_engine_check_sees_every_form():
+    source = ("from braidcert import _kernel, dynnikov\n"
+              "from braidcert.dynnikov import act, free_reduce\n"
+              "from braidcert import _reduction_py as reference\n"
+              "import braidcert.dynnikov\n"
+              "import braidcert._reduction_c\n"
+              "from ._reduction_c import sign_of\n"
+              "from . import dynnikov as walks\n"
+              "def twist_point(m, p):\n"
+              "    return tuple(dynnikov.act((0, 1) * m, full_twist_letters(m, p)))\n"
+              "class BraidWord:\n"
+              "    def __init__(self, raw):\n"
+              "        self.letters = tuple(dynnikov.free_reduce(raw))\n"
+              "    def is_trivial(self):\n"
+              "        return dynnikov.is_trivial(self.letters)\n"
+              "SIGN = walks.point_sign\n"
+              "braidcert.dynnikov.sign(w)\n"
+              "_kernel.is_trivial(w) and _kernel.sign_of(w)\n")
+    assert _engine_uses(source) == [
+        "line 2: from braidcert.dynnikov import act",
+        "line 3: from braidcert import _reduction_py",
+        "line 5: import braidcert._reduction_c",
+        "line 6: from braidcert._reduction_c import sign_of",
+        "line 9: dynnikov.act",
+        "line 14: dynnikov.is_trivial",
+        "line 15: walks.point_sign",
+        "line 16: braidcert.dynnikov.sign",
+    ]
+
+
 def _free_reductions(source: str) -> list[tuple[int, str]]:
     """(line, dotted name of the enclosing functions and classes) for
     each free reduction a module's source defines: a function whose name
@@ -262,16 +345,13 @@ def test_floor_probes_have_one_engine():
     # every floor probe goes to a _kernel.FloorProbe, one per search,
     # built by _floor_probe alone (_search_floor names it in its
     # signature); sign_of answers the other sign queries only, and the
-    # coordinate walks in ordering are the root test's and the cached
-    # twist image's
+    # root test is central_root's
     source = Path(braidcert.__file__).with_name("ordering.py").read_text()
     assert _attribute_uses(source, "_kernel") == {
         "sign_of": {"sigma_sign", "compare"},
         "FloorProbe": {"_search_floor", "_floor_probe"},
         "reduce_word": {"reduced_word"},
-    }
-    assert _attribute_uses(source, "dynnikov") == {
-        "act": {"twist_point", "central_root"},
+        "is_twist_power": {"central_root"},
     }
 
 
@@ -561,7 +641,7 @@ def test_export_table_states_each_name_once():
         "_kernel", "braid", "certify", "errors", "fdtc", "ordering", "replay",
         "threebraid",
     ]
-    assert sum(map(len, braidcert._EXPORTS.values())) == len(braidcert.__all__) == 62
+    assert sum(map(len, braidcert._EXPORTS.values())) == len(braidcert.__all__) == 56
 
 
 def test_repeated_export_check_sees_names_and_modules():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from enum import Enum
 
 import pytest
 from conftest import three_braids
@@ -13,7 +14,6 @@ from braidcert import (
     BraidWord,
     LSpaceStatus,
     NotThreeBraid,
-    NTType,
     PeriodicForm,
     PseudoAnosovForm,
     ReducibleForm,
@@ -22,13 +22,29 @@ from braidcert import (
     full_twist,
     is_trivial,
     normal_form,
-    nt_type,
     representative,
     sl2_image,
 )
 from braidcert.threebraid import _cyclic_reduce, _min_rotation, _quotient_word
 
 C = full_twist(3)
+
+
+class NTType(Enum):
+    PSEUDO_ANOSOV = "pseudo-Anosov"
+    REDUCIBLE = "reducible"
+    PERIODIC = "periodic"
+
+
+def nt_type(nf) -> NTType:
+    """Nielsen-Thurston type of a normal form.  Central braids report
+    REDUCIBLE with the normal form's ``central`` flag left to the caller;
+    no geometric label is asserted for them."""
+    if isinstance(nf, PseudoAnosovForm):
+        return NTType.PSEUDO_ANOSOV
+    if isinstance(nf, ReducibleForm):
+        return NTType.REDUCIBLE
+    return NTType.PERIODIC
 
 
 class TestNormalFormKnownValues:
