@@ -1,21 +1,21 @@
 /* Compiled handle-reduction kernel; exact twin of _reduction_py.
 
-   Same rewrite rule, same leftmost-closing-handle strategy, same early
-   exit for sign queries, same buffer growth and the same budget
-   messages, so the parity tests can compare the two letter for letter.
-   Unlike the pure module it checks its input before touching memory:
-   every letter an int x with 0 < |x| < INT_MAX, else ValueError
-   (TypeError or OverflowError for a non-int or one too big for a C
-   long).  The generator tables are sized by the largest generator in
-   the word, as a rewrite only brings in generators already present;
-   BraidWord's strand cap bounds it.  Built by setup.py with a plain C
-   compiler and the CPython headers. */
+   Same rewrite rule in the same closed form (the module docstring of
+   _reduction_py states it and why it holds), same leftmost-closing-handle
+   strategy, same early exit for sign queries, same buffer growth and the
+   same budget messages, so the parity tests can compare the two letter
+   for letter.  Unlike the pure module it checks its input before
+   touching memory: every letter an int x with 0 < |x| < INT_MAX, else
+   ValueError (TypeError or OverflowError for a non-int or one too big
+   for a C long).  The last-occurrence table is sized by the largest
+   generator in the word, as a rewrite only brings in generators already
+   present; BraidWord's strand cap bounds it.  Built by setup.py with a
+   plain C compiler and the CPython headers. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <string.h>
 
-#define MIXED 2  /* lowest generator occurs with both signs */
 #define FAILED (-2)
 
 static PyObject *budget_exceeded;  /* braidcert.errors.ReductionBudgetExceeded */
@@ -62,29 +62,23 @@ push(int *buf, Py_ssize_t *n, int z)
         buf[(*n)++] = z;
 }
 
-/* push, keeping cnt[x], the number of letters x in the word, in step. */
-static inline void
-push_counted(int *buf, Py_ssize_t *n, Py_ssize_t *cnt, int z)
-{
-    if (*n && buf[*n - 1] == -z) {
-        --*n;
-        cnt[-z]--;
-    } else {
-        buf[(*n)++] = z;
-        cnt[z]++;
-    }
-}
-
-/* Sign decided by the lowest generator present; MIXED if undecided.
-   No generator below low occurs. */
+/* The lowest generator in w[:n] (0 for the empty word), with the
+   numbers of its positive and of its negative letters. */
 static int
-definite_sign(const Py_ssize_t *cnt, int low, int top)
+lowest(const int *w, Py_ssize_t n, Py_ssize_t *pos, Py_ssize_t *neg)
 {
-    for (int j = low; j < top; j++) {
-        if (cnt[j] || cnt[-j])
-            return cnt[-j] == 0 ? 1 : cnt[j] == 0 ? -1 : MIXED;
+    int low = 0;
+    *pos = *neg = 0;
+    for (Py_ssize_t i = 0; i < n; i++) {
+        int g = gen(w[i]);
+        if (low == 0 || g < low) {
+            low = g;
+            *pos = *neg = 0;
+        }
+        if (g == low)
+            ++*(w[i] > 0 ? pos : neg);
     }
-    return 0;
+    return low;
 }
 
 /* Handle-reduce the call's letters into *wp (length *np, owned by the
@@ -98,7 +92,7 @@ reduce_core(PyObject *args, PyObject *kwds, int full, int **wp, Py_ssize_t *np)
     int top = 1, low, sign = FAILED;
     Py_ssize_t max_len, n0, n = 0, cap, seg_cap = 64, seg_n, i, s, q;
     int *w = NULL, *seg = NULL;
-    Py_ssize_t *tables = NULL, *cnt, *last, *prev = NULL;
+    Py_ssize_t *last = NULL, *prev = NULL, pos, neg;
 
     *wp = NULL;
     if (!PyArg_ParseTupleAndKeywords(args, kwds, "On", kwlist,
@@ -140,29 +134,20 @@ reduce_core(PyObject *args, PyObject *kwds, int full, int **wp, Py_ssize_t *np)
         goto fail;
     }
 
-    /* cnt[x] counts the letter x, for -top < x < top; last[j] is the
-       last occurrence of generator j in w[:i], and prev[p] the one
-       before position p, for p < i. */
-    if ((tables = PyMem_Calloc(3 * (size_t)top, sizeof(Py_ssize_t))) == NULL) {
-        PyErr_NoMemory();
-        goto fail;
+    /* The sign is (pos > 0) - (neg > 0) once pos or neg is 0. */
+    low = lowest(w, n, &pos, &neg);
+    if (!full && !(pos && neg)) {
+        sign = (pos > 0) - (neg > 0);
+        goto done;
     }
-    if (grow(&seg, seg_cap) < 0 || grow_positions(&prev, cap) < 0)
+
+    /* last[j] is the last occurrence of generator j in w[:i], and
+       prev[p] the one before position p, for p < i. */
+    if (grow(&seg, seg_cap) < 0 || grow_positions(&prev, cap) < 0
+        || grow_positions(&last, top) < 0)
         goto fail;
-    cnt = tables + top;
-    last = tables + 2 * top;
     for (int j = 0; j < top; j++)
         last[j] = -1;
-    /* No rewrite brings in a generator below the lowest one, so the
-       sign scans start there. */
-    low = top;
-    for (i = 0; i < n; i++) {
-        cnt[w[i]]++;
-        if (gen(w[i]) < low)
-            low = gen(w[i]);
-    }
-    if (!full && (sign = definite_sign(cnt, low, top)) != MIXED)
-        goto done;
 
     i = 0;
     while (i < n) {
@@ -178,28 +163,29 @@ reduce_core(PyObject *args, PyObject *kwds, int full, int **wp, Py_ssize_t *np)
             continue;
         }
 
-        /* Rewrite handle w[s..i]; free-cancel while building the patch,
-           counting every letter that leaves or enters the word.  Worst
-           case the interior triples in length. */
-        int e = w[s] > 0 ? 1 : -1, g1 = g + 1;
+        /* Rewrite handle w[s..i] in closed form: the interior's letters
+           y of index g+1 share one sign, and a run of k of them becomes
+           -up, k letters g of y's sign, up, where up is g+1 with the
+           opening letter's sign.  The patch holds the interior plus 2
+           letters per run, at most 3 times the interior. */
+        int up = w[s] > 0 ? g + 1 : -(g + 1);
         if (3 * (i - s) + 4 > seg_cap) {
             seg_cap = 3 * (i - s) + 64;
             if (grow(&seg, seg_cap) < 0)
                 goto fail;
         }
-        cnt[x]--;
-        cnt[-x]--;
         seg_n = 0;
         for (q = s + 1; q < i; q++) {
             int y = w[q];
-            cnt[y]--;
-            if (gen(y) == g1) {
-                push_counted(seg, &seg_n, cnt, -e * g1);
-                push_counted(seg, &seg_n, cnt, (y > 0 ? 1 : -1) * g);
-                push_counted(seg, &seg_n, cnt, e * g1);
-            } else {
-                push_counted(seg, &seg_n, cnt, y);
+            if (gen(y) != g + 1) {
+                seg[seg_n++] = y;
+                continue;
             }
+            if (w[q - 1] != y)
+                seg[seg_n++] = -up;
+            seg[seg_n++] = y > 0 ? g : -g;
+            if (w[q + 1] != y)
+                seg[seg_n++] = up;
         }
 
         Py_ssize_t new_n = n - (i - s + 1) + seg_n;
@@ -217,8 +203,22 @@ reduce_core(PyObject *args, PyObject *kwds, int full, int **wp, Py_ssize_t *np)
                          max_len);
             goto fail;
         }
-        if (!full && (sign = definite_sign(cnt, low, top)) != MIXED)
-            goto done;
+        /* Only a handle of the lowest generator changes its counts: it
+           takes one letter of each sign and brings in the patch's. */
+        if (g == low) {
+            pos--;
+            neg--;
+            for (q = 0; q < seg_n; q++) {
+                pos += seg[q] == low;
+                neg += seg[q] == -low;
+            }
+            if (!(pos || neg))
+                low = lowest(w, n, &pos, &neg);
+            if (!full && !(pos && neg)) {
+                sign = (pos > 0) - (neg > 0);
+                goto done;
+            }
+        }
 
         /* Resume at s.  No generator below g occurs in w[s..i], so only
            last[g:] can point into it; step those back along prev. */
@@ -228,7 +228,7 @@ reduce_core(PyObject *args, PyObject *kwds, int full, int **wp, Py_ssize_t *np)
         }
         i = s;
     }
-    sign = definite_sign(cnt, low, top);
+    sign = (pos > 0) - (neg > 0);
     goto done;
 
 fail:
@@ -236,7 +236,7 @@ fail:
 done:
     Py_DECREF(seq);
     PyMem_Free(seg);
-    PyMem_Free(tables);
+    PyMem_Free(last);
     PyMem_Free(prev);
     if (sign == FAILED) {
         PyMem_Free(w);

@@ -12,11 +12,11 @@ its own intake, so the parity tests check free reduction against an
 independent implementation.
 
 Algorithm: repeatedly rewrite the handle that closes leftmost.  A
-sigma_i-handle is a subword  (+-i) v (-+i)  whose interior v contains no
-letter of index <= i.  Rewriting drops the bracket pair and conjugates
-each interior letter of index i+1:
+sigma_g-handle is a subword  (+-g) v (-+g)  whose interior v contains no
+letter of index <= g.  Rewriting drops the bracket pair and conjugates
+each interior letter of index g+1:
 
-    (i+1)^d  ->  (i+1)^-e  i^d  (i+1)^e      (e = sign of the opening letter)
+    (g+1)^d  ->  (g+1)^-e  g^d  (g+1)^e      (e = sign of the opening letter)
 
 Scanning for the first *closing* position guarantees the interior holds
 no smaller handle, which is the strategy known to terminate without
@@ -29,32 +29,41 @@ step back along those links, so no rewrite rescans the prefix.  A
 length budget turns pathological growth into ReductionBudgetExceeded
 instead of an unbounded loop.
 
+Invariant: the scanned prefix w[:i] holds no handle, since a handle
+closing at an earlier position would have been rewritten there, and a
+rewrite at s leaves w[:s] as it was.  In particular w[:i] is freely
+reduced: an adjacent pair x, -x is a handle with an empty interior.
+
+Closed form: in a sigma_g-handle's interior, two consecutive letters of
+index g+1 have only letters of index > g+1 between them, so if their
+signs differed they would bound a handle inside w[:i].  Hence every
+letter of index g+1 in the interior has one sign d, and they stand in
+runs (g+1)^(dk), each between letters of higher index or the brackets.
+Conjugating letter by letter makes (g+1)^e (g+1)^-e between neighbours
+in a run, and nothing else cancels: copied letters were neighbours in
+the freely reduced w[:i] already, and a run's patch meets letters of
+higher index or the ends of the patch.  So the rewrite is each run
+
+    (g+1)^(dk)  ->  (g+1)^-e  g^(dk)  (g+1)^e
+
+with every other interior letter copied.  The result is the same word,
+letter for letter, as conjugating each letter and freely cancelling
+while building.
+
 Sign queries stop early once the lowest generator present occurs with a
 single sign: such a word is sigma-definite and its class under the
-Dehornoy order is already decided.
+Dehornoy order is already decided.  Only the lowest generator's two
+letter counts are kept.  No rewrite brings in a generator below it, and
+only a handle of that generator changes them: it removes one letter of
+each sign and brings in one letter g^d per interior letter of index
+g+1.  When both counts reach 0, the next lowest generator is counted
+from the word.
 """
 
 from __future__ import annotations
 
 from braidcert import dynnikov
 from braidcert.errors import ReductionBudgetExceeded
-
-_MIXED = 2  # sentinel: lowest generator occurs with both signs
-
-
-def _definite_sign(cnt, low, top):
-    # Sign decided by the lowest generator present; _MIXED if undecided.
-    # No generator below low occurs.
-    for j in range(low, top + 1):
-        p = cnt[j]
-        n = cnt[-j]
-        if p or n:
-            if n == 0:
-                return 1
-            if p == 0:
-                return -1
-            return _MIXED
-    return 0
 
 
 def admit(letters, max_len):
@@ -68,24 +77,24 @@ def admit(letters, max_len):
     return w
 
 
+def _lowest(w):
+    # The lowest generator in w (0 for the empty word) and the numbers
+    # of its positive and of its negative letters.
+    low = min(map(abs, w), default=0)
+    return low, w.count(low), w.count(-low)
+
+
 def _reduce_core(letters, max_len, full):
     w = admit(letters, max_len)
 
-    # Tables are sized by the word's highest generator, as a rewrite
-    # brings in no other; cnt[x] counts the letter x, x < 0 from the end.
-    # Nor does a rewrite bring in a generator below the lowest, so the
-    # sign scans start there.
+    # The sign is (pos > 0) - (neg > 0) once pos or neg is 0.
+    low, pos, neg = _lowest(w)
+    if not full and not (pos and neg):
+        return (pos > 0) - (neg > 0), w
+
+    # The table is sized by the word's highest generator, as a rewrite
+    # brings in no other.
     top = max(map(abs, w), default=0)
-    low = min(map(abs, w), default=1)
-    cnt = [0] * (2 * top + 2)
-    for x in w:
-        cnt[x] += 1
-
-    if not full:
-        s = _definite_sign(cnt, low, top)
-        if s != _MIXED:
-            return s, w
-
     last = [-1] * (top + 1)  # last occurrence of each generator in w[:i]
     prev: list[int] = []  # prev[p]: previous occurrence of w[p]'s generator
     i = 0
@@ -106,30 +115,27 @@ def _reduce_core(letters, max_len, full):
             i += 1
             continue
 
-        # Rewrite handle w[s..i]; free-cancel while building the patch,
-        # counting every letter that leaves or enters the word.
-        e = 1 if w[s] > 0 else -1
+        # Rewrite handle w[s..i] in closed form: the interior's letters
+        # of index g+1 are all y, and a run y^k becomes -up d^k up, where
+        # up is g+1 with the opening letter's sign and d is g with y's.
+        seg = w[s + 1 : i]
         g1 = g + 1
-        cnt[x] -= 1
-        cnt[-x] -= 1
-        seg: list[int] = []
-        for q in range(s + 1, i):
-            y = w[q]
-            if y == g1 or y == -g1:
-                cnt[y] -= 1
-                for z in (-e * g1, g if y > 0 else -g, e * g1):
-                    if seg and seg[-1] == -z:
-                        seg.pop()
-                        cnt[-z] -= 1
-                    else:
-                        seg.append(z)
-                        cnt[z] += 1
-            elif seg and seg[-1] == -y:
-                seg.pop()
-                cnt[y] -= 1
-                cnt[-y] -= 1
-            else:
-                seg.append(y)
+        y = g1 if g1 in seg else -g1
+        if y in seg:
+            up = g1 if x < 0 else -g1
+            d = g if y > 0 else -g
+            patch = []
+            for q in range(s + 1, i):
+                z = w[q]
+                if z != y:
+                    patch.append(z)
+                    continue
+                if w[q - 1] != y:
+                    patch.append(-up)
+                patch.append(d)
+                if w[q + 1] != y:
+                    patch.append(up)
+            seg = patch
 
         w[s : i + 1] = seg
         n += len(seg) - (i + 1 - s)
@@ -138,12 +144,14 @@ def _reduce_core(letters, max_len, full):
                 f"word grew past budget {max_len} during handle reduction"
             )
 
-        # While the lowest generator occurs with both signs the word is
-        # mixed, so the scan of cnt can wait.
-        if not full and not (cnt[low] and cnt[-low]):
-            sd = _definite_sign(cnt, low, top)
-            if sd != _MIXED:
-                return sd, w
+        # Only a handle of the lowest generator changes its counts.
+        if g == low:
+            pos += seg.count(low) - 1
+            neg += seg.count(-low) - 1
+            if not (pos or neg):
+                low, pos, neg = _lowest(w)
+            if not full and not (pos and neg):
+                return (pos > 0) - (neg > 0), w
 
         # Resume at s.  No generator below g occurs in w[s..i], so only
         # last[g:] can point into it; step those back along prev.
@@ -155,7 +163,7 @@ def _reduce_core(letters, max_len, full):
         del prev[s:]
         i = s
 
-    return _definite_sign(cnt, low, top), w
+    return (pos > 0) - (neg > 0), w
 
 
 def reduce_word(letters, max_len):

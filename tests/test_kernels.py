@@ -4,11 +4,15 @@ The pure-Python kernel is the reference; the compiled kernel must
 produce letter-for-letter identical output.  Correctness of the
 reference itself is checked against oracles that do not involve handle
 reduction: the permutation representation, exponent sums, and the
-integral Burau matrices at t = -1.
+integral Burau matrices at t = -1.  Both kernels rewrite a handle in
+closed form; :func:`_generic_reduce` rewrites it letter by letter, and
+both are compared with it, as a mistake in the closed form that the two
+kernels shared would pass the parity tests.
 """
 
 from __future__ import annotations
 
+import collections
 import os
 import random
 import subprocess
@@ -68,8 +72,127 @@ def growing_words(draw):
     return m, tuple(letters + _letters(draw, range(1, m), 6))
 
 
+@st.composite
+def run_words(draw):
+    """Handles sigma_g^e v sigma_g^-e whose interior v holds runs of two
+    to four equal sigma_(g+1) letters, one at each end of v and one
+    more between each of one to three stretches of higher letters,
+    inside a short random prefix and suffix."""
+    m = draw(st.integers(4, 7))
+    letters = _letters(draw, range(1, m), 4)
+    for _ in range(draw(st.integers(1, 2))):
+        g = draw(st.integers(1, m - 3))
+        e, d = draw(st.sampled_from([1, -1])), draw(st.sampled_from([1, -1]))
+        upper = [x for h in range(g + 2, m) for x in (h, -h)]
+        inner = [d * (g + 1)] * draw(st.integers(2, 4))
+        for _ in range(draw(st.integers(1, 3))):
+            inner += draw(st.lists(st.sampled_from(upper), min_size=1, max_size=2))
+            inner += [d * (g + 1)] * draw(st.integers(2, 4))
+        letters += [e * g, *inner, -e * g]
+    return m, tuple(letters + _letters(draw, range(1, m), 4))
+
+
+@st.composite
+def vanishing_low_words(draw):
+    """Words whose lowest generator cancels out during reduction.  The
+    half twist Delta of strands c..c+k-1 conjugates a word v in sigma_c
+    .. sigma_(c+k-3) to one in sigma_(c+1) .. sigma_(c+k-2), so
+    u Delta v Delta^-1 u' is a braid without sigma_c written with it,
+    for u and u' in sigma_(c+1) .. sigma_(c+k).  At one end stands a
+    handle sigma_(c+1)^(+-1) v' sigma_(c+1)^(-+1) whose interior
+    alternates one sign of sigma_(c+2) with sigma_(c+3), r of each: its
+    rewrite grows the word by 2r letters, so that a budget just above
+    the free length refuses before or after sigma_c is gone."""
+    c, k = draw(st.integers(1, 2)), draw(st.integers(3, 5))
+    upper = range(c + 1, c + k + 1)
+    delta = [x + c - 1 for block in range(k - 1, 0, -1) for x in range(1, block + 1)]
+    v = draw(st.lists(st.sampled_from([x for g in range(c, c + k - 2) for x in (g, -g)]),
+                      min_size=1, max_size=8))
+    e, d, f = (draw(st.sampled_from([1, -1])) for _ in range(3))
+    grows = ([e * (c + 1)] + [d * (c + 2), f * (c + 3)] * draw(st.integers(1, 3))
+             + [d * (c + 2), -e * (c + 1)])
+    word = (_letters(draw, upper, 6) + delta + v + list(_inverse(delta))
+            + _letters(draw, upper, 6))
+    return c + k + 1, tuple(grows + word if draw(st.booleans()) else word + grows)
+
+
 def _inverse(letters):
     return tuple(-x for x in reversed(letters))
+
+
+def _generic_reduce(letters, max_len, full):
+    """Handle reduction by the generic rewrite, as the kernels did it
+    before the closed form: the sign and the word, or the kernels'
+    ReductionBudgetExceeded.  It frees the word on a stack, finds the
+    handle that closes leftmost by looking back from each position for
+    the nearest letter of index <= g, conjugates each interior letter of
+    index g+1 on its own while freely cancelling the patch as it is
+    built, and counts every letter.  A sign query stops at the start or
+    after the first rewrite that leaves the lowest generator of one
+    sign."""
+    w: list[int] = []
+    for x in letters:
+        if w and w[-1] == -x:
+            w.pop()
+        else:
+            w.append(x)
+    if len(w) > max_len:
+        raise ReductionBudgetExceeded(f"word of length {len(w)} exceeds budget {max_len}")
+    cnt = collections.Counter(w)
+
+    def sign():
+        # None while the lowest generator occurs with both signs
+        present = [x for x, c in cnt.items() if c]
+        if not present:
+            return 0
+        low = min(map(abs, present))
+        signs = {x > 0 for x in present if abs(x) == low}
+        return None if len(signs) == 2 else 1 if True in signs else -1
+
+    if not full and sign() is not None:
+        return sign(), w
+    i = 0
+    while i < len(w):
+        x = w[i]
+        g = abs(x)
+        s = i - 1
+        while s >= 0 and abs(w[s]) > g:
+            s -= 1
+        if s < 0 or w[s] != -x:
+            i += 1
+            continue
+        e = 1 if w[s] > 0 else -1
+        cnt[x] -= 1
+        cnt[-x] -= 1
+        seg: list[int] = []
+        for y in w[s + 1 : i]:
+            cnt[y] -= 1
+            conjugate = ((-e * (g + 1), g if y > 0 else -g, e * (g + 1))
+                         if abs(y) == g + 1 else (y,))
+            for z in conjugate:
+                if seg and seg[-1] == -z:
+                    cnt[seg.pop()] -= 1
+                else:
+                    seg.append(z)
+                    cnt[z] += 1
+        w[s : i + 1] = seg
+        if len(w) > max_len:
+            raise ReductionBudgetExceeded(
+                f"word grew past budget {max_len} during handle reduction")
+        if not full and sign() is not None:
+            return sign(), w
+        i = s
+    return sign(), w
+
+
+def _generic_outcome(letters, max_len, full):
+    """What the kernel's reduce_word (full) or sign_of gives, by the
+    generic rewrite, or the message of its budget error."""
+    try:
+        sign, w = _generic_reduce(letters, max_len, full)
+    except ReductionBudgetExceeded as exc:
+        return str(exc)
+    return w if full else sign
 
 
 def _long_words():
@@ -231,6 +354,10 @@ class TestReferenceKernel:
         assert _reduction_py.reduce_word((1, -2, -1), BUDGET) == [-2, -1, 2]
         # already sigma-definite words come back freely reduced only
         assert _reduction_py.reduce_word((1, 2, -2, 1), BUDGET) == [1, 1]
+        # each run sigma_2^2 becomes sigma_2^-1 sigma_1^2 sigma_2; then
+        # the handle sigma_2 sigma_3 sigma_2^-1 between them is rewritten
+        assert _reduction_py.reduce_word((1, 2, 2, 3, 2, 2, -1), BUDGET) == [
+            -2, 1, 1, -3, 2, 3, 1, 1, 2]
 
     @given(gapped_words())
     @settings(max_examples=150, deadline=None)
@@ -332,6 +459,41 @@ class TestKernelParity:
             assert _budget_message(kernel.reduce_word, w, 11) == message
             assert kernel.reduce_word(w, 13) == [
                 -2, 1, 2, 2, 1, 2, -4, 3, -5, 4, 5, 3, 4]
+
+
+@pytest.fixture(scope="module", params=["python", "c"])
+def kernel(request):
+    """Each kernel in turn: the pure-Python one, then the compiled one."""
+    if request.param == "python":
+        return _reduction_py
+    return request.getfixturevalue("c_kernel")
+
+
+class TestGenericRewrite:
+    """Both kernels against :func:`_generic_reduce`, letter for letter,
+    with the same signs and the same budget messages."""
+
+    @given(st.one_of(run_words(), vanishing_low_words(), words_with_strands()),
+           st.integers(0, 3))
+    @settings(max_examples=400, deadline=None)
+    def test_kernel_matches_the_generic_rewrite(self, kernel, mw, slack):
+        # a budget just above the free-reduced length refuses partway
+        # through a reduction that grows the word
+        _, w = mw
+        for max_len in (BUDGET, _free_length(w) + slack):
+            for name, full in (("reduce_word", True), ("sign_of", False)):
+                assert _outcome(getattr(kernel, name), w, max_len) == _generic_outcome(
+                    w, max_len, full)
+
+    @given(vanishing_low_words())
+    @settings(max_examples=100, deadline=None)
+    def test_lowest_generator_vanishes(self, mw):
+        # the family does what it is drawn for: sigma_c is gone from the
+        # reduced word, so a sign query reads the next generator
+        _, w = mw
+        low = min(map(abs, w))
+        _, reduced = _generic_reduce(w, BUDGET, True)
+        assert all(abs(x) > low for x in reduced)
 
 
 class TestCompiledBoundary:

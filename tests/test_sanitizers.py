@@ -27,12 +27,12 @@ import braidcert
 _FLAGS = ("-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
           "-fno-omit-frame-pointer")
 
-#: Compares the two kernels, error messages included, on two sets of
+#: Compares the two kernels, error messages included, on five sets of
 #: seeded words; prints the kernel's file, the comparisons made, the
 #: budget trips and the mismatches.
 _CHECK = r"""
 import random
-from braidcert import _reduction_c, _reduction_py
+from braidcert import _reduction_c, _reduction_py, dynnikov
 from braidcert.errors import ReductionBudgetExceeded
 
 def outcome(fn, letters, budget):
@@ -69,6 +69,37 @@ for _ in range(200):
     for _ in range(rng.randint(5, 30)):
         v += (f * (g + 1), rng.choice((1, -1)) * rng.randrange(g + 2, m))
     cases.append((word(rng, m, 10) + (e * g, *v, -e * g) + word(rng, m, 10), 10**6))
+# a handle whose interior holds runs of 2 to 40 equal sigma_(g+1)
+# letters between higher ones: the closed form merges each run into
+# one patch of up to 42 letters, and long runs fill the segment
+for _ in range(200):
+    m = rng.randint(4, 7)
+    g, e, d = rng.randrange(1, m - 2), rng.choice((1, -1)), rng.choice((1, -1))
+    v = [d * (g + 1)] * rng.randint(2, 40)
+    for _ in range(rng.randint(1, 8)):
+        v += [rng.choice((1, -1)) * rng.randrange(g + 2, m) for _ in range(rng.randint(1, 2))]
+        v += [d * (g + 1)] * rng.randint(2, 40)
+    cases.append((word(rng, m, 10) + (e * g, *v, -e * g) + word(rng, m, 10), 10**6))
+# u Delta v Delta^-1 u' with Delta the half twist of strands c..c+k-1,
+# v in sigma_c .. sigma_(c+k-3) and u, u' above sigma_c: sigma_c cancels
+# out during the reduction, and the kernel counts the next generator
+# from the word; a growing handle above sigma_c at one end and a budget
+# a few letters past the free length refuse before or after that
+for _ in range(200):
+    c, k = rng.randint(1, 2), rng.randint(3, 6)
+    delta = tuple(x + c - 1 for block in range(k - 1, 0, -1) for x in range(1, block + 1))
+    v = tuple(rng.choice((1, -1)) * rng.randrange(c, c + k - 2)
+              for _ in range(rng.randint(1, 30)))
+    def upper(length):
+        return tuple(rng.choice((1, -1)) * rng.randint(c + 1, c + k) for _ in range(length))
+    e, d, f = (rng.choice((1, -1)) for _ in range(3))
+    grows = ((e * (c + 1),) + (d * (c + 2), f * (c + 3)) * rng.randint(1, 3)
+             + (d * (c + 2), -e * (c + 1)))
+    body = upper(rng.randint(0, 10)) + delta + v + tuple(-x for x in reversed(delta))
+    body += upper(rng.randint(0, 10))
+    letters = grows + body if rng.random() < 0.5 else body + grows
+    budget = len(dynnikov.free_reduce(letters)) + rng.randint(0, 8)
+    cases.append((letters, budget))
 
 trips = mismatches = 0
 for letters, budget in cases:
@@ -126,5 +157,5 @@ def test_kernel_is_clean_under_sanitizers(tmp_path):
     kernel, counts = result.stdout.splitlines()
     assert Path(kernel).parent == root / "braidcert"
     comparisons, trips, mismatches = map(int, counts.split())
-    assert (comparisons, mismatches) == (6800, 0)
+    assert (comparisons, mismatches) == (7600, 0)
     assert trips > 0
