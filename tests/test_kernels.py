@@ -121,8 +121,8 @@ def _inverse(letters):
 
 
 def _generic_reduce(letters, max_len, full):
-    """Handle reduction by the generic rewrite, as the kernels did it
-    before the closed form: the sign and the word, or the kernels'
+    """Handle reduction by the generic rewrite, the oracle for the
+    kernels' closed form: the sign and the word, or the kernels'
     ReductionBudgetExceeded.  It frees the word on a stack, finds the
     handle that closes leftmost by looking back from each position for
     the nearest letter of index <= g, conjugates each interior letter of

@@ -44,6 +44,9 @@ def outcome(fn, letters, budget):
 def word(rng, m, length):
     return tuple(rng.choice((1, -1)) * rng.randrange(1, m) for _ in range(length))
 
+def between(rng, low, high, length):
+    return tuple(rng.choice((1, -1)) * rng.randint(low, high) for _ in range(length))
+
 rng = random.Random(1)
 cases = []
 # short words on 2-7 strands, under budgets from 5 to 10^6; a budget
@@ -88,15 +91,12 @@ for _ in range(200):
 for _ in range(200):
     c, k = rng.randint(1, 2), rng.randint(3, 6)
     delta = tuple(x + c - 1 for block in range(k - 1, 0, -1) for x in range(1, block + 1))
-    v = tuple(rng.choice((1, -1)) * rng.randrange(c, c + k - 2)
-              for _ in range(rng.randint(1, 30)))
-    def upper(length):
-        return tuple(rng.choice((1, -1)) * rng.randint(c + 1, c + k) for _ in range(length))
+    v = between(rng, c, c + k - 3, rng.randint(1, 30))
     e, d, f = (rng.choice((1, -1)) for _ in range(3))
     grows = ((e * (c + 1),) + (d * (c + 2), f * (c + 3)) * rng.randint(1, 3)
              + (d * (c + 2), -e * (c + 1)))
-    body = upper(rng.randint(0, 10)) + delta + v + tuple(-x for x in reversed(delta))
-    body += upper(rng.randint(0, 10))
+    body = (between(rng, c + 1, c + k, rng.randint(0, 10)) + delta + v
+            + tuple(-x for x in reversed(delta)) + between(rng, c + 1, c + k, rng.randint(0, 10)))
     letters = grows + body if rng.random() < 0.5 else body + grows
     budget = len(dynnikov.free_reduce(letters)) + rng.randint(0, 8)
     cases.append((letters, budget))
